@@ -61,9 +61,6 @@ class LevyMeasureModel:
         h = K + G
         return Concentration(G=G, K=K, h=h, I=r**2 * h)
 
-    def total_mass_above(self, r):
-        return float(self.tail(r))
-
     # -- validation --------------------------------------------------------
 
     def validate(self, r_grid=None, rtol=1e-6):

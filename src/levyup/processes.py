@@ -198,8 +198,8 @@ def default_order_fn(z):
 def variable_order_process(order_fn=None):
     """Process of variable order: q(z, xi) = |xi|^{alpha(z)}.
 
-    At each state the frozen triplet is the normalized symmetric stable
-    process of index alpha(z).
+    At each state the frozen law is the normalized symmetric stable law of
+    index alpha(z), which stable_params reports for simulation.
     """
     order = order_fn or default_order_fn
 
@@ -218,14 +218,11 @@ def variable_order_process(order_fn=None):
         c = _stable_norm_vec(a)
         return 2.0 * c * float(r) ** (2.0 - a) / (2.0 - a)
 
-    def freeze(z):
-        return stable_process(float(order(np.asarray(z).reshape(-1)[0])))
-
     def stable_params(z):
         a = order(np.asarray(z, float).reshape(-1))
         return a, np.ones_like(a)
 
-    fam = StateFamily(tail=tail, trunc2=trunc2, freeze=freeze, stable_params=stable_params)
+    fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
     return ProcessSpec(
         kind="state_dependent", dim=1, symbol=symbol, family=fam,
         name="variable_order",
@@ -269,21 +266,11 @@ def stable_type_process(alpha, intensity_fn=None):
         k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
         return k * 2.0 * c * float(r) ** (2.0 - alpha) / (2.0 - alpha)
 
-    def freeze(z):
-        k = float(kap(np.asarray(z).reshape(-1)[0]))
-        m = ms.stable_measure(alpha, scale=k * c)
-        return _as_levy(
-            m,
-            symbol=_power_symbol(alpha, scale=k ** (1.0 / alpha)),
-            stable_family=(alpha, k ** (1.0 / alpha)),
-            name=f"stable_type_frozen({alpha:g})",
-        )
-
     def stable_params(z):
         k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
         return np.full_like(k, alpha), k ** (1.0 / alpha)
 
-    fam = StateFamily(tail=tail, trunc2=trunc2, freeze=freeze, stable_params=stable_params)
+    fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
     return ProcessSpec(
         kind="state_dependent", dim=1, symbol=symbol, family=fam,
         name=f"stable_type({alpha:g})",

@@ -8,10 +8,12 @@ compound_poisson_gauss  jumps above a cutoff as compound Poisson, smaller
                         second moment, drift recentred to the |y| < 1 cutoff
 euler_sde               X_{k+1} = X_k + sigma(X_k) dL with pre-drawn driver
                         increments
-freeze_symbol           one increment of the Levy process frozen at the
-                        current state
+freeze_symbol           one increment of the stable law the family's
+                        stable_params give at the current state; families
+                        without stable_params are not simulated
 
-Randomness is counter-based: path p of a run with seed s draws from
+runmax includes the within-step pre-jump point of every scheme with a jump
+part.  Randomness is counter-based: path p of a run with seed s draws from
 Philox(key = s * 2^64 + p), so parallel and serial execution agree and
 identical (config, model) inputs give identical output.
 """
@@ -130,39 +132,53 @@ def _cms_symmetric(u, w, alpha):
     return su / cu * rest
 
 
+def _cms_pair(rng, size):
+    return rng.uniform(-np.pi / 2, np.pi / 2, size), rng.standard_exponential(size)
+
+
 def stable_draws(rng, alpha, size, sigma=1.0):
-    u = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    w = rng.standard_exponential(size)
-    return sigma * _cms_symmetric(u, w, alpha)
+    return sigma * _cms_symmetric(*_cms_pair(rng, size), alpha)
 
 
-def _levy_parts(triplet: LevyTriplet, dts, delta, rng, rate_cap=1e4):
+# A sampler draw(rng) -> (continuous, jumps or None) gives one path's
+# increments on the steps dts; its path-independent terms are computed once.
+
+
+def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
+    """Exact drift + (sigma |xi|)^alpha stable increments; no jump part."""
+    alpha, sigma = stable_family
+    scale, drift = dts ** (1.0 / alpha), float(triplet.b[0]) * dts
+    return lambda rng: (stable_draws(rng, alpha, len(dts), sigma) * scale + drift, None)
+
+
+def _levy_sampler(triplet: LevyTriplet, dts, delta, rate_cap=1e4):
     """Continuous and jump increments of a 1-d Levy triplet on step sizes dts.
 
-    Returns (continuous, jumps) arrays; ``continuous`` holds drift (recentred
-    to the cutoff delta), the Gaussian part, and the small-jump surrogate;
-    ``jumps`` holds the compound-Poisson sums of jumps above delta.
+    ``continuous`` holds drift (recentred to the cutoff delta), the Gaussian
+    part, and the small-jump surrogate; ``jumps`` holds the compound-Poisson
+    sums of jumps above delta.
     """
     m = triplet.measure
-    dts = np.asarray(dts, float)
     delta = min(float(delta), 1.0)
     rate = float(m.tail(delta))
     if np.any(rate * dts > rate_cap):
         raise RateOverflow(
-            "jump rate times step exceeds the cap; decrease dt or raise delta"
-        )
-    b_eff = float(triplet.b[0]) - m.mean_jump_between(delta, 1.0)
+            "jump rate times step exceeds the cap; decrease dt or raise delta")
     var = float(m.trunc2(delta))
     if triplet.Q is not None:
         var += float(triplet.Q[0, 0])
-    cont = b_eff * dts + np.sqrt(var * dts) * rng.standard_normal(dts.shape)
-    counts = rng.poisson(rate * dts)
-    jumps = np.zeros_like(dts)
-    total = int(counts.sum())
-    if total:
-        sizes = m.sample_jumps(total, delta, rng)
-        jumps = _segment_sums(sizes, counts)
-    return cont, jumps
+    drift = (float(triplet.b[0]) - m.mean_jump_between(delta, 1.0)) * dts
+    sd, mean_counts = np.sqrt(var * dts), rate * dts
+
+    def draw(rng):
+        cont = drift + sd * rng.standard_normal(dts.shape)
+        counts = rng.poisson(mean_counts)
+        total = int(counts.sum())
+        if not total:
+            return cont, np.zeros_like(dts)
+        return cont, _segment_sums(m.sample_jumps(total, delta, rng), counts)
+
+    return draw
 
 
 def _segment_sums(values, counts):
@@ -181,13 +197,63 @@ def sample_increment(triplet: LevyTriplet, dt, delta, rng):
     """
     if dt <= 0 or not 0 < delta <= 1:
         raise ValueError("need dt > 0 and delta in (0, 1]")
-    cont, jumps = _levy_parts(triplet, np.array([dt]), delta, rng)
+    cont, jumps = _levy_sampler(triplet, np.array([dt], float), delta)(rng)
     return float(cont[0] + jumps[0])
 
 
 # ---------------------------------------------------------------------------
-# batch path engines (1-d)
+# batch path engine (1-d): a scheme table over two steppers
 # ---------------------------------------------------------------------------
+
+
+def _exact_stable(spec, dts, config):
+    if spec.stable_family is None:
+        raise ValueError("exact_stable needs a Levy process with stable law")
+    return _stable_sampler(spec.levy, spec.stable_family, dts), None
+
+
+def _compound_poisson_gauss(spec, dts, config):
+    delta = config.delta_for(float(np.median(dts)))
+    return _levy_sampler(spec.levy, dts, delta), None
+
+
+def _euler_sde(spec, dts, config):
+    if spec.stable_family is not None:
+        draw = _stable_sampler(spec.driver, spec.stable_family, dts)
+    else:
+        draw = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
+
+    def advance(state, cont, jumps, dt):
+        s = np.asarray(spec.sigma(state), float)
+        pre = state + s * cont
+        return (None, pre) if jumps is None else (pre, pre + s * jumps)
+
+    return draw, advance
+
+
+def _freeze_symbol(spec, dts, config):
+    params = spec.family.stable_params
+    if params is None:
+        raise NotImplementedError(
+            f"freeze_symbol simulates only families with stable_params; "
+            f"{spec.name or 'this family'} has none")
+
+    def advance(state, u, w, dt):
+        alpha, sigma = params(state)
+        return None, state + sigma * _cms_symmetric(u, w, alpha) * dt ** (1.0 / alpha)
+
+    return (lambda rng: _cms_pair(rng, len(dts))), advance
+
+
+# scheme -> (process kind, build(spec, dts, config) -> (draw, advance)); an
+# advance(state, first, second, dt) -> (pre-jump or None, post) marks a
+# state-dependent scheme, None a Levy scheme of independent increments
+_SCHEMES = {
+    "exact_stable": ("levy", _exact_stable),
+    "compound_poisson_gauss": ("levy", _compound_poisson_gauss),
+    "euler_sde": ("sde", _euler_sde),
+    "freeze_symbol": ("state_dependent", _freeze_symbol),
+}
 
 
 def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
@@ -198,6 +264,48 @@ def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
     if spec.kind == "sde":
         return "euler_sde"
     return "freeze_symbol"
+
+
+def _step_free(draw, x0, dts, config):
+    """Levy paths: each path is x0 plus the cumulative sum of its increments."""
+    n, k = config.n_paths, len(dts)
+    values, runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
+    values[:, 0], runmax[:, 0] = x0, 0.0
+    for p in range(n):
+        cont, jumps = draw(config.rng_for(p))
+        if jumps is None:
+            post = x0 + np.cumsum(cont)
+            step_max = np.abs(post - x0)
+        else:
+            post = x0 + np.cumsum(cont) + np.cumsum(jumps)
+            step_max = np.maximum(np.abs(post - x0), np.abs(post - jumps - x0))
+        values[p, 1:] = post
+        runmax[p, 1:] = np.maximum.accumulate(step_max)
+    return values, runmax
+
+
+def _step_state(draw, advance, x0, dts, config):
+    """State-dependent paths: draw each path's noise, then advance all paths
+    one step at a time."""
+    n, k = config.n_paths, len(dts)
+    first, second = np.empty((n, k)), None
+    for p in range(n):
+        first[p], b = draw(config.rng_for(p))
+        if b is not None:
+            if second is None:
+                second = np.empty((n, k))
+            second[p] = b
+    values, runmax = np.empty((n, k + 1)), np.zeros((n, k + 1))
+    values[:, 0] = x0
+    state, run = np.full(n, x0), np.zeros(n)
+    for j in range(k):
+        pre, state = advance(state, first[:, j],
+                             None if second is None else second[:, j], dts[j])
+        if pre is not None:
+            run = np.maximum(run, np.abs(pre - x0))
+        run = np.maximum(run, np.abs(state - x0))
+        values[:, j + 1], runmax[:, j + 1] = state, run
+    return values, runmax
 
 
 def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
@@ -213,118 +321,17 @@ def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
     if spec.dim != 1:
         raise NotImplementedError("path simulation is implemented in dimension 1")
     scheme = _resolve_scheme(spec, config)
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    kind, build = _SCHEMES[scheme]
+    if spec.kind != kind:
+        raise ValueError(f"{scheme} needs a process of kind {kind!r}")
     dts = np.diff(times)
-    n, k = config.n_paths, len(dts)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
-
-    if scheme == "exact_stable":
-        if spec.kind != "levy" or spec.stable_family is None:
-            raise ValueError("exact_stable needs a Levy process with stable law")
-        alpha, sigma = spec.stable_family
-        drift = float(spec.levy.b[0])
-        values = np.empty((n, k + 1))
-        values[:, 0] = x0
-        for p in range(n):
-            rng = config.rng_for(p)
-            inc = stable_draws(rng, alpha, k, sigma) * dts ** (1.0 / alpha)
-            values[p, 1:] = x0 + np.cumsum(inc + drift * dts)
-        runmax = np.maximum.accumulate(np.abs(values - x0), axis=1)
-        return values, runmax
-
-    if scheme == "compound_poisson_gauss":
-        if spec.kind != "levy":
-            raise ValueError("compound_poisson_gauss needs a Levy process")
-        values = np.empty((n, k + 1))
-        prejump = np.empty((n, k))
-        delta = config.delta_for(float(np.median(dts)))
-        for p in range(n):
-            rng = config.rng_for(p)
-            cont, jumps = _levy_parts(spec.levy, dts, delta, rng)
-            cum_cont = np.cumsum(cont)
-            cum_jump = np.cumsum(jumps)
-            values[p, 0] = x0
-            values[p, 1:] = x0 + cum_cont + cum_jump
-            prejump[p] = x0 + cum_cont + cum_jump - jumps
-        step_max = np.maximum(np.abs(values[:, 1:] - x0), np.abs(prejump - x0))
-        runmax = np.empty_like(values)
-        runmax[:, 0] = 0.0
-        runmax[:, 1:] = np.maximum.accumulate(step_max, axis=1)
-        return values, runmax
-
-    if scheme == "euler_sde":
-        if spec.kind != "sde":
-            raise ValueError("euler_sde needs an SDE specification")
-        driver = spec.driver
-        drv_spec = ProcessSpec(kind="levy", dim=1, symbol=spec.symbol,
-                               levy=driver, stable_family=spec.stable_family)
-        cont_all = np.empty((n, k))
-        jump_all = np.empty((n, k))
-        if spec.stable_family is not None:
-            alpha, sigma = spec.stable_family
-            for p in range(n):
-                rng = config.rng_for(p)
-                cont_all[p] = stable_draws(rng, alpha, k, sigma) * dts ** (1.0 / alpha) \
-                    + float(driver.b[0]) * dts
-                jump_all[p] = 0.0
-        else:
-            delta = config.delta_for(float(np.median(dts)))
-            for p in range(n):
-                rng = config.rng_for(p)
-                cont_all[p], jump_all[p] = _levy_parts(driver, dts, delta, rng)
-        values = np.empty((n, k + 1))
-        values[:, 0] = x0
-        runmax = np.zeros((n, k + 1))
-        state = np.full(n, x0)
-        run = np.zeros(n)
-        for j in range(k):
-            s = np.asarray(spec.sigma(state), float)
-            pre = state + s * cont_all[:, j]
-            run = np.maximum(run, np.abs(pre - x0))
-            state = pre + s * jump_all[:, j]
-            run = np.maximum(run, np.abs(state - x0))
-            values[:, j + 1] = state
-            runmax[:, j + 1] = run
-        return values, runmax
-
-    if scheme == "freeze_symbol":
-        if spec.kind != "state_dependent":
-            raise ValueError("freeze_symbol needs a state-dependent process")
-        fam = spec.family
-        values = np.empty((n, k + 1))
-        values[:, 0] = x0
-        runmax = np.zeros((n, k + 1))
-        if fam.stable_params is not None:
-            u_all = np.empty((n, k))
-            w_all = np.empty((n, k))
-            for p in range(n):
-                rng = config.rng_for(p)
-                u_all[p] = rng.uniform(-np.pi / 2, np.pi / 2, k)
-                w_all[p] = rng.standard_exponential(k)
-            state = np.full(n, x0)
-            run = np.zeros(n)
-            for j in range(k):
-                alpha, sigma = fam.stable_params(state)
-                inc = sigma * _cms_symmetric(u_all[:, j], w_all[:, j], alpha)
-                state = state + inc * dts[j] ** (1.0 / alpha)
-                run = np.maximum(run, np.abs(state - x0))
-                values[:, j + 1] = state
-                runmax[:, j + 1] = run
-            return values, runmax
-        # generic freeze: step-wise compound Poisson + Gaussian per state
-        delta = config.delta_for(float(np.median(dts)))
-        rngs = [config.rng_for(p) for p in range(n)]
-        state = np.full(n, x0)
-        run = np.zeros(n)
-        for j in range(k):
-            for p in range(n):
-                frozen = fam.freeze(state[p])
-                state[p] += sample_increment(frozen.levy, dts[j], delta, rngs[p])
-            run = np.maximum(run, np.abs(state - x0))
-            values[:, j + 1] = state
-            runmax[:, j + 1] = run
-        return values, runmax
-
-    raise ValueError(f"unknown scheme {scheme!r}")
+    draw, advance = build(spec, dts, config)
+    if advance is None:
+        return _step_free(draw, x0, dts, config)
+    return _step_state(draw, advance, x0, dts, config)
 
 
 def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):

@@ -58,8 +58,9 @@ class StateFamily:
 
     tail: Callable      # (z array, r) -> nu(z, {|y| > r}), vectorized over z
     trunc2: Callable    # (z array, r) -> int_{|y|<=r} |y|^2 nu(z, dy)
-    freeze: Callable    # z -> ProcessSpec of the Levy process frozen at z
-    stable_params: Callable | None = None  # z array -> (alpha(z), sigma(z))
+    # z array -> (alpha(z), sigma(z)) of the symmetric stable law frozen at
+    # z; the Monte Carlo freeze_symbol scheme needs it
+    stable_params: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -395,7 +396,6 @@ def psi_star(spec: ProcessSpec, x, r, n_radii=64, n_dirs=32):
 
 _EXTREMUM_MODES = {
     "sup_sup": ("sup", "abs"),
-    "sup_sup_abs": ("sup", "abs"),
     "inf_sup": ("inf", "abs"),
     "inf_sup_re": ("inf", "re"),
     "sup_inf_re": ("swap", "re"),
@@ -406,7 +406,7 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
                     n_z=17, n_radii=48, n_dirs=32):
     """Extremum of the symbol over B(x, ball_radius) x {|xi| <= xi_radius}.
 
-    Modes: sup_sup / sup_sup_abs (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|),
+    Modes: sup_sup (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|),
     inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
     used by the symbol-based exit bound).  For a Levy process the z-extremum
     collapses.

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from levyup import processes as pr
 from levyup.errors import RateOverflow
+from levyup.symbols import StateFamily
 from levyup.simulate import (
     SimConfig,
     estimate_exit_survival,
@@ -18,6 +22,54 @@ from levyup.simulate import (
 )
 
 GRID_01 = np.linspace(0.0, 0.1, 101)
+
+# short irregular grid: per-step sizes differ, so every dts-dependent
+# coefficient of a scheme is exercised
+GRID_IRREGULAR = np.concatenate([[0.0], np.cumsum(np.linspace(5e-4, 2e-3, 40))])
+
+
+def _stable_with_drift():
+    spec = pr.stable_process(1.5)
+    return dataclasses.replace(
+        spec, levy=dataclasses.replace(spec.levy, b=np.array([0.3])),
+        name="stable_drift")
+
+
+# one spec per scheme and sampler: (builder, scheme)
+SCHEME_CASES = {
+    "exact_stable-drift": (_stable_with_drift, "exact_stable"),
+    "cpg-one_sided_1.4": (lambda: pr.one_sided_stable_process(1.4),
+                          "compound_poisson_gauss"),
+    "cpg-atom": (lambda: pr.atom_process(radius=0.5, mass=40.0),
+                 "compound_poisson_gauss"),
+    "euler_sde-cauchy": (pr.sde_process, "euler_sde"),
+    "euler_sde-one_sided_1.4": (
+        lambda: pr.sde_process(driver=pr.one_sided_stable_process(1.4)),
+        "euler_sde"),
+    "freeze-variable_order": (pr.variable_order_process, "freeze_symbol"),
+    "freeze-stable_type_1.3": (lambda: pr.stable_type_process(1.3),
+                               "freeze_symbol"),
+}
+
+# SHA-256 of the (values, runmax) bytes of simulate_batch(spec, 0.25,
+# GRID_IRREGULAR, SimConfig(n_paths=6, seed=17, path_offset=5)); any change
+# to the engine's arithmetic or stream use shows here
+GOLDEN_DIGESTS = {
+    "cpg-atom": "37b62074bdb09e276d2e91aad3a8caea04783651bd9ba98c9be7969a5dda77ec",
+    "cpg-one_sided_1.4": "ae146d94693008ac2c0cf725c547a65200515ebf1cfbb4654f892896b7419265",
+    "euler_sde-cauchy": "79d4f3e6e95fb242b0597ab34792a5928686d1e89f5266c840765f55f68787f5",
+    "euler_sde-one_sided_1.4": "bbdff7b52a1c0ac8fc30d63d2ab185e4a745523dc84ca947a14b4b3e0797f3e7",
+    "exact_stable-drift": "2e959436d245ceb30e3229d9f2de0d1e4678dc4d474dbd0294a7284dd3cd0f0f",
+    "freeze-stable_type_1.3": "5c4879521e7f2adbafd28836a94251b6812abfc90fb5a8f6f6132971e484ec39",
+    "freeze-variable_order": "f8445997d81c66aff9f8183a86faa5cad384e6b67339dbfbcbec70beac47ebe1",
+}
+
+
+def _batch_digest(values, runmax):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(values, np.float64).tobytes())
+    h.update(np.ascontiguousarray(runmax, np.float64).tobytes())
+    return h.hexdigest()
 
 
 class TestIncrements:
@@ -87,13 +139,25 @@ class TestPaths:
         v2, r2 = simulate_batch(pr.cauchy_process(), 0.0, GRID_01, cfg)
         assert np.array_equal(v1, v2) and np.array_equal(r1, r2)
 
-    def test_chunking_matches_unchunked(self):
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_golden_output(self, case):
+        build, scheme = SCHEME_CASES[case]
+        cfg = SimConfig(n_paths=6, seed=17, path_offset=5, scheme=scheme)
+        values, runmax = simulate_batch(build(), 0.25, GRID_IRREGULAR, cfg)
+        assert values.shape == runmax.shape == (6, len(GRID_IRREGULAR))
+        assert _batch_digest(values, runmax) == GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["cauchy"] + sorted(SCHEME_CASES))
+    def test_chunking_matches_unchunked(self, case):
         from levyup.simulate import _batched_runmax
 
-        cfg = SimConfig(n_paths=7, seed=5)
-        _, r1 = _batched_runmax(pr.cauchy_process(), 0.0, GRID_01, cfg, chunk=3)
-        _, r2 = simulate_batch(pr.cauchy_process(), 0.0, GRID_01, cfg)
-        assert np.array_equal(r1, r2)
+        build, scheme = SCHEME_CASES.get(case, (pr.cauchy_process, "auto"))
+        spec = build()
+        cfg = SimConfig(n_paths=7, seed=5, scheme=scheme)
+        v1, r1 = _batched_runmax(spec, 0.0, GRID_01, cfg, chunk=3,
+                                 want_values=True)
+        v2, r2 = simulate_batch(spec, 0.0, GRID_01, cfg)
+        assert np.array_equal(v1, v2) and np.array_equal(r1, r2)
 
     def test_endpoint_law_cauchy(self):
         # P(|X_1| > 1) = 1/2 for the standard Cauchy law at t = 1
@@ -137,6 +201,13 @@ class TestPaths:
                                SimConfig(n_paths=1200, seed=52))
         ks = stats.ks_2samp(v1[:, -1], v2[:, -1])
         assert ks.pvalue > 0.01
+
+    def test_family_without_stable_params_is_not_simulated(self):
+        vo = pr.variable_order_process()
+        bare = dataclasses.replace(
+            vo, family=StateFamily(tail=vo.family.tail, trunc2=vo.family.trunc2))
+        with pytest.raises(NotImplementedError, match="stable_params"):
+            simulate_batch(bare, 0.0, GRID_01, SimConfig(n_paths=2))
 
     def test_sde_with_unit_coefficient_matches_driver(self):
         sde = pr.sde_process(coefficient=lambda z: np.ones_like(np.asarray(z, float)))

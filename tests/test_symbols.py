@@ -161,11 +161,6 @@ class TestSymbolExtremum:
         val = symbol_extremum(vo, 0.0, 0.5, 4.0, "sup_inf_re")
         assert val == pytest.approx(4.0**1.3, rel=1e-12)
 
-    def test_alias_mode(self):
-        cau = pr.cauchy_process()
-        assert symbol_extremum(cau, 0.0, 0.0, 2.0, "sup_sup_abs") == \
-            symbol_extremum(cau, 0.0, 0.0, 2.0, "sup_sup")
-
 
 class TestStructuralInvariants:
     @pytest.mark.parametrize("factory", [
