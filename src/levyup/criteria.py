@@ -184,13 +184,9 @@ def _classify_blocks(sums, settings=DEFAULTS):
 
 
 def _ball_states(spec, x, radius, n_z):
+    """States of B(x, radius) in the layout ``ProcessSpec.tail_at`` takes."""
     z = ball_grid(x, radius, spec.dim, n_z)
-    return z[:, 0] if spec.dim == 1 else z
-
-
-def _ball_tail_extremum(spec, x, radius, threshold, mode, n_z=DEFAULTS.ball_points):
-    vals = spec.tail_at(_ball_states(spec, x, radius, n_z), threshold)
-    return float(vals.max() if mode == "sup" else vals.min())
+    return z[..., 0] if spec.dim == 1 else z
 
 
 def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
@@ -214,20 +210,23 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
             return np.asarray(measure.tail(c * f(t)), float)
 
     else:
-        mode = {"sup": "sup", "inf": "inf"}[ball_mode]
+        if ball_mode not in ("sup", "inf"):
+            raise ValueError(f"unknown ball_mode {ball_mode!r}")
+        extremum = np.max if ball_mode == "sup" else np.min
 
         def g(t):
-            t_arr = np.atleast_1d(t)
-            out = np.empty(t_arr.shape)
-            for i, ti in enumerate(t_arr):
-                ft = float(f(ti))
-                radius = fixed_ball_radius if fixed_ball_radius is not None \
-                    else ball_scale * ft
-                out[i] = _ball_tail_extremum(spec, x, radius, c * ft, mode,
-                                             settings.ball_points)
-            return out if np.ndim(t) else out[0]
+            ft = np.asarray(f(t), float)
+            radius = ball_scale * ft if fixed_ball_radius is None \
+                else fixed_ball_radius
+            z = _ball_states(spec, x, radius, settings.ball_points)
+            return extremum(spec.tail_at(z, c * ft[..., None]), axis=-1)
 
     return dyadic_integral(g, settings.n_levels, settings.nodes_per_block, settings)
+
+
+# (ball_mode, value_kind) -> symbol_extremum mode; Re q only under the inf-ball
+_SYMBOL_MODES = {(None, "abs"): "sup_sup", ("sup", "abs"): "sup_sup",
+                 ("inf", "abs"): "inf_sup", ("inf", "re"): "inf_sup_re"}
 
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
@@ -242,22 +241,19 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mode = {None: "sup_sup", "sup": "sup_sup", "inf": "inf_sup"}[ball_mode]
-    if value_kind == "re":
-        mode = {"sup_sup": "sup_sup", "inf_sup": "inf_sup_re"}[mode]
+    try:
+        mode = _SYMBOL_MODES[ball_mode, value_kind]
+    except KeyError:
+        raise ValueError(f"unsupported ball_mode {ball_mode!r} with value_kind "
+                         f"{value_kind!r}") from None
 
     def make_g(e):
         def g(t):
-            t_arr = np.atleast_1d(t)
-            out = np.empty(t_arr.shape)
-            for i, ti in enumerate(t_arr):
-                ft = float(f(ti))
-                radius = 0.0 if spec.kind == "levy" else ball_scale * ft
-                out[i] = symbol_extremum(
-                    spec, x, radius, 1.0 / (e * ft), mode,
-                    n_z=settings.ball_points, n_radii=settings.xi_radii,
-                )
-            return out if np.ndim(t) else out[0]
+            ft = np.asarray(f(t), float)
+            radius = 0.0 if spec.kind == "levy" else ball_scale * ft
+            return symbol_extremum(spec, x, radius, 1.0 / (e * ft), mode,
+                                   n_z=settings.ball_points,
+                                   n_radii=settings.xi_radii)
         return g
 
     verdict = dyadic_integral(make_g(eps), settings.n_levels,
@@ -298,28 +294,29 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
         raise ValueError("r_grid must reach down to 1e-4")
 
     if isinstance(source, LevyMeasureModel):
-        def ratio(r):
+        def ratio(i, r):
             g = float(source.tail(r))
             if g <= 0.0:
                 raise ZeroTail(f"tail vanishes at r={r}")
             return float(source.trunc2(r)) / (r**2 * g)
     else:
         spec = source
-        radius = ball_radius or 0.0
-        z1 = _ball_states(spec, x, radius, settings.ball_points)
+        z1 = _ball_states(spec, x, ball_radius or 0.0, settings.ball_points)
+        r_col = r_grid[:, None]
+        g = spec.tail_at(z1, r_col)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.max(spec.trunc2_at(z1, r_col) / (r_col**2 * g), axis=1)
 
-        def ratio(r):
-            g = spec.tail_at(z1, r)
-            t2 = spec.trunc2_at(z1, r)
-            if np.any(g <= 0.0):
+        def ratio(i, r):
+            if np.any(g[i] <= 0.0):
                 raise ZeroTail(f"tail vanishes at r={r} on the state ball")
-            return float(np.max(t2 / (r**2 * g)))
+            return float(ratios[i])
 
     witness = np.empty(len(r_grid))
     first_live = 0
     for i, r in enumerate(r_grid):
         try:
-            witness[i] = ratio(r)
+            witness[i] = ratio(i, r)
         except ZeroTail as exc:
             if i >= len(r_grid) // 2:
                 # no jump mass along the approach to 0: the balance fails
@@ -578,13 +575,12 @@ def majorization_holds(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
     xi = np.logspace(0, 4, 9)
     xi_pts = xi[:, None] if spec.dim == 1 else np.pad(xi[:, None],
                                                       ((0, 0), (0, spec.dim - 1)))
-    for r in np.linspace(ball_radius / 4, ball_radius, 4):
-        z = ball_grid(x, r, spec.dim, settings.ball_points)
-        table = np.array([np.abs(spec.q(zi, xi_pts)) for zi in z])
-        sup = table.max(axis=0)
-        if not np.any(np.all(table >= sup[None, :] * (1 - 1e-9), axis=1)):
-            return False
-    return True
+    radii = np.linspace(ball_radius / 4, ball_radius, 4)
+    z = ball_grid(x, radii, spec.dim, settings.ball_points)
+    table = np.abs(spec.q(z[:, :, None, :], xi_pts))   # radius x state x xi
+    sup = table.max(axis=1, keepdims=True)
+    dominant = np.all(table >= sup * (1 - 1e-9), axis=2)
+    return bool(np.all(np.any(dominant, axis=1)))
 
 
 def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
@@ -652,11 +648,8 @@ def _limsup_diverges(t_grid, values):
 def fit_symbol_growth(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
     """Least-squares growth exponent of sup-ball |q| on |xi| in [1e2, 1e5]."""
     xi = np.logspace(2, 5, 13)
-    vals = np.empty(len(xi))
-    for i, r in enumerate(xi):
-        vals[i] = symbol_extremum(spec, x, ball_radius, r, "sup_sup",
-                                  n_z=settings.ball_points,
-                                  n_radii=settings.xi_radii)
+    vals = symbol_extremum(spec, x, ball_radius, xi, "sup_sup",
+                           n_z=settings.ball_points, n_radii=settings.xi_radii)
     slope = np.polyfit(np.log(xi), np.log(np.maximum(vals, 1e-300)), 1)[0]
     return float(min(max(slope, 1e-6), 2.0))
 
@@ -669,21 +662,17 @@ def check_C1(spec: ProcessSpec, x, f: GrowthFunction, settings=DEFAULTS):
         return ConditionReport("holds", 0.0, np.array([]), reason="state-free symbol")
     t_grid = settings.t_grid()
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
+    ft = np.asarray(f(t_grid), float)
+    num = symbol_extremum(spec, x, ft, 1.0 / ft, "sup_sup",
+                          n_z=settings.ball_points, n_radii=settings.xi_radii)
     worst = 0.0
     for R in R_set:
-        ratios = np.empty(len(t_grid))
-        for i, t in enumerate(t_grid):
-            ft = float(f(t))
-            num = symbol_extremum(spec, x, ft, 1.0 / ft, "sup_sup",
-                                  n_z=settings.ball_points,
-                                  n_radii=settings.xi_radii)
-            den = symbol_extremum(spec, x, R * ft, 1.0 / ft, "inf_sup",
-                                  n_z=settings.ball_points,
-                                  n_radii=settings.xi_radii)
-            if den <= 0:
-                return ConditionReport("fails", np.inf, t_grid,
-                                       reason="inf-ball symbol vanishes")
-            ratios[i] = num / den
+        den = symbol_extremum(spec, x, R * ft, 1.0 / ft, "inf_sup",
+                              n_z=settings.ball_points, n_radii=settings.xi_radii)
+        if np.any(den <= 0):
+            return ConditionReport("fails", np.inf, t_grid,
+                                   reason="inf-ball symbol vanishes")
+        ratios = num / den
         kappa_fit = -np.polyfit(np.log(t_grid), np.log(ratios), 1)[0]
         worst = max(worst, kappa_fit)
         if kappa_fit >= 1.0 - settings.kappa_margin:
@@ -721,16 +710,13 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
     evidence = {}
     t_grid = settings.t_grid()
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
+    ft = np.asarray(f(t_grid), float)
 
     def witness(R, C_loc):
-        w = np.empty(len(t_grid))
-        for i, t in enumerate(t_grid):
-            ft = float(f(t))
-            radius = 0.0 if spec.kind == "levy" else R * ft
-            w[i] = t * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
-                                       "inf_sup_re", n_z=settings.ball_points,
-                                       n_radii=settings.xi_radii)
-        return w
+        radius = 0.0 if spec.kind == "levy" else R * ft
+        return t_grid * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
+                                        "inf_sup_re", n_z=settings.ball_points,
+                                        n_radii=settings.xi_radii)
 
     blowup_all = True
     for R in R_set:
@@ -803,9 +789,7 @@ def ball_tail_intensity(spec: ProcessSpec, x, r, settings=DEFAULTS):
     """G(x, r) = inf over the state ball B(x, r) of nu(z, {|y| > r})."""
     if spec.kind == "levy":
         return float(spec.levy.measure.tail(r))
-    z = ball_grid(x, r, spec.dim, settings.ball_points)
-    z1 = z[:, 0] if spec.dim == 1 else z
-    return float(np.min(spec.tail_at(z1, r)))
+    return float(np.min(spec.tail_at(_ball_states(spec, x, r, settings.ball_points), r)))
 
 
 def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5, settings=DEFAULTS):

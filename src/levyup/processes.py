@@ -34,10 +34,9 @@ def _power_symbol(alpha, scale=1.0, drift=0.0):
     """Vectorized symbol xi -> (scale*|xi|)^alpha - i*drift*xi."""
 
     def symbol(x, xi):
-        mags = np.abs(xi[:, 0]) if xi.ndim == 2 else np.abs(xi)
-        out = (scale * mags) ** alpha + 0j
+        out = (scale * np.abs(xi[..., 0])) ** alpha + 0j
         if drift:
-            out += -1j * drift * (xi[:, 0] if xi.ndim == 2 else xi)
+            out += -1j * drift * xi[..., 0]
         return out
 
     return symbol
@@ -96,7 +95,7 @@ def one_sided_stable_process(alpha):
     tan_a = np.tan(np.pi * alpha / 2)
 
     def symbol(x, xi):
-        v = xi[:, 0] if xi.ndim == 2 else xi
+        v = xi[..., 0]
         return amp * np.abs(v) ** alpha * (1.0 - 1j * tan_a * np.sign(v))
 
     return _as_levy(m, b=b, symbol=symbol, name=f"one_sided_stable({alpha:g})")
@@ -118,8 +117,7 @@ def atom_process(radius=2.0, mass=1.0):
     m = ms.atom_measure(radius, mass)
 
     def symbol(x, xi):
-        v = xi[:, 0] if xi.ndim == 2 else xi
-        return mass * (1.0 - np.cos(radius * v)) + 0j
+        return mass * (1.0 - np.cos(radius * xi[..., 0])) + 0j
 
     return _as_levy(m, symbol=symbol, name=f"atom({radius:g})")
 
@@ -135,7 +133,7 @@ def _interpolated_symbol(measure, lo=1e-3, hi=1e10, n=140):
     slope_hi = (log_v[-1] - log_v[-2]) / (log_g[-1] - log_g[-2])
 
     def symbol(x, xi):
-        v = np.abs(xi[:, 0] if xi.ndim == 2 else xi)
+        v = np.abs(xi[..., 0])
         out = np.zeros(v.shape)
         pos = v > 0
         lv = np.log(np.clip(v[pos], 1e-300, None))
@@ -179,8 +177,7 @@ def zero_process(dim=1):
     m = ms.null_measure(dim)
 
     def symbol(x, xi):
-        n = xi.shape[0] if xi.ndim == 2 else np.size(xi)
-        return np.zeros(n, complex)
+        return np.zeros(xi.shape[:-1], complex)
 
     return _as_levy(m, symbol=symbol, name="zero")
 
@@ -204,19 +201,17 @@ def variable_order_process(order_fn=None):
     order = order_fn or default_order_fn
 
     def symbol(x, xi):
-        a = float(order(np.asarray(x).reshape(-1)[0]))
-        mags = np.abs(xi[:, 0] if xi.ndim == 2 else xi)
-        return mags**a + 0j
+        return np.abs(xi[..., 0]) ** order(x[..., 0]) + 0j
 
     def tail(z, r):
-        a = order(np.asarray(z, float).reshape(-1))
+        a = order(np.asarray(z, float))
         c = _stable_norm_vec(a)
-        return 2.0 * c * float(r) ** (-a) / a
+        return 2.0 * c * np.asarray(r, float) ** (-a) / a
 
     def trunc2(z, r):
-        a = order(np.asarray(z, float).reshape(-1))
+        a = order(np.asarray(z, float))
         c = _stable_norm_vec(a)
-        return 2.0 * c * float(r) ** (2.0 - a) / (2.0 - a)
+        return 2.0 * c * np.asarray(r, float) ** (2.0 - a) / (2.0 - a)
 
     def stable_params(z):
         a = order(np.asarray(z, float).reshape(-1))
@@ -254,17 +249,15 @@ def stable_type_process(alpha, intensity_fn=None):
     c = ms.stable_normalization(alpha)
 
     def symbol(x, xi):
-        k = float(kap(np.asarray(x).reshape(-1)[0]))
-        mags = np.abs(xi[:, 0] if xi.ndim == 2 else xi)
-        return k * mags**alpha + 0j
+        return kap(x[..., 0]) * np.abs(xi[..., 0]) ** alpha + 0j
 
     def tail(z, r):
-        k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
-        return k * 2.0 * c * float(r) ** (-alpha) / alpha
+        k = np.asarray(kap(np.asarray(z, float)), float)
+        return k * 2.0 * c * np.asarray(r, float) ** (-alpha) / alpha
 
     def trunc2(z, r):
-        k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
-        return k * 2.0 * c * float(r) ** (2.0 - alpha) / (2.0 - alpha)
+        k = np.asarray(kap(np.asarray(z, float)), float)
+        return k * 2.0 * c * np.asarray(r, float) ** (2.0 - alpha) / (2.0 - alpha)
 
     def stable_params(z):
         k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
@@ -290,9 +283,8 @@ def sde_process(driver: ProcessSpec | None = None, coefficient=None):
     sig = coefficient or default_sde_coefficient
 
     def symbol(x, xi):
-        s = float(sig(np.asarray(x).reshape(-1)[0]))
-        xi2 = xi if np.ndim(xi) == 2 else np.asarray(xi, float).reshape(-1, 1)
-        return driver.q(np.zeros(driver.dim), s * xi2)
+        s = np.broadcast_to(np.asarray(sig(x[..., 0]), float), x.shape[:-1])
+        return driver.q(np.zeros(driver.dim), s[..., None] * xi)
 
     return ProcessSpec(
         kind="sde",

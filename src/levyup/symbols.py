@@ -3,7 +3,11 @@
 A process is described either by a Levy triplet (b, Q, nu), by a
 state-dependent family x -> (b(x), 0, nu(x, .)), or by an SDE driven by a
 Levy process through a bounded coefficient sigma.  In every case it carries
-a symbol q(x, xi), vectorized over xi, which all criteria consume.
+a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
+x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
+complex values of the broadcast shape (q(x (d,), xi (m, d)) -> (m,) is the
+single-state case); ``tail_at`` / ``trunc2_at`` broadcast states against radii
+alike, so a block of nodes x ball states x frequencies costs one call.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ class LevyTriplet:
 class StateFamily:
     """State-dependent characteristics reduced to what the criteria consume."""
 
-    tail: Callable      # (z array, r) -> nu(z, {|y| > r}), vectorized over z
-    trunc2: Callable    # (z array, r) -> int_{|y|<=r} |y|^2 nu(z, dy)
+    # (z, r) -> nu(z, {|y| > r}) and int_{|y|<=r} |y|^2 nu(z, dy); the state
+    # array z and the radius array r broadcast against each other
+    tail: Callable
+    trunc2: Callable
     # z array -> (alpha(z), sigma(z)) of the symmetric stable law frozen at
     # z; the Monte Carlo freeze_symbol scheme needs it
     stable_params: Callable | None = None
@@ -67,7 +73,9 @@ class StateFamily:
 class ProcessSpec:
     kind: str  # "levy" | "state_dependent" | "sde"
     dim: int
-    symbol: Callable  # (x (d,), xi (m, d)) -> complex (m,)
+    # (x (..., d), xi (..., d)) -> complex of the broadcast leading shape;
+    # e.g. states (k, 1, d) against frequencies (m, d) give (k, m)
+    symbol: Callable
     levy: LevyTriplet | None = None
     family: StateFamily | None = None
     driver: LevyTriplet | None = None
@@ -76,40 +84,47 @@ class ProcessSpec:
     name: str = ""
 
     def q(self, x, xi):
-        """Evaluate the symbol at state x on a stack of frequencies (m, d)."""
+        """Symbol at states x (..., d) and frequencies xi (..., d).
+
+        Leading axes broadcast; the result is complex of the broadcast shape.
+        A 1-d xi is a stack of frequencies in dimension 1, else one frequency.
+        """
         x = np.atleast_1d(np.asarray(x, float))
         xi = np.asarray(xi, float)
         if xi.ndim == 1:
             xi = xi[:, None] if self.dim == 1 else xi[None, :]
-        return np.asarray(self.symbol(x, xi), complex)
+        shape = (xi.shape[:-1] if x.ndim == 1
+                 else np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
+        out = np.asarray(self.symbol(x, xi), complex)
+        if out.shape != shape and self.kind != "levy":
+            raise ValueError(f"symbol must broadcast to {shape}, got {out.shape}")
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def tail_at(self, z, r):
-        """nu(z, {|y| > r}) for an array of states z (vectorized)."""
-        z = np.atleast_1d(np.asarray(z, float))
-        if self.kind == "levy":
-            return np.full(z.shape[0], float(self.levy.measure.tail(r)))
-        if self.kind == "state_dependent":
-            return np.asarray(self.family.tail(z, r), float)
-        s = np.abs(np.asarray(self.sigma(z), float))
-        out = np.zeros(z.shape[0])
-        ok = s > 0
-        if np.any(ok):
-            out[ok] = np.asarray(self.driver.measure.tail(r / s[ok]), float)
-        return out
+        """nu(z, {|y| > r}) on states z (shape (...) in dimension 1, else
+        (..., d)); the radii r broadcast against the states."""
+        return self._at(z, r, "tail")
 
     def trunc2_at(self, z, r):
+        """int_{|y|<=r} |y|^2 nu(z, dy), broadcast like ``tail_at``."""
+        return self._at(z, r, "trunc2")
+
+    def _at(self, z, r, attr):
         z = np.atleast_1d(np.asarray(z, float))
-        if self.kind == "levy":
-            return np.full(z.shape[0], float(self.levy.measure.trunc2(r)))
-        if self.kind == "state_dependent":
-            return np.asarray(self.family.trunc2(z, r), float)
-        s = np.abs(np.asarray(self.sigma(z), float))
-        out = np.zeros(z.shape[0])
+        r = np.asarray(r, float)
+        shape = np.broadcast_shapes(z.shape if self.dim == 1 else z.shape[:-1],
+                                    r.shape)
+        if self.kind != "sde":
+            model = self.levy.measure if self.kind == "levy" else self.family
+            args = (r,) if self.kind == "levy" else (z, r)
+            return np.array(np.broadcast_to(getattr(model, attr)(*args), shape), float)
+        s = np.broadcast_to(np.abs(np.asarray(self.sigma(z), float)), shape)
+        r = np.broadcast_to(r, shape)
+        out = np.zeros(shape)
         ok = s > 0
         if np.any(ok):
-            out[ok] = s[ok] ** 2 * np.asarray(
-                self.driver.measure.trunc2(r / s[ok]), float
-            )
+            val = np.asarray(getattr(self.driver.measure, attr)(r[ok] / s[ok]), float)
+            out[ok] = val if attr == "tail" else s[ok] ** 2 * val
         return out
 
 
@@ -358,23 +373,28 @@ def _directions(dim, n=32):
 
 
 def xi_grid(radius, dim, n_radii=64, n_dirs=32, decades=4.0):
-    """Deterministic frequency grid filling the ball |xi| <= radius."""
-    radii = np.logspace(np.log10(radius) - decades, np.log10(radius), n_radii)
+    """Deterministic frequency grid filling the ball |xi| <= radius; a 1-d
+    array of radii gives one grid per radius (leading axis)."""
+    radii = np.logspace(np.log10(radius) - decades, np.log10(radius), n_radii).T
     dirs = _directions(dim, n_dirs)
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim), radii, dirs
+    grid = (radii[..., None, None] * dirs).reshape(radii.shape[:-1] + (-1, dim))
+    return grid, radii, dirs
 
 
 def ball_grid(center, radius, dim, n=17):
-    """Deterministic grid over the closed ball B(center, radius)."""
+    """Deterministic grid over the closed ball B(center, radius); an array of
+    radii gives one grid per radius (leading axes radius.shape)."""
     center = np.atleast_1d(np.asarray(center, float))
-    if radius == 0:
+    radius = np.asarray(radius, float)
+    if radius.ndim == 0 and radius == 0:
         return center[None, :]
     if dim == 1:
-        return (center[0] + radius * np.linspace(-1.0, 1.0, n))[:, None]
+        return (center[0] + radius[..., None] * np.linspace(-1.0, 1.0, n))[..., None]
     dirs = _directions(dim, max(8, n // 2))
-    radii = np.linspace(0.0, radius, 5)[1:]
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim) + center
-    return np.vstack([center[None, :], pts])
+    radii = np.linspace(0.0, radius, 5, axis=-1)[..., 1:]
+    pts = (radii[..., None, None] * dirs).reshape(radius.shape + (-1, dim)) + center
+    middle = np.broadcast_to(center, radius.shape + (1, dim))
+    return np.concatenate([middle, pts], axis=-2)
 
 
 def psi_star(spec: ProcessSpec, x, r, n_radii=64, n_dirs=32):
@@ -410,28 +430,38 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
     inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
     used by the symbol-based exit bound).  For a Levy process the z-extremum
     collapses.
+
+    ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
+    ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
+    the result is an array of the broadcast shape (a float for scalars).
     """
-    if xi_radius <= 0:
+    ball_r, xi_r = np.broadcast_arrays(np.asarray(ball_radius, float),
+                                       np.asarray(xi_radius, float))
+    shape = ball_r.shape
+    ball_r, xi_r = ball_r.ravel(), xi_r.ravel()
+    if (xi_r <= 0).any():
         raise ValueError("xi_radius must be positive")
-    if ball_radius < 0:
+    if (ball_r < 0).any():
         raise ValueError("ball_radius must be non-negative")
     try:
         z_kind, val_kind = _EXTREMUM_MODES[mode]
     except KeyError:
         raise ValueError(f"unknown extremum mode {mode!r}") from None
-    grid, radii, dirs = xi_grid(xi_radius, spec.dim, n_radii, n_dirs)
-    if spec.kind == "levy" or ball_radius == 0:
-        z_points = np.atleast_1d(np.asarray(x, float))[None, :]
+    xi, _, _ = xi_grid(xi_r, spec.dim, n_radii, n_dirs)
+    if spec.dim == 1:  # directions (+1, -1); Hermitian q has even |q| and Re q
+        xi = xi[:, ::2]
+    if spec.kind == "levy" or not ball_r.any():
+        q = spec.q(x, xi.reshape(-1, spec.dim)).reshape(xi_r.size, 1, -1)
     else:
-        z_points = ball_grid(x, ball_radius, spec.dim, n_z)
-    table = np.empty((z_points.shape[0], grid.shape[0]))
-    for i, z in enumerate(z_points):
-        q = spec.q(z, grid)
-        table[i] = np.abs(q) if val_kind == "abs" else np.real(q)
+        z = ball_grid(x, ball_r, spec.dim, n_z)
+        q = spec.q(z[:, :, None, :], xi[:, None, :, :])
+    table = np.abs(q) if val_kind == "abs" else np.real(q)
     if z_kind == "swap":
-        return float(table.min(axis=0).max(initial=0.0))
-    per_z = table.max(axis=1)
-    return float(per_z.max() if z_kind == "sup" else per_z.min())
+        out = table.min(axis=1).max(axis=-1, initial=0.0)
+    else:
+        per_z = table.max(axis=-1)
+        out = per_z.max(axis=-1) if z_kind == "sup" else per_z.min(axis=-1)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -509,27 +539,19 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0), xi_radii=None, n_dirs=32,
         raise ValueError("frequency grid must exclude 0")
     dirs = _directions(spec.dim, n_dirs)
     z_points = ball_grid(center, radius, spec.dim, n_z)
-    ratio_by_level = np.zeros(len(xi_radii))
-    any_nonzero = False
-    hard_fail = False
-    for z in z_points:
-        grid = (xi_radii[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
-        q = spec.q(z, grid).reshape(len(xi_radii), len(dirs))
-        re, im = np.real(q), np.abs(np.imag(q))
-        nz = (re > 0) | (im > 0)
-        any_nonzero |= bool(nz.any())
-        bad = (re <= 0) & (im > 1e-12)
-        if bad.any():
-            hard_fail = True
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(re > 0, im / re, 0.0)
-        ratio_by_level = np.maximum(ratio_by_level, ratios.max(axis=1))
-    if not any_nonzero:
+    grid = (xi_radii[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
+    states = z_points[0] if spec.kind == "levy" else z_points[:, None, :]
+    q = spec.q(states, grid).reshape(-1, len(xi_radii), len(dirs))
+    re, im = np.real(q), np.abs(np.imag(q))
+    if not ((re > 0) | (im > 0)).any():
         raise DegenerateSymbol("symbol vanishes on the whole grid")
-    if hard_fail:
+    if ((re <= 0) & (im > 1e-12)).any():
         return ConditionReport(
             "fails", float(np.inf), xi_radii, reason="Re q = 0 where Im q > 0"
         )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(re > 0, im / re, 0.0)
+    ratio_by_level = ratios.max(axis=(0, 2))
     label, est = tail_trend(xi_radii, ratio_by_level)
     if label == "stable":
         return ConditionReport("holds", est, xi_radii)

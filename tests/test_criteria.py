@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from levyup.criteria import (
     tail_integral_criterion,
 )
 from levyup.errors import EvaluationFailure
+from test_symbols import EQUIV_SPECS, EQUIV_X
 
 
 class TestDyadicIntegral:
@@ -115,6 +119,24 @@ class TestTailIntegralCriterion:
         with pytest.raises(ValueError):
             tail_integral_criterion(pr.variable_order_process(), 0.0,
                                     gr.power(0.8), 1.0, ball_mode=None)
+
+    def test_misspelled_ball_mode_rejected(self):
+        with pytest.raises(ValueError, match="ball_mode"):
+            tail_integral_criterion(pr.variable_order_process(), 0.0,
+                                    gr.power(0.8), 1.0, ball_mode="supremum")
+
+    @pytest.mark.parametrize("ball_mode, value_kind", [
+        (None, "re"),        # Re q exists only under the inf-ball
+        ("sup", "re"),
+        ("inf", "real"),     # unknown value kind
+        ("sup", "ABS"),
+        ("infimum", "abs"),  # misspelled ball mode
+    ])
+    def test_symbol_mode_contract(self, ball_mode, value_kind):
+        with pytest.raises(ValueError, match="ball_mode"):
+            symbol_integral_criterion(pr.variable_order_process(), 0.0,
+                                      gr.power(0.8), ball_mode=ball_mode,
+                                      value_kind=value_kind)
 
 
 class TestSymbolIntegralCriterion:
@@ -404,3 +426,55 @@ class TestExitBounds:
         assert 0.0 <= eb.lower <= 1.0
         assert eb.schilling_factor > 0
         assert 0.0 < eb.symbol_survival_factor <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-node evaluation that preceded the batched layer
+# ---------------------------------------------------------------------------
+
+GOLDEN_CRITERIA = Path(__file__).parent / "data" / "criteria_golden.json"
+# (criterion, keyword arguments) for state-dependent specs; Levy specs run
+# each criterion once with ball_mode=None
+EQUIV_CASES = (
+    ("symbol", {"ball_mode": "sup"}),
+    ("symbol", {"ball_mode": "inf"}),
+    ("symbol", {"ball_mode": "inf", "value_kind": "re"}),
+    ("tail", {"ball_mode": "sup"}),
+    ("tail", {"ball_mode": "inf", "ball_scale": 2.0}),
+    ("tail", {"ball_mode": "sup", "fixed_ball_radius": 0.5}),
+)
+
+
+def criteria_table(name):
+    """(state, block sums) of the symbol and tail criteria at f(t) = t^kappa,
+    kappa on both sides of the dichotomy."""
+    spec = EQUIV_SPECS[name]()
+    if spec.kind == "levy":
+        cases = (("symbol", {}), ("tail", {}))
+    else:
+        cases = EQUIV_CASES
+    out = []
+    for kappa in (0.7, 1.0):
+        f = gr.power(kappa)
+        for kind, kw in cases:
+            if kind == "symbol":
+                v = symbol_integral_criterion(spec, EQUIV_X, f, **kw)
+            else:
+                v = tail_integral_criterion(spec, EQUIV_X, f, 1.0, **kw)
+            out.append({"case": f"t^{kappa} {kind} {sorted(kw.items())}",
+                        "state": v.state,
+                        "block_sums": [float(s) for s in v.block_sums]})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
+def test_criteria_match_recorded_values(name):
+    # recorded from the per-node loops; batching reorders no sum but may move
+    # the last bit of a tail through numpy's vector power
+    golden = json.loads(GOLDEN_CRITERIA.read_text())[name]
+    table = criteria_table(name)
+    assert [r["case"] for r in table] == [r["case"] for r in golden]
+    for row, ref in zip(table, golden):
+        assert row["state"] == ref["state"], row["case"]
+        np.testing.assert_allclose(row["block_sums"], ref["block_sums"],
+                                   rtol=1e-14, atol=0, err_msg=row["case"])

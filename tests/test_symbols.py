@@ -1,5 +1,12 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levyup import measures as ms
 from levyup import processes as pr
@@ -189,3 +196,104 @@ class TestStructuralInvariants:
         spec = factory()
         c = psi_star_h_constant(spec, spec.levy.measure)
         assert 1.0 <= c < 100.0
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-state evaluation that preceded the batched layer
+# ---------------------------------------------------------------------------
+
+GOLDEN_EXTREMUM = Path(__file__).parent / "data" / "symbol_extremum_golden.json"
+EQUIV_SPECS = {
+    "variable_order": pr.variable_order_process,
+    "stable_type": lambda: pr.stable_type_process(1.2),
+    "sde_cauchy": pr.sde_process,
+    "cauchy": pr.cauchy_process,
+    "one_sided": lambda: pr.one_sided_stable_process(1.4),
+}
+EXTREMUM_MODES = ("sup_sup", "inf_sup", "inf_sup_re", "sup_inf_re")
+EQUIV_X = 0.8                 # the ball crosses variable_order's clamp at 1
+EQUIV_BALL_RADII = (0.0, 0.3)
+EQUIV_XI_CAPS = (0.5, 7.0, 3e4)
+
+
+def extremum_table(name):
+    """symbol_extremum over every mode x ball radius x frequency cap."""
+    spec = EQUIV_SPECS[name]()
+    return [symbol_extremum(spec, EQUIV_X, b, c, mode)
+            for mode in EXTREMUM_MODES for b in EQUIV_BALL_RADII
+            for c in EQUIV_XI_CAPS]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
+def test_extremum_matches_recorded_values(name):
+    # recorded from the per-state loop; the batched evaluation is bit-identical
+    golden = json.loads(GOLDEN_EXTREMUM.read_text())
+    assert extremum_table(name) == golden[name]
+
+
+@pytest.mark.parametrize("mode", EXTREMUM_MODES)
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
+def test_batched_extremum_matches_scalar_calls(name, mode):
+    spec = EQUIV_SPECS[name]()
+    balls = np.array([[0.0], [0.05], [0.3]])
+    caps = np.array(EQUIV_XI_CAPS)
+    batch = symbol_extremum(spec, EQUIV_X, balls, caps, mode)
+    assert batch.shape == (3, 3)
+    scalar = [[symbol_extremum(spec, EQUIV_X, b, c, mode) for c in caps]
+              for b in balls[:, 0]]
+    np.testing.assert_array_equal(batch, scalar)
+
+
+def test_extremum_rejects_bad_radii_in_arrays():
+    vo = pr.variable_order_process()
+    with pytest.raises(ValueError):
+        symbol_extremum(vo, 0.0, np.array([0.1, -0.1]), 4.0)
+    with pytest.raises(ValueError):
+        symbol_extremum(vo, 0.0, 0.1, np.array([4.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the broadcasting contract of ProcessSpec.q / tail_at / trunc2_at
+# ---------------------------------------------------------------------------
+
+
+def builtin(name):
+    factory, params = pr.BUILTIN_PROCESSES[name]
+    return factory(**({"alpha": 1.3} if "alpha" in params else {}))
+
+
+STATES = hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(1)),
+                    elements=st.floats(-3.0, 3.0))
+FREQS = hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(1)),
+                   elements=st.floats(-1e4, 1e4))
+RADII = hnp.arrays(float, st.integers(1, 5), elements=st.floats(1e-4, 10.0))
+
+
+@pytest.mark.parametrize("name", sorted(pr.BUILTIN_PROCESSES))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(z=STATES, xi=FREQS)
+def test_q_broadcasts_states_against_frequencies(name, z, xi):
+    spec = builtin(name)
+    table = spec.q(z[:, None, :], xi[None, :, :])
+    assert table.shape == (z.shape[0], xi.shape[0])
+    for i in range(z.shape[0]):
+        np.testing.assert_array_equal(table[i], spec.q(z[i], xi))
+
+
+@pytest.mark.parametrize("name", ["variable_order", "stable_type", "sde_cauchy"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(z=STATES, r=RADII)
+def test_tail_and_trunc2_broadcast_states_against_radii(name, z, r):
+    spec = builtin(name)
+    states = z[:, 0]
+    for method in (spec.tail_at, spec.trunc2_at):
+        table = method(states, r[:, None])
+        assert table.shape == (r.size, states.size)
+        np.testing.assert_array_equal(table, [method(states, ri) for ri in r])
+
+
+def test_q_rejects_symbol_that_ignores_state_axes():
+    vo = pr.variable_order_process()
+    frozen = dataclasses.replace(vo, symbol=lambda x, xi: np.abs(xi[..., 0]) ** 1.5 + 0j)
+    with pytest.raises(ValueError, match="broadcast"):
+        frozen.q(np.zeros((3, 1, 1)), np.ones((4, 1)))
