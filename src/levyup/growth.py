@@ -41,25 +41,26 @@ class GrowthFunction:
     def inverse(self, r):
         """Generalized inverse inf{t in (0,1] : f(t) >= r}, via bisection.
 
-        Returns 1.0 when no t <= 1 reaches r.  Raises InverseFailure when the
+        Array-in/array-out: an array of levels gives an array of its shape
+        from one bisection (one call of f per step), each element as if
+        bisected alone; a float gives a float.  Returns 1.0 where no t <= 1
+        reaches r.  Raises InverseFailure, naming the first such r, when an
         inverse collapses below the working resolution (f too flat near 0).
         """
-        r = float(r)
-        if float(self(1.0)) < r:
-            return 1.0
-        lo, hi = np.log(_T_FLOOR), 0.0
-        if float(self(np.exp(lo))) >= r:
-            raise InverseFailure(
-                f"inverse at r={r} is below resolution; f({_T_FLOOR}) >= r already"
-            )
+        r = np.asarray(r, float)
+        live = r <= float(self(1.0))
+        collapsed = live & (float(self(np.exp(np.log(_T_FLOOR)))) >= r)
+        if collapsed.any():
+            raise InverseFailure(f"inverse at r={r[collapsed][0]} is below resolution; "
+                                 f"f({_T_FLOOR}) >= r already")
         # bisect in log time: relative resolution 1e-12 at every scale
-        while hi - lo > _INV_RESOLUTION:
+        lo, hi = np.full(r.shape, np.log(_T_FLOOR)), np.zeros(r.shape)
+        while (open_ := hi - lo > _INV_RESOLUTION).any():
             mid = 0.5 * (lo + hi)
-            if float(self(np.exp(mid))) >= r:
-                hi = mid
-            else:
-                lo = mid
-        return float(np.exp(hi))
+            up = self(np.exp(mid)) >= r
+            hi, lo = np.where(open_ & up, mid, hi), np.where(open_ & ~up, mid, lo)
+        t = np.where(live, np.exp(hi), 1.0)
+        return t if r.ndim else float(t)
 
     @property
     def label(self):

@@ -8,6 +8,7 @@ and used for exponent quadrature, sampling, and consistency checks.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
@@ -262,7 +263,7 @@ def slow_variation_measure():
         r_arr = np.atleast_1d(np.asarray(r, float))
         out = np.zeros_like(r_arr)
         for i, ri in enumerate(r_arr):
-            out[i] = _slow_tail_scalar(ri)
+            out[i] = _slow_tail_scalar(float(ri))
         return out if np.ndim(r) else float(out[0])
 
     def trunc2(r):
@@ -279,23 +280,21 @@ def slow_variation_measure():
     )
 
 
-def _slow_tail_scalar(r, _memo={}):
+@functools.lru_cache(maxsize=1024)
+def _slow_tail_scalar(r):
     edge = _E_MINUS_E
     if r >= edge:
         return 0.0
-    key = float(r)
-    if key not in _memo:
-        # log-radius substitution: the integrand decays like e^{-2u} upward,
-        # so the huge dynamic range near small r stays well-conditioned
-        def g(u):
-            s = np.exp(u)
-            return s ** -1.0 * _phi_prime(s)
+    # log-radius substitution: the integrand decays like e^{-2u} upward,
+    # so the huge dynamic range near small r stays well-conditioned
+    def g(u):
+        s = np.exp(u)
+        return s ** -1.0 * _phi_prime(s)
 
-        val, _ = integrate.quad(
-            g, np.log(r), np.log(edge), limit=400, epsabs=0.0, epsrel=1e-10
-        )
-        _memo[key] = val
-    return _memo[key]
+    val, _ = integrate.quad(
+        g, np.log(r), np.log(edge), limit=400, epsabs=0.0, epsrel=1e-10
+    )
+    return val
 
 
 def atom_measure(radius=2.0, mass=1.0):

@@ -52,8 +52,17 @@ class SimConfig:
             return self.delta_jump
         return float(np.clip(np.sqrt(dt), 1e-4, 1e-1))
 
-    def rng_for(self, p):
-        return path_rng(self.seed, self.path_offset + p)
+    def path_rngs(self):
+        """Yield path_rng(seed, path_offset + p) for p < n_paths: one Philox
+        re-keyed through its state (same key words, counter 0, empty buffer),
+        so each generator is valid only until the next is drawn."""
+        rng = path_rng(self.seed, self.path_offset)
+        state = rng.bit_generator.state
+        for p in range(self.n_paths):
+            hi, lo = divmod((int(self.seed) << 64) + self.path_offset + p, 1 << 64)
+            state["state"]["key"] = np.array([lo, hi], np.uint64)
+            rng.bit_generator.state = state
+            yield rng
 
 
 @dataclass
@@ -271,8 +280,8 @@ def _step_free(draw, x0, dts, config):
     n, k = config.n_paths, len(dts)
     values, runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
     values[:, 0], runmax[:, 0] = x0, 0.0
-    for p in range(n):
-        cont, jumps = draw(config.rng_for(p))
+    for p, rng in enumerate(config.path_rngs()):
+        cont, jumps = draw(rng)
         if jumps is None:
             post = x0 + np.cumsum(cont)
             step_max = np.abs(post - x0)
@@ -289,8 +298,8 @@ def _step_state(draw, advance, x0, dts, config):
     one step at a time."""
     n, k = config.n_paths, len(dts)
     first, second = np.empty((n, k)), None
-    for p in range(n):
-        first[p], b = draw(config.rng_for(p))
+    for p, rng in enumerate(config.path_rngs()):
+        first[p], b = draw(rng)
         if b is not None:
             if second is None:
                 second = np.empty((n, k))

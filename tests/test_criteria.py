@@ -8,6 +8,7 @@ from levyup import growth as gr
 from levyup import processes as pr
 from levyup.criteria import (
     CriteriaSettings,
+    _a2_direct_witness,
     bg_index,
     check_A1,
     check_A2,
@@ -23,7 +24,7 @@ from levyup.criteria import (
     symbol_integral_criterion,
     tail_integral_criterion,
 )
-from levyup.errors import EvaluationFailure
+from levyup.errors import EvaluationFailure, InverseFailure
 from test_symbols import EQUIV_SPECS, EQUIV_X
 
 
@@ -190,6 +191,21 @@ class TestConditionA1:
         assert rep.fails and "vanishes" in rep.reason
 
 
+A2_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "a2_witness_golden.json").read_text())
+A2_GRID = np.array(A2_GOLDEN["r_grid"])
+
+
+def a2_case(name):
+    """"power(k)" or "<sqrt_t|sqrt_loglog> x<scale>", as the workload scales f."""
+    if name.startswith("power("):
+        return gr.power(float(name[len("power("):-1]))
+    base, scale = name.split(" x")
+    base, scale = getattr(gr, base)(), float(scale)
+    return gr.from_callable(lambda t: scale * base(t), descriptor=("scaled", scale),
+                            regularly_varying=True)
+
+
 class TestConditionA2:
     def test_power_07_holds_via_shortcut(self):
         rep = check_A2(gr.power(0.7))
@@ -211,6 +227,22 @@ class TestConditionA2:
         a = check_A2(gr.power(0.7), use_shortcut=True)
         b = check_A2(gr.power(0.7), use_shortcut=False)
         assert a.verdict == b.verdict == "holds"
+
+    @pytest.mark.parametrize("case", [c["name"] for c in A2_GOLDEN["cases"]])
+    def test_witness_matches_recorded_scalar_quadrature(self, case):
+        # recorded from one adaptive quad per radius; sqrt_loglog's clamp at
+        # e^{-e} is a kink that a fixed-node panel resolves to ~2e-7
+        rec = next(c for c in A2_GOLDEN["cases"] if c["name"] == case)
+        f = a2_case(case)
+        rtol = 1e-5 if case.startswith("sqrt_loglog") else 1e-12
+        np.testing.assert_allclose(_a2_direct_witness(f, A2_GRID), rec["witness"],
+                                   rtol=rtol, atol=0)
+        rep = check_A2(f)
+        assert (rep.verdict, rep.shortcut) == (rec["verdict"], rec["shortcut"])
+
+    def test_too_flat_power_raises_inverse_failure(self):
+        with pytest.raises(InverseFailure):
+            check_A2(gr.power(0.3))
 
 
 class TestBgIndex:

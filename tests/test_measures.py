@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,23 @@ class TestSlowVariationMeasure:
         for r in (1e-6, 1e-8):
             approx = 0.5 * r**-2 / (np.log(1 / r) * np.log(np.log(1 / r)) ** 2)
             assert float(m.tail(r)) == pytest.approx(approx, rel=0.25)
+
+
+    def test_tail_matches_recorded_values(self):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "slow_tail_golden.json").read_text())
+        m = ms.slow_variation_measure()
+        assert m.tail(np.array(golden["r"])).tolist() == golden["tail"]
+        assert [m.tail(r) for r in golden["r"]] == golden["tail"]
+
+    def test_tail_memo_is_bounded(self):
+        m = ms.slow_variation_measure()
+        cap = ms._slow_tail_scalar.cache_info().maxsize
+        # radii above the support cost no quadrature but still fill the memo
+        m.tail(np.concatenate([np.logspace(-6, -2, 40),
+                               np.linspace(0.07, 0.9, cap + 100)]))
+        assert ms._slow_tail_scalar.cache_info().currsize <= cap
+        assert float(m.tail(1e-4)) > 0.0
 
 
 class TestAtomAndLogSmooth:

@@ -147,6 +147,17 @@ class TestPaths:
         assert values.shape == runmax.shape == (6, len(GRID_IRREGULAR))
         assert _batch_digest(values, runmax) == GOLDEN_DIGESTS[case]
 
+    @pytest.mark.parametrize("seed,offset", [(0, 0), (17, 5), (3, 2**40), (2**50, 2**64 - 2)])
+    def test_rekeyed_streams_match_path_rng(self, seed, offset):
+        cfg = SimConfig(n_paths=4, seed=seed, path_offset=offset)
+        for p, rng in enumerate(cfg.path_rngs()):
+            ref = path_rng(seed, offset + p)
+            # normal draws leave a buffered word that the next key must clear
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+            assert np.array_equal(rng.integers(0, 2**31, 3, dtype=np.int32),
+                                  ref.integers(0, 2**31, 3, dtype=np.int32))
+            assert rng.random() == ref.random()
+
     @pytest.mark.parametrize("case", ["cauchy"] + sorted(SCHEME_CASES))
     def test_chunking_matches_unchunked(self, case):
         from levyup.simulate import _batched_runmax
