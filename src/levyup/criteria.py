@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketIndeterminate, EvaluationFailure, InverseFailure, ZeroTail
+from .errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from .growth import GrowthFunction
 from .measures import LevyMeasureModel
 from .symbols import (
@@ -127,7 +127,8 @@ def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
     Converges: the last half of the block ratios stays below ``ratio_max``;
     the value is the partial sum plus a geometric tail bound (exact for
     exactly geometric decay).  Diverges: last-half block sums all above
-    ``floor``, or increasing.  Otherwise Indeterminate.
+    ``floor``, or increasing.  Otherwise Indeterminate.  ``g`` takes the
+    array of one block's nodes and returns values of the same shape.
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
@@ -138,12 +139,12 @@ def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
         t = 0.5 * (b - a) * x_ref + 0.5 * (a + b)
         try:
             vals = np.asarray(g(t), float)
-            if vals.shape != t.shape:
-                vals = np.array([float(g(ti)) for ti in t])
         except Exception as exc:
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
             raise EvaluationFailure(f"integrand failed on block {n}: {exc}") from exc
+        if vals.shape != t.shape:
+            raise EvaluationFailure(
+                f"integrand returned shape {vals.shape} on block {n}; "
+                f"it must map the {t.shape} node array to values of that shape")
         if np.any(~np.isfinite(vals)):
             raise EvaluationFailure(f"integrand not finite on block {n}")
         sums[n] = 0.5 * (b - a) * float(w_ref @ vals)
@@ -293,36 +294,25 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
     if r_grid.min() > 1e-4 + 1e-12:
         raise ValueError("r_grid must reach down to 1e-4")
 
+    r_col = r_grid[:, None]
     if isinstance(source, LevyMeasureModel):
-        def ratio(i, r):
-            g = float(source.tail(r))
-            if g <= 0.0:
-                raise ZeroTail(f"tail vanishes at r={r}")
-            return float(source.trunc2(r)) / (r**2 * g)
+        g = np.asarray(source.tail(r_grid), float)[:, None]
+        t2 = np.asarray(source.trunc2(r_grid), float)[:, None]
+        where = ""
     else:
-        spec = source
-        z1 = _ball_states(spec, x, ball_radius or 0.0, settings.ball_points)
-        r_col = r_grid[:, None]
-        g = spec.tail_at(z1, r_col)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.max(spec.trunc2_at(z1, r_col) / (r_col**2 * g), axis=1)
-
-        def ratio(i, r):
-            if np.any(g[i] <= 0.0):
-                raise ZeroTail(f"tail vanishes at r={r} on the state ball")
-            return float(ratios[i])
-
-    witness = np.empty(len(r_grid))
-    first_live = 0
-    for i, r in enumerate(r_grid):
-        try:
-            witness[i] = ratio(i, r)
-        except ZeroTail as exc:
-            if i >= len(r_grid) // 2:
-                # no jump mass along the approach to 0: the balance fails
-                return ConditionReport("fails", np.inf, r_grid, reason=str(exc))
-            first_live = i + 1  # radius above the support; skip it
-            witness[i] = np.nan
+        z1 = _ball_states(source, x, ball_radius or 0.0, settings.ball_points)
+        g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
+        where = " on the state ball"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        witness = np.max(t2 / (r_col**2 * g), axis=1)
+    # a vanishing tail above the support is skipped; along the approach to 0
+    # (second half of the grid) it means no jump mass, and the balance fails
+    dead = np.flatnonzero(np.any(g <= 0.0, axis=1))
+    late = dead[dead >= len(r_grid) // 2]
+    if late.size:
+        return ConditionReport("fails", np.inf, r_grid,
+                               reason=f"tail vanishes at r={r_grid[late[0]]}{where}")
+    first_live = dead[-1] + 1 if dead.size else 0
     r_live, w_live = r_grid[first_live:], witness[first_live:]
     label, est = tail_trend(r_live, w_live)
     if label == "stable":

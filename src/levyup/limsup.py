@@ -14,13 +14,14 @@ import numpy as np
 
 from .criteria import Classification, classify_levy, classify_ltp_upper, classify_power
 from .growth import power, sqrt_t
-from .simulate import SimConfig, _batched_runmax
+from .simulate import SimConfig, simulate_batch
 from .symbols import ProcessSpec
 
 SLOPE_THRESHOLD = 0.05   # per level, in log2 of the median
 RATIO_THRESHOLD = 4.0    # total end-to-start median ratio
 NOISE_DECADES = 3.0      # q90/q10 span at the last level that voids a verdict
 POINTS_PER_LEVEL = 256   # grid resolution inside each dyadic block
+_SERIES_BLOCK = 200      # t values per (n_terms, t) array in series_bound_max
 
 
 @dataclass
@@ -74,7 +75,7 @@ def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
         raise ValueError("need at least three levels")
     config = config or SimConfig(n_paths=500, seed=0)
     times = dyadic_time_grid(n_min, n_max)
-    _, runmax = _batched_runmax(spec, x, times, config)
+    runmax = simulate_batch(spec, x, times, config)[1]
     levels = np.arange(n_min, n_max + 1)
     t_vals = 2.0 ** -levels.astype(float)
     idx = np.searchsorted(times, t_vals + 1e-18) - 1
@@ -240,7 +241,7 @@ EXAMPLE_NAMES = ("StableDichotomy", "SlowVariation", "VariableOrder",
 # ---------------------------------------------------------------------------
 
 
-def series_bound_max(t_grid=None, n_terms=10_000, chunk=200):
+def series_bound_max(t_grid=None, n_terms=10_000):
     """max over t of sum_{n<=N} n^{-2} t^{1/n} log(1/t); bounded by 2."""
     if t_grid is None:
         t_grid = np.concatenate([
@@ -249,8 +250,8 @@ def series_bound_max(t_grid=None, n_terms=10_000, chunk=200):
         ])
     n = np.arange(1, n_terms + 1, dtype=float)
     best = 0.0
-    for i in range(0, len(t_grid), chunk):
-        t = t_grid[i:i + chunk]
+    for i in range(0, len(t_grid), _SERIES_BLOCK):
+        t = t_grid[i:i + _SERIES_BLOCK]
         log_t = np.log(t)
         vals = np.exp(log_t[None, :] / n[:, None]) * (-log_t)[None, :] / n[:, None] ** 2
         best = max(best, float(vals.sum(axis=0).max()))

@@ -16,18 +16,26 @@ runmax includes the within-step pre-jump point of every scheme with a jump
 part.  Randomness is counter-based: path p of a run with seed s draws from
 Philox(key = s * 2^64 + p), so parallel and serial execution agree and
 identical (config, model) inputs give identical output.
+
+Memory: simulate_batch's two outputs, values and runmax, are the only
+n_paths x steps arrays.  Each stepper bounds its own scratch: Levy paths draw
+one path's increments at a time, state-dependent paths draw and step
+PATH_BLOCK paths at a time.  The estimators read the outputs directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
+from .criteria import DEFAULTS, ball_tail_intensity
 from .errors import RateOverflow
-from .symbols import LevyTriplet, ProcessSpec
+from .symbols import LevyTriplet, ProcessSpec, symbol_extremum
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+PATH_BLOCK = 2000  # paths whose noise _step_state draws and steps together
 
 
 @dataclass(frozen=True)
@@ -294,26 +302,29 @@ def _step_free(draw, x0, dts, config):
 
 
 def _step_state(draw, advance, x0, dts, config):
-    """State-dependent paths: draw each path's noise, then advance all paths
-    one step at a time."""
+    """State-dependent paths, PATH_BLOCK at a time: draw each path's noise
+    into one block-sized buffer, then advance the block one step at a time."""
     n, k = config.n_paths, len(dts)
-    first, second = np.empty((n, k)), None
-    for p, rng in enumerate(config.path_rngs()):
-        first[p], b = draw(rng)
-        if b is not None:
-            if second is None:
-                second = np.empty((n, k))
-            second[p] = b
     values, runmax = np.empty((n, k + 1)), np.zeros((n, k + 1))
     values[:, 0] = x0
-    state, run = np.full(n, x0), np.zeros(n)
-    for j in range(k):
-        pre, state = advance(state, first[:, j],
-                             None if second is None else second[:, j], dts[j])
-        if pre is not None:
-            run = np.maximum(run, np.abs(pre - x0))
-        run = np.maximum(run, np.abs(state - x0))
-        values[:, j + 1], runmax[:, j + 1] = state, run
+    rngs = config.path_rngs()
+    first, second = np.empty((min(n, PATH_BLOCK), k)), None
+    for lo in range(0, n, PATH_BLOCK):
+        m = min(PATH_BLOCK, n - lo)
+        for p, rng in enumerate(islice(rngs, m)):
+            first[p], b = draw(rng)
+            if b is not None:
+                if second is None:
+                    second = np.empty_like(first)
+                second[p] = b
+        state, run = np.full(m, x0), np.zeros(m)
+        for j in range(k):
+            pre, state = advance(state, first[:m, j],
+                                 None if second is None else second[:m, j], dts[j])
+            if pre is not None:
+                run = np.maximum(run, np.abs(pre - x0))
+            run = np.maximum(run, np.abs(state - x0))
+            values[lo:lo + m, j + 1], runmax[lo:lo + m, j + 1] = state, run
     return values, runmax
 
 
@@ -364,25 +375,6 @@ def _grid_to(T, dt):
     return np.linspace(0.0, T, n_steps + 1)
 
 
-def _batched_runmax(spec, x, times, config, chunk=2000, want_values=False):
-    """Run the batch in chunks; per-path streams stay tied to global indices,
-    so the result is identical to one unchunked call."""
-    vals_parts, run_parts = [], []
-    done = 0
-    while done < config.n_paths:
-        m = min(chunk, config.n_paths - done)
-        sub = replace(config, n_paths=m,
-                      path_offset=config.path_offset + done)
-        v, r = simulate_batch(spec, x, times, sub)
-        run_parts.append(r)
-        if want_values:
-            vals_parts.append(v)
-        done += m
-    runmax = np.vstack(run_parts)
-    values = np.vstack(vals_parts) if want_values else None
-    return values, runmax
-
-
 def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
     """Per-t estimates of P(first exit from B(x, r) happens at or after t).
 
@@ -393,7 +385,7 @@ def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
     if r <= 0:
         raise ValueError("r must be positive")
     times = _grid_to(float(t_grid.max()), config.dt)
-    _, runmax = _batched_runmax(spec, x, times, config)
+    runmax = simulate_batch(spec, x, times, config)[1]
     out = []
     for t in t_grid:
         if t == 0.0:
@@ -413,7 +405,7 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     if t <= 0 or r <= 0:
         raise ValueError("event parameters must be positive")
     times = _grid_to(float(t), config.dt)
-    values, runmax = _batched_runmax(spec, x, times, config, want_values=True)
+    values, runmax = simulate_batch(spec, x, times, config)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     if kind == "runmax_at_least":
         hits = int(np.sum(runmax[:, -1] >= r))
@@ -454,59 +446,59 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     probability is at most c_lower), or "max_ineq" (P(runmax >= r) <=
     c_standin * t * sup-sup |q|; the stand-in constant is reported, not
     asserted).  A row is violated when the empirical value beats the bound
-    by more than three half-widths of its 99% interval.
+    by more than three half-widths of its 99% interval.  ``settings``
+    (criteria defaults when None) gives the state-ball points of G and of the
+    symbol extremum and the extremum's frequency radii; both are computed
+    once per distinct r.
     """
-    from .criteria import DEFAULTS as _D, ball_tail_intensity
-
-    settings = settings or _D
-    t_vals = sorted({float(t) for t, _ in grid})
+    if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
+        raise ValueError(f"unknown bound kind {bound_kind!r}")
+    settings = settings or DEFAULTS
     r_vals = sorted({float(r) for _, r in grid})
+    g2r = {r: ball_tail_intensity(spec, x, 2 * r, settings) for r in r_vals}
     rows = []
 
     if bound_kind == "expected_exit":
         for r in r_vals:
-            g2r = ball_tail_intensity(spec, x, 2 * r, settings)
-            horizon = 8.0 / g2r if g2r > 0 else 1.0
+            horizon = 8.0 / g2r[r] if g2r[r] > 0 else 1.0
             times = _grid_to(horizon, config.dt)
-            _, runmax = _batched_runmax(spec, x, times, config)
+            runmax = simulate_batch(spec, x, times, config)[1]
             taus, censored = exit_times_from_runmax(times, runmax, r)
             est = mean_estimate(taus)
-            bound = np.inf if g2r == 0 else 1.0 / g2r
+            bound = np.inf if g2r[r] == 0 else 1.0 / g2r[r]
             rows.append(BoundRow(
                 t=float(horizon), r=r, empirical=est.p_hat, ci=est.ci_half_width,
                 bound=bound, violated=bool(est.p_hat > bound + 3 * est.ci_half_width),
             ))
         return rows
 
-    t_max = max(t_vals)
-    times = _grid_to(t_max, config.dt)
-    _, runmax = _batched_runmax(spec, x, times, config)
+    if bound_kind == "max_ineq":
+        supsup = {r: symbol_extremum(spec, x, r, 1.0 / r, "sup_sup",
+                                     n_z=settings.ball_points,
+                                     n_radii=settings.xi_radii)
+                  for r in r_vals}
+    times = _grid_to(max(float(t) for t, _ in grid), config.dt)
+    runmax = simulate_batch(spec, x, times, config)[1]
     for t, r in grid:
         t, r = float(t), float(r)
         idx = int(np.searchsorted(times, t + 1e-15)) - 1
-        g2r = ball_tail_intensity(spec, x, 2 * r, settings)
         if bound_kind == "exit_survival":
             hits = int(np.sum(runmax[:, idx] < r))
             est = proportion_estimate(hits, config.n_paths)
-            bound = 1.0 / (1.0 + t * g2r)
+            bound = 1.0 / (1.0 + t * g2r[r])
             violated = est.p_hat > bound + 3 * est.ci_half_width
         elif bound_kind == "lower_max":
             hits = int(np.sum(runmax[:, idx] > r))
             est = proportion_estimate(hits, config.n_paths)
             if est.p_hat > c_lower:
                 continue  # outside the regime of the lower bound
-            bound = min((1.0 - c_lower) * t * g2r, 1.0)
+            bound = min((1.0 - c_lower) * t * g2r[r], 1.0)
             violated = est.p_hat < bound - 3 * est.ci_half_width
-        elif bound_kind == "max_ineq":
-            from .symbols import symbol_extremum
-
+        else:
             hits = int(np.sum(runmax[:, idx] >= r))
             est = proportion_estimate(hits, config.n_paths)
-            supsup = symbol_extremum(spec, x, r, 1.0 / r, "sup_sup")
-            bound = (c_standin if c_standin is not None else 1.0) * t * supsup
+            bound = (c_standin if c_standin is not None else 1.0) * t * supsup[r]
             violated = est.p_hat > bound + 3 * est.ci_half_width
-        else:
-            raise ValueError(f"unknown bound kind {bound_kind!r}")
         rows.append(BoundRow(t=t, r=r, empirical=est.p_hat,
                              ci=est.ci_half_width, bound=float(bound),
                              violated=bool(violated)))

@@ -73,6 +73,12 @@ class TestDyadicIntegral:
         with pytest.raises(EvaluationFailure):
             dyadic_integral(bad)
 
+    @pytest.mark.parametrize("g", [lambda t: 1.0, lambda t: t[:3],
+                                   lambda t: np.outer(t, t)])
+    def test_wrong_shaped_integrand_maps_to_evaluation_failure(self, g):
+        with pytest.raises(EvaluationFailure, match="on block 0"):
+            dyadic_integral(g)
+
 
 class TestTailIntegralCriterion:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from levyup import processes as pr
+from levyup.criteria import CriteriaSettings
 from levyup.errors import RateOverflow
-from levyup.symbols import StateFamily
+from levyup.symbols import StateFamily, symbol_extremum
 from levyup.simulate import (
+    PATH_BLOCK,
     SimConfig,
     estimate_exit_survival,
     mc_event_probability,
@@ -160,15 +163,19 @@ class TestPaths:
 
     @pytest.mark.parametrize("case", ["cauchy"] + sorted(SCHEME_CASES))
     def test_chunking_matches_unchunked(self, case):
-        from levyup.simulate import _batched_runmax
-
+        # one call against three calls split by path_offset; state schemes
+        # run more paths than one stepper block, so the split calls and the
+        # single call group their paths into different blocks
         build, scheme = SCHEME_CASES.get(case, (pr.cauchy_process, "auto"))
         spec = build()
-        cfg = SimConfig(n_paths=7, seed=5, scheme=scheme)
-        v1, r1 = _batched_runmax(spec, 0.0, GRID_01, cfg, chunk=3,
-                                 want_values=True)
-        v2, r2 = simulate_batch(spec, 0.0, GRID_01, cfg)
-        assert np.array_equal(v1, v2) and np.array_equal(r1, r2)
+        n = 7 if spec.kind == "levy" else PATH_BLOCK + 7
+        cfg = SimConfig(n_paths=n, seed=5, scheme=scheme, path_offset=11)
+        whole = simulate_batch(spec, 0.0, GRID_01, cfg)
+        parts = [simulate_batch(spec, 0.0, GRID_01, dataclasses.replace(
+                     cfg, n_paths=hi - lo, path_offset=cfg.path_offset + lo))
+                 for lo, hi in [(0, 3), (3, n - 2), (n - 2, n)]]
+        for out, split in zip(whole, zip(*parts)):
+            assert np.array_equal(out, np.vstack(split))
 
     def test_endpoint_law_cauchy(self):
         # P(|X_1| > 1) = 1/2 for the standard Cauchy law at t = 1
@@ -271,6 +278,46 @@ class TestEstimators:
         assert est.lower >= 0.0 and est.upper <= 1.0
 
 
+def _peak_bytes(fn):
+    """Peak traced allocation of fn() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_expected_exit_keeps_no_copy_of_runmax(self):
+        # simulate_batch's two outputs are the only paths x steps arrays;
+        # the estimator adds exceedance flags (1/8 of one array) after the
+        # values array is released
+        spec, grid = pr.raw_stable_process(1.5), [(0.0, 0.25)]
+        verify_bound_table(spec, 0.0, "expected_exit", grid, SimConfig(n_paths=2))
+        cfg = SimConfig(n_paths=200, seed=3)
+        rows = []
+        peak = _peak_bytes(lambda: rows.extend(verify_bound_table(
+            spec, 0.0, "expected_exit", grid, cfg)))
+        n_times = max(int(np.ceil(rows[0].t / cfg.dt)), 1) + 1
+        assert peak <= 2.5 * cfg.n_paths * n_times * 8
+
+    def test_state_stepper_scratch_is_one_block(self):
+        # 2.5 blocks of paths: drawing all noise up front would hold 2.5
+        # blocks of (uniform, exponential) pairs beside the outputs
+        spec, k = pr.variable_order_process(), len(GRID_IRREGULAR) - 1
+        simulate_batch(spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=2))
+        n = 5 * PATH_BLOCK // 2
+        peak = _peak_bytes(lambda: simulate_batch(
+            spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=n, seed=2)))
+        outputs = 2 * n * (k + 1) * 8
+        block_noise = 2 * PATH_BLOCK * k * 8
+        # per-step temporaries of one block's length come on top
+        assert peak <= outputs + 1.25 * block_noise
+
+
 class TestBoundTables:
     GRID = [(t, r) for t in (0.02, 0.1) for r in (0.25, 0.5)]
 
@@ -296,6 +343,21 @@ class TestBoundTables:
                                   self.GRID, SimConfig(n_paths=500, seed=94),
                                   c_standin=1.0)
         assert len(rows) == len(self.GRID)
+
+    def test_max_ineq_honours_settings(self):
+        # near x = pi/2 the intensity 1 + sin(z)/2 peaks inside the state
+        # ball, so the ball resolution changes the sup-sup extremum
+        spec, x = pr.stable_type_process(1.3), 1.5
+        coarse = CriteriaSettings(ball_points=4, xi_radii=8)
+        rows = verify_bound_table(spec, x, "max_ineq", self.GRID,
+                                  SimConfig(n_paths=50, seed=94),
+                                  settings=coarse)
+        for row in rows:
+            supsup = symbol_extremum(spec, x, row.r, 1.0 / row.r, "sup_sup",
+                                     n_z=4, n_radii=8)
+            assert supsup != symbol_extremum(spec, x, row.r, 1.0 / row.r,
+                                             "sup_sup")
+            assert row.bound == row.t * supsup
 
     def test_etemadi_comparison(self):
         spec = pr.raw_stable_process(1.0)
