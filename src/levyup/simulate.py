@@ -18,15 +18,16 @@ Philox(key = s * 2^64 + p), so parallel and serial execution agree and
 identical (config, model) inputs give identical output.
 
 Memory: simulate_batch's two outputs, values and runmax, are the only
-n_paths x steps arrays.  Each stepper bounds its own scratch: Levy paths draw
-one path's increments at a time, state-dependent paths draw and step
-PATH_BLOCK paths at a time.  The estimators read the outputs directly.
+n_paths x steps arrays, and the stepper adds O(n_paths + steps) scratch.
+Each path's increments are drawn straight into its output rows: a Levy path
+is finished there, a state-dependent path's noise waits there until the time
+loop, which advances all paths at once, overwrites it step by step.  The
+estimators read the outputs directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .errors import RateOverflow
 from .symbols import LevyTriplet, ProcessSpec, symbol_extremum
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-PATH_BLOCK = 2000  # paths whose noise _step_state draws and steps together
 
 
 @dataclass(frozen=True)
@@ -283,48 +283,42 @@ def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
     return "freeze_symbol"
 
 
-def _step_free(draw, x0, dts, config):
-    """Levy paths: each path is x0 plus the cumulative sum of its increments."""
+def _step(draw, advance, x0, dts, config):
+    """Draw every path's increments from its own stream, in path order.
+
+    A Levy path (advance is None) is finished in its own output rows.  A
+    state-dependent path parks its noise there instead, the first draw in
+    values[p, 1:] and the jump or second draw in runmax[p, 1:]; one time loop
+    then advances all paths at once, step j reading column j + 1 before it
+    overwrites that column with the state and the running maximum.
+    """
     n, k = config.n_paths, len(dts)
     values, runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
     values[:, 0], runmax[:, 0] = x0, 0.0
+    second = False
     for p, rng in enumerate(config.path_rngs()):
-        cont, jumps = draw(rng)
-        if jumps is None:
-            post = x0 + np.cumsum(cont)
-            step_max = np.abs(post - x0)
-        else:
-            post = x0 + np.cumsum(cont) + np.cumsum(jumps)
-            step_max = np.maximum(np.abs(post - x0), np.abs(post - jumps - x0))
-        values[p, 1:] = post
-        runmax[p, 1:] = np.maximum.accumulate(step_max)
-    return values, runmax
-
-
-def _step_state(draw, advance, x0, dts, config):
-    """State-dependent paths, PATH_BLOCK at a time: draw each path's noise
-    into one block-sized buffer, then advance the block one step at a time."""
-    n, k = config.n_paths, len(dts)
-    values, runmax = np.empty((n, k + 1)), np.zeros((n, k + 1))
-    values[:, 0] = x0
-    rngs = config.path_rngs()
-    first, second = np.empty((min(n, PATH_BLOCK), k)), None
-    for lo in range(0, n, PATH_BLOCK):
-        m = min(PATH_BLOCK, n - lo)
-        for p, rng in enumerate(islice(rngs, m)):
-            first[p], b = draw(rng)
+        a, b = draw(rng)
+        if advance is not None:
+            values[p, 1:] = a
             if b is not None:
-                if second is None:
-                    second = np.empty_like(first)
-                second[p] = b
-        state, run = np.full(m, x0), np.zeros(m)
-        for j in range(k):
-            pre, state = advance(state, first[:m, j],
-                                 None if second is None else second[:m, j], dts[j])
-            if pre is not None:
-                run = np.maximum(run, np.abs(pre - x0))
-            run = np.maximum(run, np.abs(state - x0))
-            values[lo:lo + m, j + 1], runmax[lo:lo + m, j + 1] = state, run
+                runmax[p, 1:], second = b, True
+        elif b is None:
+            values[p, 1:] = post = x0 + np.cumsum(a)
+            runmax[p, 1:] = np.maximum.accumulate(np.abs(post - x0))
+        else:
+            values[p, 1:] = post = x0 + np.cumsum(a) + np.cumsum(b)
+            runmax[p, 1:] = np.maximum.accumulate(
+                np.maximum(np.abs(post - x0), np.abs(post - b - x0)))
+    if advance is None:
+        return values, runmax
+    state, run = np.full(n, x0), np.zeros(n)
+    for j in range(k):
+        pre, state = advance(state, values[:, j + 1],
+                             runmax[:, j + 1] if second else None, dts[j])
+        if pre is not None:
+            run = np.maximum(run, np.abs(pre - x0))
+        run = np.maximum(run, np.abs(state - x0))
+        values[:, j + 1], runmax[:, j + 1] = state, run
     return values, runmax
 
 
@@ -349,9 +343,7 @@ def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
     dts = np.diff(times)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     draw, advance = build(spec, dts, config)
-    if advance is None:
-        return _step_free(draw, x0, dts, config)
-    return _step_state(draw, advance, x0, dts, config)
+    return _step(draw, advance, x0, dts, config)
 
 
 def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):
@@ -402,6 +394,8 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     "runmax_at_least" (sup_{s<=t} |X_s - x| >= r) or "abs_at_least"
     (|X_t - x| >= r)."""
     kind, t, r = event
+    if kind not in ("runmax_at_least", "abs_at_least"):
+        raise ValueError(f"unknown event kind {kind!r}")
     if t <= 0 or r <= 0:
         raise ValueError("event parameters must be positive")
     times = _grid_to(float(t), config.dt)
@@ -409,10 +403,8 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     if kind == "runmax_at_least":
         hits = int(np.sum(runmax[:, -1] >= r))
-    elif kind == "abs_at_least":
-        hits = int(np.sum(np.abs(values[:, -1] - x0) >= r))
     else:
-        raise ValueError(f"unknown event kind {kind!r}")
+        hits = int(np.sum(np.abs(values[:, -1] - x0) >= r))
     return proportion_estimate(hits, config.n_paths)
 
 
@@ -438,7 +430,8 @@ class BoundRow:
 
 def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig,
                        c_standin=None, c_lower=0.5, settings=None):
-    """Empirical check of one exit-time bound over a (t, r) grid.
+    """Empirical check of one exit-time bound over a (t, r) grid of entries
+    with t >= 0 and r > 0.
 
     bound_kind: "exit_survival" (P(tau_r >= t) <= 1/(1 + t G(x,2r))),
     "expected_exit" (E tau_r <= 1/G(x,2r); the t column is unused),
@@ -453,6 +446,9 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     """
     if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
+    for t, r in grid:
+        if not (float(t) >= 0 and float(r) > 0):
+            raise ValueError(f"grid entry (t={t}, r={r}) needs t >= 0 and r > 0")
     settings = settings or DEFAULTS
     r_vals = sorted({float(r) for _, r in grid})
     g2r = {r: ball_tail_intensity(spec, x, 2 * r, settings) for r in r_vals}

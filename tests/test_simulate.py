@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from levyup import processes as pr
+from levyup import simulate
 from levyup.criteria import CriteriaSettings
 from levyup.errors import RateOverflow
 from levyup.symbols import StateFamily, symbol_extremum
 from levyup.simulate import (
-    PATH_BLOCK,
     SimConfig,
     estimate_exit_survival,
     mc_event_probability,
@@ -162,18 +164,20 @@ class TestPaths:
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("case", ["cauchy"] + sorted(SCHEME_CASES))
-    def test_chunking_matches_unchunked(self, case):
-        # one call against three calls split by path_offset; state schemes
-        # run more paths than one stepper block, so the split calls and the
-        # single call group their paths into different blocks
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), offset=st.integers(0, 2**65),
+           cuts=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_chunking_matches_unchunked(self, case, n, offset, cuts):
+        # one call against the calls for the (possibly empty) pieces that two
+        # split points cut, each starting at its own path_offset
         build, scheme = SCHEME_CASES.get(case, (pr.cauchy_process, "auto"))
         spec = build()
-        n = 7 if spec.kind == "levy" else PATH_BLOCK + 7
-        cfg = SimConfig(n_paths=n, seed=5, scheme=scheme, path_offset=11)
-        whole = simulate_batch(spec, 0.0, GRID_01, cfg)
-        parts = [simulate_batch(spec, 0.0, GRID_01, dataclasses.replace(
-                     cfg, n_paths=hi - lo, path_offset=cfg.path_offset + lo))
-                 for lo, hi in [(0, 3), (3, n - 2), (n - 2, n)]]
+        cfg = SimConfig(n_paths=n, seed=5, scheme=scheme, path_offset=offset)
+        whole = simulate_batch(spec, 0.0, GRID_IRREGULAR, cfg)
+        bounds = [0, *sorted(int(c * n) for c in cuts), n]
+        parts = [simulate_batch(spec, 0.0, GRID_IRREGULAR, dataclasses.replace(
+                     cfg, n_paths=hi - lo, path_offset=offset + lo))
+                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         for out, split in zip(whole, zip(*parts)):
             assert np.array_equal(out, np.vstack(split))
 
@@ -272,10 +276,23 @@ class TestEstimators:
         b = mc_event_probability(spec, 0.0, ("abs_at_least", 0.1, 0.5), cfg)
         assert a.p_hat >= b.p_hat
 
+    def test_unknown_event_kind_raises_before_simulating(self, no_simulation):
+        with pytest.raises(ValueError, match="unknown event kind"):
+            mc_event_probability(pr.cauchy_process(), 0.0, ("bogus", 1.0, 0.5),
+                                 SimConfig(n_paths=2000))
+
     def test_wilson_fallback_for_rare_events(self):
         est = proportion_estimate(1, 50)
         assert est.ci_half_width > 0
         assert est.lower >= 0.0 and est.upper <= 1.0
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any simulate_batch call fail, so validation must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_batch was called")
+    monkeypatch.setattr(simulate, "simulate_batch", refuse)
 
 
 def _peak_bytes(fn):
@@ -304,22 +321,33 @@ class TestMemory:
         n_times = max(int(np.ceil(rows[0].t / cfg.dt)), 1) + 1
         assert peak <= 2.5 * cfg.n_paths * n_times * 8
 
-    def test_state_stepper_scratch_is_one_block(self):
-        # 2.5 blocks of paths: drawing all noise up front would hold 2.5
-        # blocks of (uniform, exponential) pairs beside the outputs
-        spec, k = pr.variable_order_process(), len(GRID_IRREGULAR) - 1
-        simulate_batch(spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=2))
-        n = 5 * PATH_BLOCK // 2
-        peak = _peak_bytes(lambda: simulate_batch(
-            spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=n, seed=2)))
-        outputs = 2 * n * (k + 1) * 8
-        block_noise = 2 * PATH_BLOCK * k * 8
-        # per-step temporaries of one block's length come on top
-        assert peak <= outputs + 1.25 * block_noise
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_stepper_peak_is_the_two_outputs(self, case):
+        # every scheme draws its noise into the output rows, so beside
+        # values and runmax it keeps O(paths + steps) scratch; a buffer of
+        # one draw per path and step would add a whole array
+        build, scheme = SCHEME_CASES[case]
+        spec, times = build(), np.linspace(0.0, 0.5, 2001)
+        # a small run first fills the spec's caches outside the traced call
+        simulate_batch(spec, 0.0, GRID_IRREGULAR,
+                       SimConfig(n_paths=2, scheme=scheme))
+        cfg = SimConfig(n_paths=300, seed=2, scheme=scheme)
+        peak = _peak_bytes(lambda: simulate_batch(spec, 0.0, times, cfg))
+        assert peak <= 2.1 * cfg.n_paths * len(times) * 8
 
 
 class TestBoundTables:
     GRID = [(t, r) for t in (0.02, 0.1) for r in (0.25, 0.5)]
+
+    @pytest.mark.parametrize("kind", ["exit_survival", "expected_exit",
+                                      "lower_max", "max_ineq"])
+    @pytest.mark.parametrize("entry", [(-0.1, 0.5), (0.1, 0.0),
+                                       (float("nan"), 0.5)])
+    def test_bad_grid_entry_raises_before_simulating(self, no_simulation,
+                                                     kind, entry):
+        with pytest.raises(ValueError, match="grid entry"):
+            verify_bound_table(pr.raw_stable_process(1.0), 0.0, kind,
+                               [(0.02, 0.25), entry], SimConfig(n_paths=50))
 
     def test_exit_survival_zero_violations(self):
         rows = verify_bound_table(pr.raw_stable_process(1.0), 0.0,
