@@ -260,11 +260,8 @@ def slow_variation_measure():
         return np.where(s < edge, s ** -2.0 * _phi_prime(np.minimum(s, edge * 0.999999)), 0.0)
 
     def tail(r):
-        r_arr = np.atleast_1d(np.asarray(r, float))
-        out = np.zeros_like(r_arr)
-        for i, ri in enumerate(r_arr):
-            out[i] = _slow_tail_scalar(float(ri))
-        return out if np.ndim(r) else float(out[0])
+        out = [_slow_tail_scalar(float(ri)) for ri in np.ravel(r)]
+        return np.reshape(out, np.shape(r)) if np.ndim(r) else out[0]
 
     def trunc2(r):
         r_arr = np.asarray(r, float)

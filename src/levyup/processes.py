@@ -126,8 +126,7 @@ def _interpolated_symbol(measure, lo=1e-3, hi=1e10, n=140):
     """Radial real symbol built by quadrature once and interpolated in log-log."""
     triplet = LevyTriplet(b=np.zeros(1), Q=None, measure=measure)
     grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    vals = np.array([float(np.real(eval_exponent(triplet, g))) for g in grid])
-    vals = np.maximum(vals, 1e-300)
+    vals = np.maximum(np.real(eval_exponent(triplet, grid)), 1e-300)
     log_g, log_v = np.log(grid), np.log(vals)
     slope_lo = (log_v[1] - log_v[0]) / (log_g[1] - log_g[0])
     slope_hi = (log_v[-1] - log_v[-2]) / (log_g[-1] - log_g[-2])

@@ -374,8 +374,10 @@ def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
     sup_{s < t} |X_s - x| < r on the simulation grid.
     """
     t_grid = np.asarray(t_grid, float)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
+    if not (t_grid >= 0).all():
+        raise ValueError("t_grid entries must be non-negative")
     times = _grid_to(float(t_grid.max()), config.dt)
     runmax = simulate_batch(spec, x, times, config)[1]
     out = []
@@ -396,7 +398,7 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     kind, t, r = event
     if kind not in ("runmax_at_least", "abs_at_least"):
         raise ValueError(f"unknown event kind {kind!r}")
-    if t <= 0 or r <= 0:
+    if not (t > 0 and r > 0):
         raise ValueError("event parameters must be positive")
     times = _grid_to(float(t), config.dt)
     values, runmax = simulate_batch(spec, x, times, config)

@@ -8,6 +8,9 @@ x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
 complex values of the broadcast shape (q(x (d,), xi (m, d)) -> (m,) is the
 single-state case); ``tail_at`` / ``trunc2_at`` broadcast states against radii
 alike, so a block of nodes x ball states x frequencies costs one call.
+``eval_exponent`` takes arrays of frequencies: its non-oscillatory log-radius
+integrals run for all of them at once on fixed Gauss-Legendre panels, and only
+the oscillatory shells run per frequency.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import DegenerateSymbol, QuadratureFailure
 from .measures import LevyMeasureModel
@@ -25,6 +28,11 @@ from .measures import LevyMeasureModel
 QUAD_RTOL = 1e-8
 QUAD_ATOL = 1e-12
 QUAD_LIMIT = 200
+PANELS = 32  # per log-radius window of the exponent; checked against 2 * PANELS
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# nodes on [0, 1] of one panel: the 16-node rule, then its two halves
+_PANEL_NODES = 0.5 * np.concatenate([_GL_X + 1.0, 0.5 * _GL_X + 0.5, 0.5 * _GL_X + 1.5])
+_GL_W2 = 0.5 * np.concatenate([_GL_W, _GL_W])
 
 
 @dataclass(frozen=True)
@@ -133,160 +141,158 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 
-def _quad(fun, a, b, scale=0.0, **kw):
-    """Adaptive quadrature that accepts results whose error is negligible
-    either relative to the value or to a caller-supplied magnitude ``scale``
-    (used for oscillatory corrections riding on a large smooth term)."""
+def _fourier(rho, a, b, weight, xi, scale):
+    """int_a^b rho(s) cos(xi s) ds (weight "cos", else sine) by QUADPACK's
+    Fourier-weight rules, accepting errors negligible relative to the value
+    or to ``scale``, the smooth term the result corrects.  On b = inf (QAWF)
+    QUADPACK counts cycles in the 32-bit 2 int(xi) + 1, which wraps above
+    xi ~ 1.07e9; s = t / k keeps the frequency at 2^29 there."""
+    k = max(1.0, xi / 2.0**29) if np.isinf(b) else 1.0
+    fun = rho if k == 1.0 else (lambda t: rho(t / k) / k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(
-            fun, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=QUAD_LIMIT,
-            full_output=1, **kw
-        )
+        out = integrate.quad(fun, a * k, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL,
+                             limit=QUAD_LIMIT, full_output=1, weight=weight, wvar=xi / k)
     val, err = out[0], out[1]
     if not np.isfinite(val):
         raise QuadratureFailure(f"non-finite quadrature value on ({a}, {b})")
     if len(out) >= 4:  # quadpack reported trouble; judge the error ourselves
-        tol = max(QUAD_ATOL, 10 * QUAD_RTOL * abs(val), 1e-6 * scale)
-        if err > tol:
+        if err > max(QUAD_ATOL, 10 * QUAD_RTOL * abs(val), 1e-6 * scale):
             raise QuadratureFailure(str(out[3]))
     return val
 
 
-def _sphere_average(u, dim):
-    """Average of cos(u * e . theta) over the unit sphere in R^dim."""
-    if dim == 1:
-        return np.cos(u)
-    from scipy import special
+def _panel_quad(fun, lo, hi):
+    """Integrals of fun over windows [lo, hi] (arrays (m,)) at once: PANELS
+    Gauss-Legendre panels of 16 nodes, checked against 2 * PANELS.
 
+    fun maps nodes (m, 48) to values; one panel per step keeps memory O(m).
+    Returns the finer value, or raises ``QuadratureFailure`` where the two
+    differ by more than max(QUAD_ATOL, 10 QUAD_RTOL |value|)."""
+    width = (hi - lo) / PANELS
+    coarse, fine = np.zeros(lo.shape), np.zeros(lo.shape)
+    for p in range(PANELS):
+        v = fun(lo[:, None] + width[:, None] * (p + _PANEL_NODES))
+        coarse += v[:, :16] @ _GL_W
+        fine += v[:, 16:] @ _GL_W2
+    coarse, fine = 0.5 * width * coarse, 0.5 * width * fine
+    bad = ~(np.abs(fine - coarse) <= np.maximum(QUAD_ATOL, 10 * QUAD_RTOL * np.abs(fine)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureFailure(f"{PANELS} and {2 * PANELS} panels disagree on "
+                                f"({lo[i]}, {hi[i]}): {coarse[i]} vs {fine[i]}")
+    return fine
+
+
+def _sphere_average(u, dim):
+    """Average of cos(u e . theta) over the unit sphere in R^dim (u > 0, dim >= 2)."""
     nu_ord = dim / 2 - 1
-    u = np.asarray(u, float)
-    out = np.where(
-        np.abs(u) < 1e-8,
-        1.0 - u**2 / (2 * dim),
-        special.gamma(dim / 2) * (2.0 / np.maximum(np.abs(u), 1e-300)) ** nu_ord
-        * special.jv(nu_ord, np.abs(u)),
-    )
-    return out
+    return special.gamma(dim / 2) * (2.0 / u) ** nu_ord * special.jv(nu_ord, u)
 
 
 def eval_exponent(triplet: LevyTriplet, xi):
     """Characteristic exponent psi(xi) of a Levy triplet, by quadrature.
 
-    The jump integral is split at |y| = 1 (the compensation cutoff); the
-    region below 1 is integrated in log radius where the compensated
-    integrand decays like |y|^2 near the origin.
+    In dimension 1 a float xi gives a complex and an array a complex array
+    of its shape; in d >= 2 xi is (m, d) and the measure isotropic.  The
+    jump integral is split at |y| = 1 (the compensation cutoff).  Below a cut
+    of a few oscillation periods it runs in log radius for all frequencies
+    at once (``_panel_quad``: ``QuadratureFailure`` when PANELS and
+    2 * PANELS panels disagree); the oscillatory shells above the cut run per
+    frequency, by QUADPACK Fourier weights in 1-d and half-period sums else.
     """
-    scalar = np.ndim(xi) == 0
-    xi = np.atleast_1d(np.asarray(xi, float))
-    d = triplet.dim
-    if xi.shape[-1] != d and not (d == 1 and xi.ndim == 1):
+    xi = np.asarray(xi, float)
+    if triplet.dim == 1 and (xi.ndim < 2 or xi.shape[-1] == 1):
+        out = _exponent_1d(triplet, xi)
+        return complex(out) if xi.ndim == 0 else out
+    if triplet.dim == 1 or xi.shape[-1:] != (triplet.dim,):
         raise ValueError("xi has wrong dimension")
-    if d == 1:
-        xi_vec = xi.reshape(-1)
-        out = np.empty(xi_vec.shape, complex)
-        for i, x in enumerate(xi_vec):
-            out[i] = _exponent_1d(triplet, float(x))
-        return complex(out[0]) if scalar else out
-    return _exponent_isotropic(triplet, np.asarray(xi, float))
+    return _exponent_isotropic(triplet, xi)
 
 
-def _exponent_1d(triplet: LevyTriplet, xi):
-    if xi < 0.0:
-        return np.conj(_exponent_1d(triplet, -xi))
+def _exponent_1d(triplet: LevyTriplet, xi_in):
+    """psi on frequencies xi_in (any shape) of a one-dimensional triplet."""
     m = triplet.measure
-    b = float(triplet.b[0])
-    val = -1j * b * xi
+    rho = m.radial_density
+    w_neg, w_pos = m.side_weights
+    skew = w_pos - w_neg if abs(w_pos - w_neg) > 1e-15 else 0.0
+    xi = np.abs(xi_in).ravel()
+    val = -1j * float(triplet.b[0]) * xi
     if triplet.Q is not None:
         val += 0.5 * float(triplet.Q[0, 0]) * xi**2
-    if xi == 0.0:
-        return complex(0.0)
-    w_neg, w_pos = m.side_weights
     for s_atom, mass in m.atoms:
         u = s_atom * xi
         comp = 1j * s_atom * xi if s_atom < 1.0 else 0.0
-        val += mass * (
-            1.0
-            - (w_pos * np.exp(1j * u) + w_neg * np.exp(-1j * u))
-            + comp * (w_pos - w_neg)
-        )
-    rho = m.radial_density
-    if rho is None:
-        return complex(val)
-    lo, hi = m.support
-    lo = max(lo, 1e-300)
-    split = min(1.0, hi)
-    skewed = abs(w_pos - w_neg) > 1e-15
+        val += mass * (1.0 - (w_pos * np.exp(1j * u) + w_neg * np.exp(-1j * u))
+                       + comp * skew)
+    pos = np.flatnonzero(xi > 0.0)
+    val[xi == 0.0] = 0.0
+    if rho is not None and pos.size:
+        xi, x = xi[pos], xi[pos, None]
+        lo, hi = m.support
+        split = min(1.0, hi)
 
-    # |y| <= 1, real part.  Integrating 1 - cos(s xi) against the density is
-    # rewritten by parts through the truncated second moment T, which is
-    # bounded and captures arbitrarily small scales without overflow:
-    #   int_0^a (1-cos(s xi)) rho(s) ds
-    #     = (1-cos(a xi)) T(a)/a^2 + int_0^a T(s) xi^2 B(s xi)/(s xi)^2 ds
-    # with B(w) = 2(1-cos w) - w sin w = O(w^4) near 0.  The cut a is a few
-    # oscillation periods; beyond it Fourier-weight quadrature takes over.
-    s_cut = min(split, 4.0 * np.pi / xi)
-    a = s_cut
-    wa = a * xi
-    val += 2.0 * np.sin(wa / 2.0) ** 2 * float(m.trunc2(a)) / a**2
-    u_hi = np.log(a)
-    u_lo = max(np.log(lo), u_hi - 80.0)
+        # |y| <= 1, real part.  Integrating 1 - cos(s xi) against the density
+        # is rewritten by parts through the truncated second moment T, which
+        # is bounded and captures arbitrarily small scales without overflow:
+        #   int_0^a (1-cos(s xi)) rho(s) ds
+        #     = (1-cos(a xi)) T(a)/a^2 + int_0^a T(s) xi^2 B(s xi)/(s xi)^2 ds
+        # with B(w) = 2(1-cos w) - w sin w = O(w^4) near 0.  The cut a is a
+        # few oscillation periods; beyond it Fourier weights take over.
+        a = np.minimum(split, 4.0 * np.pi / xi)
+        val[pos] += 2.0 * np.sin(a * xi / 2.0) ** 2 * m.trunc2(a) / a**2
+        u_hi = np.log(a)
+        u_lo = np.maximum(np.log(max(lo, 1e-300)), u_hi - 80.0)
 
-    def re_parts(u):
-        s = np.exp(u)
-        w = s * xi
-        if w < 0.25:
+        def re_parts(u):
+            w = np.exp(u) * x
+            wb = np.maximum(w, 0.25)
             # series of (2(1-cos w) - w sin w)/w^2, accurate to ~1e-9 here;
             # the direct difference cancels catastrophically below w ~ 1e-2
-            bracket_over_w2 = w * w / 12.0 * (1.0 - w * w / 15.0 + w**4 / 560.0)
-        else:
-            bracket_over_w2 = (4.0 * np.sin(w / 2.0) ** 2 - w * np.sin(w)) / (w * w)
-        return float(m.trunc2(s)) * xi * xi * bracket_over_w2
+            bracket_over_w2 = np.where(
+                w < 0.25, w * w / 12.0 * (1.0 - w * w / 15.0 + w**4 / 560.0),
+                (4.0 * np.sin(wb / 2.0) ** 2 - wb * np.sin(wb)) / (wb * wb))
+            return m.trunc2(np.exp(u)) * x * x * bracket_over_w2
 
-    val += _quad(re_parts, u_lo, u_hi)
+        val[pos] += _panel_quad(re_parts, u_lo, u_hi)
 
-    if skewed:
-        # imaginary compensated part, density form in log radius with the
-        # bounded fraction (w - sin w)/w^3; scales below the cut are
-        # negligible for the power-law skewed measures this serves.
-        v_lo = max(np.log(lo), u_hi - 180.0)
+        if skew:
+            # imaginary compensated part, density form in log radius with the
+            # bounded fraction (w - sin w)/w^3 <= 1/6; scales s < b below the
+            # window add at most xi^3 b T(b)/6, with xi b <= 4 pi e^-80.
+            def im_small(u):
+                s = np.exp(u)
+                w = s * x
+                wb = np.maximum(w, 0.25)
+                frac = np.where(w < 0.25, (1.0 - w * w / 20.0 + w**4 / 840.0) / 6.0,
+                                (wb - np.sin(wb)) / wb**3)
+                return frac * x**3 * rho(s) * s**4
 
-        def im_small(u):
-            s = np.exp(u)
-            w = s * xi
-            if w < 0.25:
-                frac = (1.0 - w * w / 20.0 + w**4 / 840.0) / 6.0
-            else:
-                frac = (w - np.sin(w)) / w**3
-            return frac * xi**3 * rho(s) * s**4
+            val[pos] += 1j * skew * _panel_quad(im_small, u_lo, u_hi)
 
-        val += 1j * (w_pos - w_neg) * _quad(im_small, v_lo, u_hi)
-
-    if s_cut < split:
-        shell = float(m._continuous_tail(s_cut)) - float(m._continuous_tail(split))
-        val += shell
-        val -= _quad(rho, s_cut, split, weight="cos", wvar=xi, scale=shell)
-        if skewed:
-            lin = _quad(lambda s: s * rho(s), s_cut, split)
-            osc = _quad(rho, s_cut, split, weight="sin", wvar=xi, scale=shell)
-            val += 1j * (w_pos - w_neg) * (xi * lin - osc)
-
-    # |y| > 1: uncompensated tail, oscillatory part via Fourier weights.
-    if hi > 1.0:
-        mass = float(m._continuous_tail(1.0))
-        val += mass
-        top = hi if np.isfinite(hi) else np.inf
-        osc_re = _quad(rho, 1.0, top, weight="cos", wvar=xi, scale=mass)
-        val -= osc_re
-        if skewed:
-            osc_im = _quad(rho, 1.0, top, weight="sin", wvar=xi, scale=mass)
-            val -= 1j * (w_pos - w_neg) * osc_im
-    return complex(val)
+        # oscillatory shells (a, 1] and, uncompensated, |y| > 1
+        cut = np.flatnonzero(a < split)
+        shell = m._continuous_tail(a[cut]) - float(m._continuous_tail(split))
+        val[pos[cut]] += shell
+        if skew and cut.size:
+            lin = _panel_quad(lambda u: np.exp(2.0 * u) * rho(np.exp(u)),
+                              u_hi[cut], np.full(cut.size, np.log(split)))
+            val[pos[cut]] += 1j * skew * xi[cut] * lin
+        shells = [(j, a[j], split, sh) for j, sh in zip(cut, shell)]
+        if hi > 1.0:
+            mass = float(m._continuous_tail(1.0))
+            val[pos] += mass
+            shells += [(j, 1.0, hi, mass) for j in range(pos.size)]
+        for j, s0, s1, scale in shells:
+            val[pos[j]] -= _fourier(rho, s0, s1, "cos", xi[j], scale)
+            if skew:
+                val[pos[j]] -= 1j * skew * _fourier(rho, s0, s1, "sin", xi[j], scale)
+    return np.where(np.ravel(xi_in) < 0.0, np.conj(val), val).reshape(np.shape(xi_in))
 
 
 def _exponent_isotropic(triplet: LevyTriplet, xi):
     """psi for an isotropic measure in dimension d >= 2 (real jump part)."""
-    m = triplet.measure
+    m, d = triplet.measure, triplet.dim
     xi = np.atleast_2d(xi)
     mags = np.linalg.norm(xi, axis=-1)
     out = np.asarray(-1j * (xi @ triplet.b), complex)
@@ -295,35 +301,32 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
     rho = m.radial_density
     if rho is None:
         return out
-    lo = max(m.support[0], 1e-300)
+    lo = max(m.support[0], 1e-60)  # power-law mass below is negligible at d >= 2
     hi = m.support[1]
-    lo = max(lo, 1e-60)  # power-law mass below this is negligible at d >= 2
-    for i, r_xi in enumerate(mags):
-        if r_xi == 0.0:
-            continue
-        s_cut = min(hi, 4.0 * np.pi / r_xi)
+    idx = np.flatnonzero(mags > 0.0)
+    r_xi = mags[idx]
+    s_cut = np.minimum(hi, 4.0 * np.pi / r_xi)
+    x = r_xi[:, None]
 
-        def integrand(u):
-            s = np.exp(u)
-            w = s * r_xi
-            if w < 1e-6:
-                frac = 1.0 / (2.0 * m.dim)
-            else:
-                frac = (1.0 - _sphere_average(w, m.dim)) / (w * w)
-            return frac * r_xi**2 * rho(s) * s**3
+    def integrand(u):
+        s = np.exp(u)
+        w = s * x
+        wb = np.maximum(w, 0.1)
+        # (1 - average)/w^2 by its series below w = 0.1 (to ~1e-11), where
+        # the direct difference cancels
+        frac = np.where(w < 0.1, (1.0 - w * w / (4 * (d + 2)) * (1.0 - w * w / (6 * (d + 4))))
+                        / (2 * d), (1.0 - _sphere_average(wb, d)) / (wb * wb))
+        return frac * x**2 * rho(s) * s**3
 
-        u_top = np.log(s_cut)
-        u_lo = max(np.log(lo), u_top - 160.0)
-        out[i] += _quad(integrand, u_lo, u_top)
-        if s_cut < hi:
-            shell = float(m._continuous_tail(s_cut))
-            if np.isfinite(hi):
-                shell -= float(m._continuous_tail(hi))
-            out[i] += shell
-            out[i] -= _half_period_sum(
-                lambda s: _sphere_average(s * r_xi, m.dim) * rho(s),
-                s_cut, hi, np.pi / r_xi, scale=shell,
-            )
+    u_top = np.log(s_cut)
+    out[idx] += _panel_quad(integrand, np.maximum(np.log(lo), u_top - 160.0), u_top)
+    top = float(m._continuous_tail(hi)) if np.isfinite(hi) else 0.0
+    for i, r, cut in zip(idx, r_xi, s_cut):
+        if cut < hi:
+            shell = float(m._continuous_tail(cut)) - top
+            out[i] += shell - _half_period_sum(
+                lambda s: _sphere_average(s * r, d) * rho(s),
+                cut, hi, np.pi / r, scale=shell)
     return out
 
 
@@ -333,12 +336,11 @@ def _half_period_sum(fun, a, b, period, scale, max_chunks=5000):
     Fixed-order Gauss quadrature per chunk; the alternating chunk sums
     converge, and summation stops once chunks are negligible against scale.
     """
-    x_ref, w_ref = np.polynomial.legendre.leggauss(16)
     total, lo, k = 0.0, a, 0
     while lo < b and k < max_chunks:
         hi_k = min(lo + period, b)
-        t = 0.5 * (hi_k - lo) * x_ref + 0.5 * (lo + hi_k)
-        chunk = 0.5 * (hi_k - lo) * float(w_ref @ np.asarray(fun(t), float))
+        t = 0.5 * (hi_k - lo) * _GL_X + 0.5 * (lo + hi_k)
+        chunk = 0.5 * (hi_k - lo) * float(_GL_W @ np.asarray(fun(t), float))
         total += chunk
         if k > 4 and abs(chunk) < 1e-10 * max(scale, 1e-300):
             break

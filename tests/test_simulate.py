@@ -281,6 +281,23 @@ class TestEstimators:
             mc_event_probability(pr.cauchy_process(), 0.0, ("bogus", 1.0, 0.5),
                                  SimConfig(n_paths=2000))
 
+    @pytest.mark.parametrize("t_grid, r", [([-0.1, 0.05], 0.5),
+                                           ([0.02, float("nan")], 0.5),
+                                           ([0.02, 0.05], float("nan")),
+                                           ([0.02, 0.05], 0.0)])
+    def test_survival_rejects_bad_input_before_simulating(self, no_simulation,
+                                                         t_grid, r):
+        with pytest.raises(ValueError, match="t_grid|r must"):
+            estimate_exit_survival(pr.cauchy_process(), 0.0, r, t_grid,
+                                   SimConfig(n_paths=200))
+
+    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
+                                      (-0.1, 0.5)])
+    def test_event_rejects_nan_before_simulating(self, no_simulation, t, r):
+        with pytest.raises(ValueError, match="positive"):
+            mc_event_probability(pr.cauchy_process(), 0.0,
+                                 ("runmax_at_least", t, r), SimConfig(n_paths=200))
+
     def test_wilson_fallback_for_rare_events(self):
         est = proportion_estimate(1, 50)
         assert est.ci_half_width > 0

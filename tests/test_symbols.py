@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from levyup import growth as gr
 from levyup import measures as ms
 from levyup import processes as pr
-from levyup.errors import DegenerateSymbol
+from levyup.criteria import classify_levy
+from levyup.errors import DegenerateSymbol, QuadratureFailure
+from levyup.measures import LevyMeasureModel
 from levyup.symbols import (
     LevyTriplet,
     eval_exponent,
@@ -93,6 +98,117 @@ class TestEvalExponent:
         xi = np.array([[0.6, 0.8]])  # |xi| = 1
         val = eval_exponent(tri, xi)
         assert val[0].real == pytest.approx(1.0, rel=1e-4)
+
+
+    def test_infinite_tail_above_the_qawf_cycle_limit(self):
+        # QUADPACK's infinite-range Fourier rule wraps its cycle count above
+        # xi ~ 1.07e9 and would call the density at negative radii, where
+        # s^-2.5 is complex; the rescaled call keeps every node positive
+        m = LevyMeasureModel(
+            tail=lambda r: np.maximum(np.asarray(r, float), 1.0) ** -1.5,
+            trunc2=lambda r: 3.0 * (np.sqrt(np.maximum(r, 1.0)) - 1.0),
+            radial_density=lambda s: np.where(s >= 1.0, 1.5 * s**-2.5, 0.0),
+            support=(1.0, np.inf))
+        tri = LevyTriplet(b=np.zeros(1), Q=None, measure=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = eval_exponent(tri, np.array([2e9, 5e11]))
+        # psi = G(1) - int_1^inf rho(s) cos(xi s) ds = 1 + O(1/xi)
+        np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the whole-array exponent quadrature
+# ---------------------------------------------------------------------------
+
+CONTRACT_MEASURES = {
+    "stable": lambda: ms.stable_measure(1.3),
+    "one_sided": lambda: ms.one_sided_stable_measure(0.7),
+    "atom": ms.atom_measure,
+    "log_smooth": ms.log_smooth_measure,
+    "slow_variation": ms.slow_variation_measure,
+}
+# a 1-d stack of frequencies or a stack of 1-vectors
+CONTRACT_FREQS = hnp.arrays(
+    float, st.one_of(st.tuples(st.integers(1, 6)),
+                     st.tuples(st.integers(1, 4), st.just(1))),
+    elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3)))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_MEASURES))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(xi=CONTRACT_FREQS)
+def test_eval_exponent_array_contract(name, xi):
+    tri = LevyTriplet(b=np.array([0.3]), Q=None, measure=CONTRACT_MEASURES[name]())
+    out = eval_exponent(tri, xi)
+    assert out.shape == xi.shape and out.dtype == complex
+    scalar = [eval_exponent(tri, float(v)) for v in xi.ravel()]
+    assert all(type(v) is complex for v in scalar)
+    np.testing.assert_allclose(out.ravel(), scalar, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(eval_exponent(tri, -xi), np.conj(out))
+    assert (out[xi == 0.0] == 0.0).all()
+
+
+def test_panel_check_rejects_a_step_in_trunc2():
+    # a step of trunc2 inside the log-radius window, where the fixed panel
+    # rule cannot resolve it: the 32/64-panel check must fire
+    base = ms.log_smooth_measure()
+    m = dataclasses.replace(
+        base, trunc2=lambda r: base.trunc2(r) + (np.asarray(r, float) >= 1e-2))
+    tri = LevyTriplet(b=np.zeros(1), Q=None, measure=m)
+    with pytest.raises(QuadratureFailure, match="panels disagree"):
+        eval_exponent(tri, 1.0)
+
+
+def test_exponent_memory_stays_per_panel():
+    # one panel of frequencies x nodes at a time: building every panel at
+    # once would hold ~3.4 MB arrays for 140 frequencies
+    tri = LevyTriplet(b=np.zeros(1), Q=None, measure=ms.log_smooth_measure())
+    grid = np.logspace(-3, 8, 140)
+    eval_exponent(tri, grid[:2])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        eval_exponent(tri, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+GOLDEN_INTERPOLATED = Path(__file__).parent / "data" / "interpolated_symbol_golden.json"
+INTERPOLATED = {
+    "log_smooth": pr.log_smooth_process,
+    "slow_variation": pr.slow_variation_process,
+    "from_stable(1.3)": lambda: pr.levy_process_from_measure(ms.stable_measure(1.3)),
+}
+VERDICT_GROWTHS = {
+    "t^0.3": lambda: gr.power(0.3),
+    "t^0.5": lambda: gr.power(0.5),
+    "t^0.7": lambda: gr.power(0.7),
+    "t^1": lambda: gr.power(1.0),
+    "sqrt_loglog": gr.sqrt_loglog,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERPOLATED))
+def test_interpolated_symbol_matches_recorded_tables(name):
+    # recorded from per-frequency adaptive quadrature; the panel rule moves
+    # the 140-point tables by at most ~7e-10 relatively
+    ref = json.loads(GOLDEN_INTERPOLATED.read_text())[name]
+    table = INTERPOLATED[name]().q(0.0, np.array(ref["xi"]))
+    np.testing.assert_allclose(table.real, ref["psi"], rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("name", ["log_smooth", "slow_variation"])
+def test_interpolated_models_keep_their_verdicts(name):
+    ref = json.loads(GOLDEN_INTERPOLATED.read_text())["verdicts"][name]
+    spec = INTERPOLATED[name]()
+    rep = sector_check(spec)
+    assert [rep.verdict, rep.witness] == ref["sector"]
+    for label, growth in VERDICT_GROWTHS.items():
+        assert classify_levy(spec, growth()).outcome == ref[label], label
 
 
 class TestPsiStar:
