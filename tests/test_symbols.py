@@ -99,7 +99,6 @@ class TestEvalExponent:
         val = eval_exponent(tri, xi)
         assert val[0].real == pytest.approx(1.0, rel=1e-4)
 
-
     def test_infinite_tail_above_the_qawf_cycle_limit(self):
         # QUADPACK's infinite-range Fourier rule wraps its cycle count above
         # xi ~ 1.07e9 and would call the density at negative radii, where
@@ -161,8 +160,8 @@ def test_panel_check_rejects_a_step_in_trunc2():
 
 
 def test_exponent_memory_stays_per_panel():
-    # one panel of frequencies x nodes at a time: building every panel at
-    # once would hold ~3.4 MB arrays for 140 frequencies
+    # one panel of frequencies x nodes at a time: evaluating every panel of
+    # 140 frequencies at once peaks above 10 MB
     tri = LevyTriplet(b=np.zeros(1), Q=None, measure=ms.log_smooth_measure())
     grid = np.logspace(-3, 8, 140)
     eval_exponent(tri, grid[:2])
@@ -183,13 +182,9 @@ INTERPOLATED = {
     "slow_variation": pr.slow_variation_process,
     "from_stable(1.3)": lambda: pr.levy_process_from_measure(ms.stable_measure(1.3)),
 }
-VERDICT_GROWTHS = {
-    "t^0.3": lambda: gr.power(0.3),
-    "t^0.5": lambda: gr.power(0.5),
-    "t^0.7": lambda: gr.power(0.7),
-    "t^1": lambda: gr.power(1.0),
-    "sqrt_loglog": gr.sqrt_loglog,
-}
+VERDICT_GROWTHS = {"t^0.3": gr.power(0.3), "t^0.5": gr.power(0.5),
+                   "t^0.7": gr.power(0.7), "t^1": gr.power(1.0),
+                   "sqrt_loglog": gr.sqrt_loglog()}
 
 
 @pytest.mark.parametrize("name", sorted(INTERPOLATED))
@@ -208,7 +203,7 @@ def test_interpolated_models_keep_their_verdicts(name):
     rep = sector_check(spec)
     assert [rep.verdict, rep.witness] == ref["sector"]
     for label, growth in VERDICT_GROWTHS.items():
-        assert classify_levy(spec, growth()).outcome == ref[label], label
+        assert classify_levy(spec, growth).outcome == ref[label], label
 
 
 class TestPsiStar:
