@@ -121,7 +121,7 @@ class ExitBounds:
 
 
 def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
-                    settings=DEFAULTS):
+                    settings=DEFAULTS, rows=None):
     """Classify int_0^1 g(t) dt from block sums over [2^{-(n+1)}, 2^{-n}].
 
     Converges: the last half of the block ratios stays below ``ratio_max``;
@@ -129,11 +129,17 @@ def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
     exactly geometric decay).  Diverges: last-half block sums all above
     ``floor``, or increasing.  Otherwise Indeterminate.  ``g`` takes the
     array of one block's nodes and returns values of the same shape.
+
+    With ``rows=k`` the integrand carries a leading parameter axis: it maps
+    the (nodes,) array to (k, nodes) values, and the result is a list of k
+    verdicts, row i classified as a one-row call on g(t)[i] would be (its
+    block sums agree to rounding).  Each block still costs one call of ``g``.
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     x_ref, w_ref = _gl_nodes(nodes)
-    sums = np.empty(n_max + 1)
+    shape = (nodes,) if rows is None else (rows, nodes)
+    sums = np.empty((n_max + 1,) + shape[:-1])  # blocks x rows
     for n in range(n_max + 1):
         a, b = 2.0 ** -(n + 1), 2.0**-n
         t = 0.5 * (b - a) * x_ref + 0.5 * (a + b)
@@ -141,14 +147,16 @@ def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
             vals = np.asarray(g(t), float)
         except Exception as exc:
             raise EvaluationFailure(f"integrand failed on block {n}: {exc}") from exc
-        if vals.shape != t.shape:
+        if vals.shape != shape:
             raise EvaluationFailure(
                 f"integrand returned shape {vals.shape} on block {n}; "
-                f"it must map the {t.shape} node array to values of that shape")
+                f"it must map the {t.shape} node array to values of shape {shape}")
         if np.any(~np.isfinite(vals)):
             raise EvaluationFailure(f"integrand not finite on block {n}")
-        sums[n] = 0.5 * (b - a) * float(w_ref @ vals)
-    return _classify_blocks(sums, settings)
+        sums[n] = 0.5 * (b - a) * (vals @ w_ref)
+    if rows is None:
+        return _classify_blocks(sums, settings)
+    return [_classify_blocks(row, settings) for row in sums.T]
 
 
 def _classify_blocks(sums, settings=DEFAULTS):
@@ -198,8 +206,21 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     ``ball_mode`` None evaluates the plain tail (Levy case); "sup"/"inf" take
     the extremum over the state ball of radius ``ball_scale * f(t)`` (or a
     fixed radius when ``fixed_ball_radius`` is given).
+
+    A float ``c`` gives one ``IntegralVerdict``.  A 1-d array of c gives a
+    list of verdicts, one per entry in its order, from one dyadic pass whose
+    blocks evaluate every c at once (``dyadic_integral``'s ``rows``).
     """
-    if c <= 0:
+    # a plain number takes the one-row path without np.ndim's call overhead
+    if isinstance(c, (float, int)) or np.ndim(c) == 0:
+        c = scale = float(c)
+        rows, positive = None, c > 0
+    else:
+        c = np.asarray(c, float)
+        if c.ndim != 1:
+            raise ValueError("c must be a float or a 1-d array")
+        scale, rows, positive = c[:, None], c.size, np.all(c > 0)
+    if not positive:
         raise ValueError("c must be positive")
     if (ball_mode is None) != (spec.kind == "levy"):
         raise ValueError("ball_mode must be None exactly for Levy processes")
@@ -208,7 +229,7 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
         measure = spec.levy.measure
 
         def g(t):
-            return np.asarray(measure.tail(c * f(t)), float)
+            return np.asarray(measure.tail(scale * f(t)), float)
 
     else:
         if ball_mode not in ("sup", "inf"):
@@ -220,9 +241,10 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
             radius = ball_scale * ft if fixed_ball_radius is None \
                 else fixed_ball_radius
             z = _ball_states(spec, x, radius, settings.ball_points)
-            return extremum(spec.tail_at(z, c * ft[..., None]), axis=-1)
+            return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
 
-    return dyadic_integral(g, settings.n_levels, settings.nodes_per_block, settings)
+    return dyadic_integral(g, settings.n_levels, settings.nodes_per_block, settings,
+                           rows=rows)
 
 
 # (ball_mode, value_kind) -> symbol_extremum mode; Re q only under the inf-ball
@@ -248,28 +270,28 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
         raise ValueError(f"unsupported ball_mode {ball_mode!r} with value_kind "
                          f"{value_kind!r}") from None
 
-    def make_g(e):
-        def g(t):
-            ft = np.asarray(f(t), float)
-            radius = 0.0 if spec.kind == "levy" else ball_scale * ft
-            return symbol_extremum(spec, x, radius, 1.0 / (e * ft), mode,
-                                   n_z=settings.ball_points,
-                                   n_radii=settings.xi_radii)
-        return g
+    # eps and, to verify, eps/2 as the rows of one pass
+    eps_col = np.array([[eps], [eps / 2.0]]) if verify_eps else eps
 
-    verdict = dyadic_integral(make_g(eps), settings.n_levels,
-                              settings.nodes_per_block, settings)
-    if verify_eps:
-        check = dyadic_integral(make_g(eps / 2.0), settings.n_levels,
-                                settings.nodes_per_block, settings)
-        if check.state != verdict.state and "indeterminate" not in (
-            check.state, verdict.state
-        ):
-            return IntegralVerdict(
-                "indeterminate", None, verdict.block_sums, verdict.n_max,
-                note=f"eps-inconsistency: {verdict.state} at {eps}, "
-                     f"{check.state} at {eps/2}",
-            )
+    def g(t):
+        ft = np.asarray(f(t), float)
+        radius = 0.0 if spec.kind == "levy" else ball_scale * ft
+        return symbol_extremum(spec, x, radius, 1.0 / (eps_col * ft), mode,
+                               n_z=settings.ball_points, n_radii=settings.xi_radii)
+
+    verdicts = dyadic_integral(g, settings.n_levels, settings.nodes_per_block,
+                               settings, rows=2 if verify_eps else None)
+    if not verify_eps:
+        return verdicts
+    verdict, check = verdicts
+    if check.state != verdict.state and "indeterminate" not in (
+        check.state, verdict.state
+    ):
+        return IntegralVerdict(
+            "indeterminate", None, verdict.block_sums, verdict.n_max,
+            note=f"eps-inconsistency: {verdict.state} at {eps}, "
+                 f"{check.state} at {eps/2}",
+        )
     return verdict
 
 
@@ -564,6 +586,21 @@ def majorization_holds(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
     return bool(np.all(np.any(dominant, axis=1)))
 
 
+def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, settings):
+    """Sup-ball tail integrals at every c = 2^k of ``settings.c_exponents`` in
+    one pass; ``evidence[key]`` maps c to its verdict up to the first
+    converging one, and the return value says whether one converges."""
+    cs = [2.0**k for k in settings.c_exponents]
+    verdicts = tail_integral_criterion(spec, x, f, np.array(cs), ball_mode="sup",
+                                       fixed_ball_radius=fixed_ball_radius,
+                                       settings=settings)
+    for c, v in zip(cs, verdicts):
+        evidence.setdefault(key, {})[c] = v
+        if v.converges:
+            return True
+    return False
+
+
 def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
                        ball_radius=0.5, use_majorization_route=False,
                        settings=DEFAULTS):
@@ -591,32 +628,19 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
     evidence["sector"] = sector
     a1p = check_A1(spec, x=x, ball_radius=ball_radius, settings=settings)
     evidence["A1'"] = a1p
-    if sector.holds and a1p.holds:
-        for k in settings.c_exponents:
-            c = 2.0**k
-            v1 = tail_integral_criterion(spec, x, f, c, ball_mode="sup",
-                                         settings=settings)
-            evidence.setdefault("tail_integrals", {})[c] = v1
-            if v1.converges:
-                return Classification("zero", assumptions_used=["Sector", "A1'"],
-                                      evidence=evidence, reason="tail route")
+    if sector.holds and a1p.holds and _c_scan(
+            spec, x, f, None, evidence, "tail_integrals", settings):
+        return Classification("zero", assumptions_used=["Sector", "A1'"],
+                              evidence=evidence, reason="tail route")
 
     if use_majorization_route:
         a2 = check_A2(f, settings=settings)
         evidence["A2"] = a2
-        if a2.holds and majorization_holds(spec, x, ball_radius, settings):
-            for k in settings.c_exponents:
-                c = 2.0**k
-                v1p = tail_integral_criterion(
-                    spec, x, f, c, ball_mode="sup",
-                    fixed_ball_radius=ball_radius, settings=settings,
-                )
-                evidence.setdefault("fixed_ball_tail", {})[c] = v1p
-                if v1p.converges:
-                    return Classification(
-                        "zero", assumptions_used=["A2", "Majorization"],
-                        evidence=evidence, reason="fixed-ball tail route",
-                    )
+        if (a2.holds and majorization_holds(spec, x, ball_radius, settings)
+                and _c_scan(spec, x, f, ball_radius, evidence, "fixed_ball_tail",
+                            settings)):
+            return Classification("zero", assumptions_used=["A2", "Majorization"],
+                                  evidence=evidence, reason="fixed-ball tail route")
     return Classification("indeterminate", evidence=evidence,
                           reason="no convergent route")
 
@@ -693,16 +717,15 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
     ft = np.asarray(f(t_grid), float)
 
-    def witness(R, C_loc):
-        radius = 0.0 if spec.kind == "levy" else R * ft
-        return t_grid * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
-                                        "inf_sup_re", n_z=settings.ball_points,
-                                        n_radii=settings.xi_radii)
+    # frequency caps at C and at C/2 as the rows of one extremum call
+    caps = 1.0 / (np.array([[C], [C / 2.0]]) * ft)
 
     blowup_all = True
     for R in R_set:
-        w1 = witness(R, C)
-        w2 = witness(R, C / 2.0)
+        radius = 0.0 if spec.kind == "levy" else R * ft
+        w1, w2 = t_grid * symbol_extremum(spec, x, radius, caps, "inf_sup_re",
+                                          n_z=settings.ball_points,
+                                          n_radii=settings.xi_radii)
         ok = _limsup_diverges(t_grid, w1) and _limsup_diverges(t_grid, w2)
         evidence[f"blowup_witness_R={R:g}"] = w1
         if not ok:

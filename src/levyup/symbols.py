@@ -301,7 +301,7 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
     rho = m.radial_density
     if rho is None:
         return out
-    lo = max(m.support[0], 1e-60)  # power-law mass below is negligible at d >= 2
+    lo = max(m.support[0], 1e-60)
     hi = m.support[1]
     idx = np.flatnonzero(mags > 0.0)
     r_xi = mags[idx]
@@ -319,7 +319,11 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
         return frac * x**2 * rho(s) * s**3
 
     u_top = np.log(s_cut)
-    out[idx] += _panel_quad(integrand, np.maximum(np.log(lo), u_top - 160.0), u_top)
+    u_lo = np.maximum(np.log(lo), u_top - 160.0)
+    out[idx] += _panel_quad(integrand, u_lo, u_top)
+    # below the window s |xi| <= 4 pi e^-160, where 1 - average = |xi|^2 s^2/(2d)
+    # to relative O(w^2): the jumps there add |xi|^2 trunc2(s_lo)/(2d)
+    out[idx] += r_xi**2 * np.asarray(m.trunc2(np.exp(u_lo)), float) / (2 * d)
     top = float(m._continuous_tail(hi)) if np.isfinite(hi) else 0.0
     for i, r, cut in zip(idx, r_xi, s_cut):
         if cut < hi:

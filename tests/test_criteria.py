@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyup import growth as gr
 from levyup import processes as pr
@@ -25,6 +27,7 @@ from levyup.criteria import (
     tail_integral_criterion,
 )
 from levyup.errors import EvaluationFailure, InverseFailure
+from levyup.symbols import symbol_extremum
 from test_symbols import EQUIV_SPECS, EQUIV_X
 
 
@@ -78,6 +81,25 @@ class TestDyadicIntegral:
     def test_wrong_shaped_integrand_maps_to_evaluation_failure(self, g):
         with pytest.raises(EvaluationFailure, match="on block 0"):
             dyadic_integral(g)
+
+    def test_rows_give_one_verdict_per_row(self):
+        vs = dyadic_integral(lambda t: np.stack([t**-0.5, 1.0 / t, 3.0 + 0 * t]),
+                             rows=3)
+        assert [v.state for v in vs] == ["converges", "diverges", "converges"]
+        assert vs[0].value == pytest.approx(2.0, abs=1e-6)
+        assert vs[2].value == pytest.approx(3.0, rel=1e-12)
+        one = dyadic_integral(lambda t: t**-0.5)
+        np.testing.assert_allclose(vs[0].block_sums, one.block_sums, rtol=1e-12)
+
+    @pytest.mark.parametrize("rows, g", [
+        (2, lambda t: t),                          # rows declared, none given
+        (3, lambda t: np.stack([t, t])),           # too few rows
+        (2, lambda t: np.stack([t, t]).T),         # axes swapped
+        (None, lambda t: np.stack([t, t])),        # rows given, none declared
+    ])
+    def test_rows_mismatch_maps_to_evaluation_failure(self, rows, g):
+        with pytest.raises(EvaluationFailure, match="on block 0"):
+            dyadic_integral(g, rows=rows)
 
 
 class TestTailIntegralCriterion:
@@ -516,3 +538,105 @@ def test_criteria_match_recorded_values(name):
         assert row["state"] == ref["state"], row["case"]
         np.testing.assert_allclose(row["block_sums"], ref["block_sums"],
                                    rtol=1e-14, atol=0, err_msg=row["case"])
+
+
+# ---------------------------------------------------------------------------
+# the parameter axis: one dyadic pass for a c-scan or an eps pair
+# ---------------------------------------------------------------------------
+
+C_SCAN = np.array([2.0**k for k in CriteriaSettings().c_exponents])
+STATE_SPECS = {
+    "variable_order": pr.variable_order_process,
+    "stable_type": lambda: pr.stable_type_process(1.2),
+    "sde_process": pr.sde_process,
+}
+BALL_CASES = (
+    {"ball_mode": "sup"},
+    {"ball_mode": "inf", "ball_scale": 2.0},
+    {"ball_mode": "sup", "fixed_ball_radius": 0.5},
+)
+SCAN_CASES = ([(name, kw) for name in sorted(STATE_SPECS) for kw in BALL_CASES]
+              + [("stable_levy", {})])
+
+
+def assert_same_verdict(v, ref):
+    assert v.state == ref.state
+    if ref.value is None:
+        assert v.value is None
+    else:
+        assert v.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+    np.testing.assert_allclose(v.block_sums, ref.block_sums, rtol=1e-12, atol=0)
+
+
+def scan_spec(name):
+    if name == "stable_levy":
+        return pr.stable_process(1.3), None
+    return STATE_SPECS[name](), EQUIV_X
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0])
+@pytest.mark.parametrize("name, kw", SCAN_CASES)
+def test_batched_c_scan_matches_one_call_per_c(name, kw, kappa):
+    spec, x = scan_spec(name)
+    f = gr.power(kappa)
+    batch = tail_integral_criterion(spec, x, f, C_SCAN, **kw)
+    assert isinstance(batch, list) and len(batch) == C_SCAN.size
+    for c, v in zip(C_SCAN, batch):
+        assert_same_verdict(v, tail_integral_criterion(spec, x, f, float(c), **kw))
+
+
+def test_tail_criterion_c_contract():
+    spec = pr.variable_order_process()
+    f = gr.power(0.8)
+    single = tail_integral_criterion(spec, 0.0, f, np.float64(2.0), ball_mode="sup")
+    assert not isinstance(single, list)
+    with pytest.raises(ValueError, match="positive"):
+        tail_integral_criterion(spec, 0.0, f, np.array([1.0, 0.0]), ball_mode="sup")
+    with pytest.raises(ValueError, match="1-d"):
+        tail_integral_criterion(spec, 0.0, f, np.ones((2, 2)), ball_mode="sup")
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0])
+@pytest.mark.parametrize("name, kw", [
+    (name, kw) for name in sorted(STATE_SPECS)
+    for kw in ({"ball_mode": "sup"}, {"ball_mode": "inf", "value_kind": "re"})
+] + [("stable_levy", {})])
+def test_eps_pair_pass_matches_two_passes(name, kw, kappa):
+    spec, x = scan_spec(name)
+    f = gr.power(kappa)
+    v = symbol_integral_criterion(spec, x, f, eps=1.0, **kw)
+    first = symbol_integral_criterion(spec, x, f, eps=1.0, verify_eps=False, **kw)
+    check = symbol_integral_criterion(spec, x, f, eps=0.5, verify_eps=False, **kw)
+    if {first.state, check.state} == {"converges", "diverges"}:
+        assert v.state == "indeterminate" and "eps-inconsistency" in v.note
+        np.testing.assert_allclose(v.block_sums, first.block_sums, rtol=1e-12, atol=0)
+    else:
+        assert_same_verdict(v, first)
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+def test_lower_blowup_witness_matches_one_cap_call(name):
+    spec, x = scan_spec(name)
+    f = gr.power(0.9)
+    res = classify_ltp_lower(spec, x, f, C=2.0)
+    s = CriteriaSettings()
+    t_grid = s.t_grid()
+    ft = f(t_grid)
+    w1 = t_grid * symbol_extremum(spec, x, ft, 1.0 / (2.0 * ft), "inf_sup_re",
+                                  n_z=s.ball_points, n_radii=s.xi_radii)
+    np.testing.assert_allclose(res.evidence["blowup_witness_R=1"], w1,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(x=st.floats(-1.0, 1.0), kappa=st.floats(0.3, 1.5))
+def test_c_scan_states_monotone_in_c(name, x, kappa):
+    # the sup-ball tail nu(z, |y| >= c f(t)) decreases in c: once the scan
+    # converges at some c, it converges at every larger c
+    spec = STATE_SPECS[name]()
+    states = [v.state for v in tail_integral_criterion(
+        spec, x, gr.power(kappa), C_SCAN, ball_mode="sup")]
+    if "converges" in states:
+        first = states.index("converges")
+        assert set(states[first:]) == {"converges"}, states

@@ -99,6 +99,19 @@ class TestEvalExponent:
         val = eval_exponent(tri, xi)
         assert val[0].real == pytest.approx(1.0, rel=1e-4)
 
+    @pytest.mark.parametrize("dim, alpha", [(2, 1.9), (2, 1.99), (3, 1.9), (2, 1.5)])
+    def test_isotropic_counts_the_jumps_below_the_window(self, dim, alpha):
+        # near alpha = 2 the integrand decays only like s^(2 - alpha) below
+        # the log-radius window; its remainder |xi|^2 trunc2(s_lo)/(2d) is
+        # added in closed form (without it stable(1.9) in d = 2 read ~1e-6 low)
+        tri = LevyTriplet(b=np.zeros(dim), Q=None,
+                          measure=ms.stable_measure(alpha, dim=dim))
+        mags = np.logspace(-2, 3, 11)
+        direction = np.arange(1.0, dim + 1.0) / np.linalg.norm(np.arange(1.0, dim + 1.0))
+        val = eval_exponent(tri, mags[:, None] * direction)
+        np.testing.assert_allclose(val.real, mags**alpha, rtol=1e-10, atol=0)
+        assert np.all(val.imag == 0.0)
+
     def test_infinite_tail_above_the_qawf_cycle_limit(self):
         # QUADPACK's infinite-range Fourier rule wraps its cycle count above
         # xi ~ 1.07e9 and would call the density at negative radii, where
