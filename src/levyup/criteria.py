@@ -587,13 +587,23 @@ def majorization_holds(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
 
 
 def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, settings):
-    """Sup-ball tail integrals at every c = 2^k of ``settings.c_exponents`` in
-    one pass; ``evidence[key]`` maps c to its verdict up to the first
-    converging one, and the return value says whether one converges."""
+    """Sup-ball tail integrals at c = 2^k for k in ``settings.c_exponents``;
+    ``evidence[key]`` maps c to its verdict up to the first converging one,
+    and the return value says whether one converges.
+
+    For a power-type f the integral converges at every c or at none, so the
+    first c runs alone (a converging scan stops there) and the others share
+    one pass (``tail_integral_criterion`` with an array of c)."""
     cs = [2.0**k for k in settings.c_exponents]
-    verdicts = tail_integral_criterion(spec, x, f, np.array(cs), ball_mode="sup",
+
+    def scan(c):
+        return tail_integral_criterion(spec, x, f, c, ball_mode="sup",
                                        fixed_ball_radius=fixed_ball_radius,
                                        settings=settings)
+
+    verdicts = [scan(cs[0])] if cs else []
+    if verdicts and not verdicts[0].converges and len(cs) > 1:
+        verdicts += scan(np.array(cs[1:]))
     for c, v in zip(cs, verdicts):
         evidence.setdefault(key, {})[c] = v
         if v.converges:
@@ -717,15 +727,16 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
     ft = np.asarray(f(t_grid), float)
 
-    # frequency caps at C and at C/2 as the rows of one extremum call
-    caps = 1.0 / (np.array([[C], [C / 2.0]]) * ft)
+    def witness(R, C_loc):
+        radius = 0.0 if spec.kind == "levy" else R * ft
+        return t_grid * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
+                                        "inf_sup_re", n_z=settings.ball_points,
+                                        n_radii=settings.xi_radii)
 
     blowup_all = True
     for R in R_set:
-        radius = 0.0 if spec.kind == "levy" else R * ft
-        w1, w2 = t_grid * symbol_extremum(spec, x, radius, caps, "inf_sup_re",
-                                          n_z=settings.ball_points,
-                                          n_radii=settings.xi_radii)
+        w1 = witness(R, C)
+        w2 = witness(R, C / 2.0)
         ok = _limsup_diverges(t_grid, w1) and _limsup_diverges(t_grid, w2)
         evidence[f"blowup_witness_R={R:g}"] = w1
         if not ok:

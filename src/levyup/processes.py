@@ -34,7 +34,13 @@ def _power_symbol(alpha, scale=1.0, drift=0.0):
     """Vectorized symbol xi -> (scale*|xi|)^alpha - i*drift*xi."""
 
     def symbol(x, xi):
-        out = (scale * np.abs(xi[..., 0])) ** alpha + 0j
+        # fill the real part of the complex output in place: a float table
+        # beside it would add half the output's memory again
+        out = np.zeros(xi.shape[:-1], complex)
+        np.abs(xi[..., 0], out=out.real)
+        if scale != 1.0:
+            out.real *= scale
+        out.real **= alpha
         if drift:
             out += -1j * drift * xi[..., 0]
         return out
@@ -200,7 +206,10 @@ def variable_order_process(order_fn=None):
     order = order_fn or default_order_fn
 
     def symbol(x, xi):
-        return np.abs(xi[..., 0]) ** order(x[..., 0]) + 0j
+        a = order(x[..., 0])  # real part in place, as in _power_symbol
+        out = np.zeros(np.broadcast_shapes(np.shape(a), xi.shape[:-1]), complex)
+        np.power(np.abs(xi[..., 0]), a, out=out.real)
+        return out
 
     def tail(z, r):
         a = order(np.asarray(z, float))
@@ -248,7 +257,10 @@ def stable_type_process(alpha, intensity_fn=None):
     c = ms.stable_normalization(alpha)
 
     def symbol(x, xi):
-        return kap(x[..., 0]) * np.abs(xi[..., 0]) ** alpha + 0j
+        k = kap(x[..., 0])  # real part in place, as in _power_symbol
+        out = np.zeros(np.broadcast_shapes(np.shape(k), xi.shape[:-1]), complex)
+        np.multiply(k, np.abs(xi[..., 0]) ** alpha, out=out.real)
+        return out
 
     def tail(z, r):
         k = np.asarray(kap(np.asarray(z, float)), float)

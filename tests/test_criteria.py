@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyup import criteria
 from levyup import growth as gr
 from levyup import processes as pr
 from levyup.criteria import (
     CriteriaSettings,
+    IntegralVerdict,
     _a2_direct_witness,
     bg_index,
     check_A1,
@@ -27,7 +29,7 @@ from levyup.criteria import (
     tail_integral_criterion,
 )
 from levyup.errors import EvaluationFailure, InverseFailure
-from levyup.symbols import symbol_extremum
+from levyup.symbols import ConditionReport, symbol_extremum, tail_trend
 from test_symbols import EQUIV_SPECS, EQUIV_X
 
 
@@ -640,3 +642,91 @@ def test_c_scan_states_monotone_in_c(name, x, kappa):
     if "converges" in states:
         first = states.index("converges")
         assert set(states[first:]) == {"converges"}, states
+
+
+def decline_symbol_route(monkeypatch):
+    """Make classify_ltp_upper's symbol route decline, so its c-scans run."""
+    real = criteria.symbol_integral_criterion
+
+    def declining(*args, **kwargs):
+        v = real(*args, **kwargs)
+        return IntegralVerdict("indeterminate", None, v.block_sums, v.n_max)
+
+    monkeypatch.setattr(criteria, "symbol_integral_criterion", declining)
+
+
+def count_passes(monkeypatch):
+    """Record the ``rows`` of every dyadic pass the criteria module makes."""
+    real, passes = criteria.dyadic_integral, []
+
+    def counting(*args, **kwargs):
+        passes.append(kwargs.get("rows"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "dyadic_integral", counting)
+    return passes
+
+
+@pytest.mark.parametrize("route", ["tail_integrals", "fixed_ball_tail"])
+@pytest.mark.parametrize("kappa, n_c", [(0.6, 1), (1.2, C_SCAN.size)])
+@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+def test_c_scan_stops_at_a_converging_first_c(monkeypatch, name, kappa, n_c, route):
+    # a scan that converges at its first c makes that one one-row pass, as the
+    # one-call-per-c loop did; one that never converges makes two passes
+    spec, x = scan_spec(name)
+    f = gr.power(kappa)
+    decline_symbol_route(monkeypatch)
+    fixed = None
+    if route == "fixed_ball_tail":
+        fixed = 0.5
+        monkeypatch.setattr(criteria, "sector_check", lambda *a, **k: ConditionReport(
+            "fails", np.inf, reason="forced"))
+    passes = count_passes(monkeypatch)
+    res = classify_ltp_upper(spec, x, f, use_majorization_route=fixed is not None)
+    scan_passes = passes[1:]  # the first pass is the symbol route's
+    assert res.outcome == ("zero" if n_c == 1 else "indeterminate")
+    scan = res.evidence[route]
+    assert list(scan) == list(C_SCAN[:n_c])
+    assert scan_passes == ([None] if n_c == 1 else [None, C_SCAN.size - 1])
+    for c, v in scan.items():
+        assert_same_verdict(v, tail_integral_criterion(
+            spec, x, f, c, ball_mode="sup", fixed_ball_radius=fixed))
+
+
+@pytest.mark.parametrize("failing", [None, "C", "C/2"])
+@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+def test_lower_blowup_needs_both_witnesses(monkeypatch, name, failing):
+    # the blow-up decision reads the witness at cap 1/(C f) and at 1/((C/2) f);
+    # a witness forced flat must stop it whichever of the two it is
+    spec, x = scan_spec(name)
+    f, C = gr.power(1.2), 3.0
+    s = CriteriaSettings()
+    t_grid = s.t_grid()
+    ft = f(t_grid)
+    real, caps = criteria.symbol_extremum, []
+
+    def forced(spec_, x_, radius, xi_radius, mode, **kw):
+        out = real(spec_, x_, radius, xi_radius, mode, **kw)
+        if mode != "inf_sup_re":
+            return out
+        level = {"C": 1.0 / C, "C/2": 2.0 / C}
+        cap = [k for k, v in level.items() if np.allclose(xi_radius * ft, v)]
+        caps.append(cap)
+        return out * 0.0 if cap == [failing] else out
+
+    def reference_blows_up():
+        for R in (1.0,):  # a power f is regularly varying: one ball scale
+            for key, C_loc in (("C", C), ("C/2", C / 2.0)):
+                w = t_grid * real(spec, x, R * ft, 1.0 / (C_loc * ft), "inf_sup_re",
+                                  n_z=s.ball_points, n_radii=s.xi_radii)
+                label, _ = tail_trend(t_grid, 0.0 * w if key == failing else w,
+                                      blowup=1e6)
+                if label != "diverging":
+                    return False
+        return True
+
+    monkeypatch.setattr(criteria, "symbol_extremum", forced)
+    res = classify_ltp_lower(spec, x, f, C=C)
+    assert caps[:2] == [["C"], ["C/2"]]
+    assert (res.outcome == "infinity") == reference_blows_up()
+    assert (res.outcome == "infinity") == (failing is None)
