@@ -223,20 +223,18 @@ def _outcome_text(result):
     return f"Indeterminate ({result.reason})" if result.reason else "Indeterminate"
 
 
+# evidence key -> (criterion label, c_or_eps); a dict of verdicts is keyed by c
+_CRITERION_ROWS = {"tail_integrals": ("L1", None), "fixed_ball_tail": ("L1_fixed_ball", None),
+                   "symbol_integral": ("L2", 1.0), "moment_integral": ("moment", ""),
+                   "inf_tail_integral": ("inf_tail", ""), "inf_symbol_integral": ("inf_L2", 1.0)}
+
+
 def _classify_rows(result):
     rows = []
-    ev = result.evidence
-    for c, v in ev.get("tail_integrals", {}).items():
-        rows.append(("L1", c, v.state, v.value, v.n_max + 1))
-    if "symbol_integral" in ev:
-        v = ev["symbol_integral"]
-        rows.append(("L2", 1.0, v.state, v.value, v.n_max + 1))
-    if "moment_integral" in ev:
-        v = ev["moment_integral"]
-        rows.append(("moment", "", v.state, v.value, v.n_max + 1))
-    if "inf_tail_integral" in ev:
-        v = ev["inf_tail_integral"]
-        rows.append(("inf_tail", "", v.state, v.value, v.n_max + 1))
+    for key, (label, param) in _CRITERION_ROWS.items():
+        v = result.evidence.get(key, {})
+        pairs = v.items() if isinstance(v, dict) else [(param, v)]
+        rows += [(label, c, w.state, w.value, w.n_max + 1) for c, w in pairs]
     return rows
 
 

@@ -407,6 +407,19 @@ def _a2_shortcut(f, alphas=None):
 # ---------------------------------------------------------------------------
 
 
+def _moment_integrand(measure, a):
+    """t -> a t^(a-1) (G(t) - G(1-)), whose integral over (0, 1) is the
+    radial moment int_{|y|<1} |y|^a nu(dy); 1/t (G(t) - G(1-)) at a = 0."""
+    g1 = float(measure.tail(1.0 - 1e-12))
+
+    def g(t):
+        t_arr = np.asarray(t, float)
+        base = np.ones_like(t_arr) / t_arr if a == 0.0 else a * t_arr ** (a - 1.0)
+        return base * np.maximum(np.asarray(measure.tail(t_arr), float) - g1, 0.0)
+
+    return g
+
+
 def bg_index(measure: LevyMeasureModel, tol=0.02, settings=DEFAULTS):
     """Small-jump activity index inf{a : int_{|y|<1} |y|^a nu(dy) < infinity}.
 
@@ -416,19 +429,10 @@ def bg_index(measure: LevyMeasureModel, tol=0.02, settings=DEFAULTS):
     """
     if not 0 < tol <= 0.1:
         raise ValueError("tol must lie in (0, 0.1]")
-    g1 = float(measure.tail(1.0 - 1e-12))
 
     def verdict_at(a):
-        def g(t):
-            t_arr = np.asarray(t, float)
-            if a == 0.0:
-                base = np.ones_like(t_arr) / t_arr
-            else:
-                base = a * t_arr ** (a - 1.0)
-            return base * np.maximum(np.asarray(measure.tail(t_arr), float) - g1, 0.0)
-
-        return dyadic_integral(g, settings.n_levels, settings.nodes_per_block,
-                               settings)
+        return dyadic_integral(_moment_integrand(measure, a), settings.n_levels,
+                               settings.nodes_per_block, settings)
 
     lo, hi = 0.0, 2.0  # moment at 2 is finite for every Levy measure
     while hi - lo >= tol:
@@ -548,16 +552,8 @@ def classify_power(spec: ProcessSpec, kappa, settings=DEFAULTS):
         return Classification("indeterminate", evidence=evidence,
                               reason="sector condition unverified")
     measure = spec.levy.measure
-    g1 = float(measure.tail(1.0 - 1e-12))
-    a = 1.0 / kappa
-
-    def g(t):
-        t_arr = np.asarray(t, float)
-        return a * t_arr ** (a - 1.0) * np.maximum(
-            np.asarray(measure.tail(t_arr), float) - g1, 0.0
-        )
-
-    v = dyadic_integral(g, settings.n_levels, settings.nodes_per_block, settings)
+    v = dyadic_integral(_moment_integrand(measure, 1.0 / kappa), settings.n_levels,
+                        settings.nodes_per_block, settings)
     evidence["moment_integral"] = v
     if v.converges:
         return Classification("zero", assumptions_used=["Sector"], evidence=evidence)

@@ -8,28 +8,31 @@ x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
 complex values of the broadcast shape (q(x (d,), xi (m, d)) -> (m,) is the
 single-state case); ``tail_at`` / ``trunc2_at`` broadcast states against radii
 alike, so a block of nodes x ball states x frequencies costs one call.
-``eval_exponent`` takes arrays of frequencies: its non-oscillatory log-radius
-integrals run for all of them at once on fixed Gauss-Legendre panels, and only
-the oscillatory shells run per frequency.
+``eval_exponent`` takes arrays of frequencies and runs every integral for all
+of them at once on fixed panels: Gauss-Legendre panels in log radius below a
+few oscillation periods, Filon panels on the oscillatory shells above.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DegenerateSymbol, QuadratureFailure
 from .measures import LevyMeasureModel
 
 QUAD_RTOL = 1e-8
 QUAD_ATOL = 1e-12
-QUAD_LIMIT = 200
 PANELS = 32  # per log-radius window of the exponent; checked against 2 * PANELS
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Legendre coefficients of the degree-15 interpolant of the 16 node values,
+# a_n = (n + 1/2) sum_k w_k P_n(x_k) f(x_k), and i^n for their Filon moments
+_LEG_FIT = ((np.arange(16) + 0.5)[:, None] * _GL_W
+            * np.polynomial.legendre.legvander(_GL_X, 15).T)
+_I_POW = np.tile([1.0, 1j, -1.0, -1j], 4)
 # nodes on [0, 1] of one panel: the 16-node rule, then its two halves
 _PANEL_NODES = 0.5 * np.concatenate([_GL_X + 1.0, 0.5 * _GL_X + 0.5, 0.5 * _GL_X + 1.5])
 _GL_W2 = 0.5 * np.concatenate([_GL_W, _GL_W])
@@ -141,27 +144,6 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 
-def _fourier(rho, a, b, weight, xi, scale):
-    """int_a^b rho(s) cos(xi s) ds (weight "cos", else sine) by QUADPACK's
-    Fourier-weight rules, accepting errors negligible relative to the value
-    or to ``scale``, the smooth term the result corrects.  On b = inf (QAWF)
-    QUADPACK counts cycles in the 32-bit 2 int(xi) + 1, which wraps above
-    xi ~ 1.07e9; s = t / k keeps the frequency at 2^29 there."""
-    k = max(1.0, xi / 2.0**29) if np.isinf(b) else 1.0
-    fun = rho if k == 1.0 else (lambda t: rho(t / k) / k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(fun, a * k, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL,
-                             limit=QUAD_LIMIT, full_output=1, weight=weight, wvar=xi / k)
-    val, err = out[0], out[1]
-    if not np.isfinite(val):
-        raise QuadratureFailure(f"non-finite quadrature value on ({a}, {b})")
-    if len(out) >= 4:  # quadpack reported trouble; judge the error ourselves
-        if err > max(QUAD_ATOL, 10 * QUAD_RTOL * abs(val), 1e-6 * scale):
-            raise QuadratureFailure(str(out[3]))
-    return val
-
-
 def _panel_quad(fun, lo, hi):
     """Integrals of fun over windows [lo, hi] (arrays (m,)) at once: PANELS
     Gauss-Legendre panels of 16 nodes, checked against 2 * PANELS.
@@ -184,10 +166,56 @@ def _panel_quad(fun, lo, hi):
     return fine
 
 
-def _sphere_average(u, dim):
-    """Average of cos(u e . theta) over the unit sphere in R^dim (u > 0, dim >= 2)."""
-    nu_ord = dim / 2 - 1
-    return special.gamma(dim / 2) * (2.0 / u) ** nu_ord * special.jv(nu_ord, u)
+def _filon(amp, s0, s1, xi):
+    """int_{s0}^{s1} amp(s) e^{i xi s} ds for arrays s0, s1, xi (m,) at once.
+
+    Panels [s0 2^k, s0 2^(k+1)] (the last ends at s1) run one index at a time
+    for all frequencies; amp maps their nodes (m, 16) to values.  Filon's rule:
+    the Legendre series through the 16 Gauss-Legendre values integrates
+    exactly at any frequency, as int_{-1}^1 P_n(x) e^{iwx} dx = 2 i^n j_n(w).
+    Raises ``QuadratureFailure`` where the top two coefficients, summed over
+    the panels, exceed max(QUAD_ATOL, 10 QUAD_RTOL int |amp|)."""
+    total = np.zeros(xi.shape, complex)
+    err, mass = np.zeros(xi.shape), np.zeros(xi.shape)
+    n_panels = int(np.ceil(np.log2(np.max(s1 / s0, initial=1.0))))
+    for k in range(n_panels):
+        lo = np.minimum(s0 * 2.0**k, s1)
+        hi = s1 if k == n_panels - 1 else np.minimum(2.0 * lo, s1)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        f = amp(mid[:, None] + half[:, None] * _GL_X)
+        coef = f @ _LEG_FIT.T
+        moments = 2.0 * _I_POW * special.spherical_jn(np.arange(16), (xi * half)[:, None])
+        total += half * np.exp(1j * xi * mid) * np.sum(coef * moments, axis=1)
+        err += half * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+        mass += half * (np.abs(f) @ _GL_W)
+    bad = ~(err <= np.maximum(QUAD_ATOL, 10 * QUAD_RTOL * mass))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureFailure(f"Filon panels do not resolve the amplitude on "
+                                f"({s0[i]}, {s1[i]}) at xi = {xi[i]}")
+    return total
+
+
+def _shell_top(measure, scale):
+    """Upper end of an oscillatory shell: the support's, or on infinite
+    support the first S = 2^k >= 1 with nu(|y| > S) <= 1e-14 scale.  As
+    0 <= 1 - cos <= 2, twice that tail bounds the part of the shell above S."""
+    hi, top = measure.support[1], 1.0
+    while np.isinf(hi) and measure._continuous_tail(top) > 1e-14 * scale:
+        top *= 2.0
+        if np.isinf(top):
+            raise QuadratureFailure(f"tail above 2^k stays above 1e-14 * {scale}")
+    return top if np.isinf(hi) else hi
+
+
+def _sphere_factor(u, dim):
+    """A(u) = Gamma(dim/2) (2/u)^nu H1e(nu, u), nu = dim/2 - 1, whose
+    Re[A(u) e^{iu}] is the average of cos(u e . theta) over the unit sphere
+    in R^dim (u > 0, dim >= 2); smooth for u >= 4 pi.  Above u = 1e15, where
+    scipy's H1e returns nan, H1e(nu, u) sqrt(u) is constant to rounding."""
+    nu_ord, v = dim / 2 - 1, np.minimum(u, 1e15)
+    return (special.gamma(dim / 2) * (2.0 / u) ** nu_ord
+            * special.hankel1e(nu_ord, v) * np.sqrt(v / u))
 
 
 def eval_exponent(triplet: LevyTriplet, xi):
@@ -195,11 +223,13 @@ def eval_exponent(triplet: LevyTriplet, xi):
 
     In dimension 1 a float xi gives a complex and an array a complex array
     of its shape; in d >= 2 xi is (m, d) and the measure isotropic.  The
-    jump integral is split at |y| = 1 (the compensation cutoff).  Below a cut
-    of a few oscillation periods it runs in log radius for all frequencies
-    at once (``_panel_quad``: ``QuadratureFailure`` when PANELS and
-    2 * PANELS panels disagree); the oscillatory shells above the cut run per
-    frequency, by QUADPACK Fourier weights in 1-d and half-period sums else.
+    jump integral is compensated inside |y| = 1.  Every part runs for all
+    frequencies at once: below a cut of a few oscillation periods in log
+    radius (``_panel_quad``), above it as one oscillatory shell on Filon
+    panels (``_filon``, in d >= 2 through a Hankel-function amplitude).
+    Either raises ``QuadratureFailure`` where its check finds the integrand
+    unresolved: PANELS against 2 * PANELS panels, or the top Legendre
+    coefficients of the Filon panels.
     """
     xi = np.asarray(xi, float)
     if triplet.dim == 1 and (xi.ndim < 2 or xi.shape[-1] == 1):
@@ -238,7 +268,7 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
         #   int_0^a (1-cos(s xi)) rho(s) ds
         #     = (1-cos(a xi)) T(a)/a^2 + int_0^a T(s) xi^2 B(s xi)/(s xi)^2 ds
         # with B(w) = 2(1-cos w) - w sin w = O(w^4) near 0.  The cut a is a
-        # few oscillation periods; beyond it Fourier weights take over.
+        # few oscillation periods; beyond it Filon panels take over.
         a = np.minimum(split, 4.0 * np.pi / xi)
         val[pos] += 2.0 * np.sin(a * xi / 2.0) ** 2 * m.trunc2(a) / a**2
         u_hi = np.log(a)
@@ -270,23 +300,15 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
 
             val[pos] += 1j * skew * _panel_quad(im_small, u_lo, u_hi)
 
-        # oscillatory shells (a, 1] and, uncompensated, |y| > 1
-        cut = np.flatnonzero(a < split)
-        shell = m._continuous_tail(a[cut]) - float(m._continuous_tail(split))
-        val[pos[cut]] += shell
-        if skew and cut.size:
-            lin = _panel_quad(lambda u: np.exp(2.0 * u) * rho(np.exp(u)),
-                              u_hi[cut], np.full(cut.size, np.log(split)))
-            val[pos[cut]] += 1j * skew * xi[cut] * lin
-        shells = [(j, a[j], split, sh) for j, sh in zip(cut, shell)]
-        if hi > 1.0:
-            mass = float(m._continuous_tail(1.0))
-            val[pos] += mass
-            shells += [(j, 1.0, hi, mass) for j in range(pos.size)]
-        for j, s0, s1, scale in shells:
-            val[pos[j]] -= _fourier(rho, s0, s1, "cos", xi[j], scale)
-            if skew:
-                val[pos[j]] -= 1j * skew * _fourier(rho, s0, s1, "sin", xi[j], scale)
+        # oscillatory shell (a, top]: its mass less the Fourier integral,
+        # whose cos part is real and whose skewed sin part is imaginary
+        top, s0 = _shell_top(m, float(m._continuous_tail(split))), np.maximum(a, lo)
+        val[pos] += m._continuous_tail(a) - float(m._continuous_tail(top))
+        osc = _filon(rho, s0, np.full(a.shape, top), xi)
+        val[pos] -= osc.real + 1j * skew * osc.imag
+        if skew:  # the compensation -i xi s on the shell inside |y| <= 1
+            lin = _filon(lambda s: s * rho(s), s0, np.full(a.shape, split), 0.0 * xi)
+            val[pos] += 1j * skew * xi * lin.real
     return np.where(np.ravel(xi_in) < 0.0, np.conj(val), val).reshape(np.shape(xi_in))
 
 
@@ -315,7 +337,8 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
         # (1 - average)/w^2 by its series below w = 0.1 (to ~1e-11), where
         # the direct difference cancels
         frac = np.where(w < 0.1, (1.0 - w * w / (4 * (d + 2)) * (1.0 - w * w / (6 * (d + 4))))
-                        / (2 * d), (1.0 - _sphere_average(wb, d)) / (wb * wb))
+                        / (2 * d), (1.0 - np.real(_sphere_factor(wb, d) * np.exp(1j * wb)))
+                        / (wb * wb))
         return frac * x**2 * rho(s) * s**3
 
     u_top = np.log(s_cut)
@@ -324,32 +347,13 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
     # below the window s |xi| <= 4 pi e^-160, where 1 - average = |xi|^2 s^2/(2d)
     # to relative O(w^2): the jumps there add |xi|^2 trunc2(s_lo)/(2d)
     out[idx] += r_xi**2 * np.asarray(m.trunc2(np.exp(u_lo)), float) / (2 * d)
-    top = float(m._continuous_tail(hi)) if np.isfinite(hi) else 0.0
-    for i, r, cut in zip(idx, r_xi, s_cut):
-        if cut < hi:
-            shell = float(m._continuous_tail(cut)) - top
-            out[i] += shell - _half_period_sum(
-                lambda s: _sphere_average(s * r, d) * rho(s),
-                cut, hi, np.pi / r, scale=shell)
+    # shell (s_cut, top]: its mass less the sphere average against rho
+    g_cut = m._continuous_tail(s_cut)
+    top = _shell_top(m, g_cut.min(initial=np.inf))
+    osc = _filon(lambda s: rho(s) * _sphere_factor(s * x, d), np.maximum(s_cut, lo),
+                 np.full(s_cut.shape, top), r_xi)
+    out[idx] += g_cut - float(m._continuous_tail(top)) - osc.real
     return out
-
-
-def _half_period_sum(fun, a, b, period, scale, max_chunks=5000):
-    """Integral of a decaying oscillatory function by half-period chunks.
-
-    Fixed-order Gauss quadrature per chunk; the alternating chunk sums
-    converge, and summation stops once chunks are negligible against scale.
-    """
-    total, lo, k = 0.0, a, 0
-    while lo < b and k < max_chunks:
-        hi_k = min(lo + period, b)
-        t = 0.5 * (hi_k - lo) * _GL_X + 0.5 * (lo + hi_k)
-        chunk = 0.5 * (hi_k - lo) * float(_GL_W @ np.asarray(fun(t), float))
-        total += chunk
-        if k > 4 and abs(chunk) < 1e-10 * max(scale, 1e-300):
-            break
-        lo, k = hi_k, k + 1
-    return total
 
 
 # ---------------------------------------------------------------------------

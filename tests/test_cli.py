@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from levyup import growth as gr
+from levyup import processes as pr
 from levyup.cli import (
     RunConfig,
+    _classify_rows,
     build_growth,
     build_process,
     main,
@@ -12,6 +15,7 @@ from levyup.cli import (
     run_command,
     serialize_config,
 )
+from levyup.criteria import IntegralVerdict, classify_ltp_upper
 from levyup.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -130,6 +134,24 @@ class TestCommands:
         cfg = self._cfg(tmp_path, body)
         assert run_command("classify", cfg) == 0
         assert capsys.readouterr().out.strip() == "Zero"
+
+    def test_classify_rows_cover_every_integral_verdict(self, tmp_path):
+        # the lower route's inf-ball symbol integral and the majorization
+        # route's fixed-ball scan are evidence too
+        body = ("[process]\nkind = variable_order\n\n"
+                "[growth]\nform = sqrt\n\n[run]\nmode = lower\n")
+        cfg = self._cfg(tmp_path, body)
+        assert run_command("classify", cfg, quiet=True) == 2
+        rows = read_csv(tmp_path / "out" / "classify.csv")
+        assert [r[0] for r in rows[1:]] == ["inf_tail", "inf_L2"]
+        upper = classify_ltp_upper(pr.variable_order_process(), 0.0, gr.power(1.0),
+                                   use_majorization_route=True)
+        verdicts = [v for ev in upper.evidence.values()
+                    for v in (ev.values() if isinstance(ev, dict) else [ev])
+                    if isinstance(v, IntegralVerdict)]
+        rows = _classify_rows(upper)
+        assert len(rows) == len(verdicts) == 27
+        assert {r[0] for r in rows} == {"L1", "L1_fixed_ball", "L2"}
 
     def test_conditions(self, tmp_path):
         cfg = self._cfg(tmp_path, MINIMAL)
