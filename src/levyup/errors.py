@@ -6,7 +6,7 @@ class LevyUpError(Exception):
 
 
 class QuadratureFailure(LevyUpError):
-    """An adaptive quadrature did not reach the requested tolerance."""
+    """A fixed-panel quadrature found its integrand unresolved."""
 
 
 class DegenerateSymbol(LevyUpError):

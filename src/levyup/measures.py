@@ -2,21 +2,22 @@
 
 Every criterion downstream consumes only the radial tail G(r) = nu({|y| > r}),
 the truncated second moment trunc2(r) = int_{|y|<=r} |y|^2 nu(dy), and samples
-of jumps above a cutoff, so the model is tail-first.  Densities are optional
-and used for exponent quadrature, sampling, and consistency checks.
+of jumps above a cutoff, so the model is tail-first; tails take arrays of
+radii.  Densities are optional and used for exponent quadrature, sampling, and
+consistency checks; every integral here runs on ``quadrature.panel_quad``.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ZeroTail
+from .quadrature import panel_quad
 
 Concentration = namedtuple("Concentration", ["G", "K", "h", "I"])
 
@@ -67,8 +68,9 @@ class LevyMeasureModel:
     def validate(self, r_grid=None, rtol=1e-6):
         """Check monotonicity, integrability, and density/tail consistency.
 
-        Raises ValueError on violation.  Density consistency compares the
-        integrated radial density over shells against tail differences.
+        Raises ValueError on violation.  Density consistency compares panel
+        integrals of the radial density over shells against tail differences;
+        a density that jumps inside a shell raises ``QuadratureFailure``.
         """
         if r_grid is None:
             r_grid = np.logspace(-4, 0.5, 25)
@@ -83,10 +85,11 @@ class LevyMeasureModel:
         if self.radial_density is not None:
             lo, hi = self.support
             shells = [s for s in (1e-3, 1e-2, 1e-1, 0.5, 2.0) if lo < s < hi]
-            for a, b in zip(shells[:-1], shells[1:]):
+            vals = panel_quad(lambda u: np.exp(u) * self.radial_density(np.exp(u)),
+                              np.log(shells[:-1]), np.log(shells[1:]))
+            for a, b, val in zip(shells[:-1], shells[1:], vals):
                 ref = float(self.tail(a)) - float(self.tail(b))
                 ref -= sum(m for s, m in self.atoms if a < s <= b)
-                val, _ = integrate.quad(self.radial_density, a, b, limit=200)
                 if abs(val - ref) > rtol * max(abs(ref), 1e-12):
                     raise ValueError(
                         f"density of {self.name!r} inconsistent with tail on "
@@ -156,15 +159,11 @@ class LevyMeasureModel:
         w_neg, w_pos = self.side_weights
         if self.dim > 1 or abs(w_pos - w_neg) < 1e-15:
             return 0.0
-        total = 0.0
-        if self.radial_density is not None:
-            val, _ = integrate.quad(
-                lambda s: s * self.radial_density(s), a, min(b, self.support[1]),
-                limit=200,
-            )
-            total += (w_pos - w_neg) * val
-        total += sum((w_pos - w_neg) * s * m for s, m in self.atoms if a < s <= b)
-        return total
+        total = sum(s * m for s, m in self.atoms if a < s <= b)
+        if self.radial_density is not None:  # int s^2 rho(s) du over u = log s
+            total += panel_quad(lambda u: np.exp(u) ** 2 * self.radial_density(np.exp(u)),
+                                np.log([a]), np.log([min(b, self.support[1])]))[0]
+        return float((w_pos - w_neg) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,15 @@ def slow_variation_measure():
         return np.where(s < edge, s ** -2.0 * _phi_prime(np.minimum(s, edge * 0.999999)), 0.0)
 
     def tail(r):
-        out = [_slow_tail_scalar(float(ri)) for ri in np.ravel(r)]
-        return np.reshape(out, np.shape(r)) if np.ndim(r) else out[0]
+        # G = int_e^V e^{2v} / (v log^2 v) dv, V = log(1/r); about the top end (w = V - v) it
+        # is r^{-2} int_0^{V-e} e^{-2w} / ((V-w) log^2(V-w)) dw, cut at w = 40 (rest < e^{-80})
+        r = np.asarray(r, float)
+        out, inside = np.zeros(r.shape), r < edge
+        big_v = -np.log(r[inside])[:, None]
+        out[inside] = r[inside] ** -2.0 * panel_quad(
+            lambda w: np.exp(-2.0 * w) / ((big_v - w) * np.log(big_v - w) ** 2),
+            np.zeros(big_v.shape[0]), np.minimum(big_v[:, 0] - np.e, 40.0))
+        return out if out.ndim else float(out)
 
     def trunc2(r):
         r_arr = np.asarray(r, float)
@@ -275,23 +281,6 @@ def slow_variation_measure():
         support=(0.0, edge),
         name="slow_variation",
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def _slow_tail_scalar(r):
-    edge = _E_MINUS_E
-    if r >= edge:
-        return 0.0
-    # log-radius substitution: the integrand decays like e^{-2u} upward,
-    # so the huge dynamic range near small r stays well-conditioned
-    def g(u):
-        s = np.exp(u)
-        return s ** -1.0 * _phi_prime(s)
-
-    val, _ = integrate.quad(
-        g, np.log(r), np.log(edge), limit=400, epsabs=0.0, epsrel=1e-10
-    )
-    return val
 
 
 def atom_measure(radius=2.0, mass=1.0):

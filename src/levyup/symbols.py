@@ -23,19 +23,7 @@ from scipy import special
 
 from .errors import DegenerateSymbol, QuadratureFailure
 from .measures import LevyMeasureModel
-
-QUAD_RTOL = 1e-8
-QUAD_ATOL = 1e-12
-PANELS = 32  # per log-radius window of the exponent; checked against 2 * PANELS
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# Legendre coefficients of the degree-15 interpolant of the 16 node values,
-# a_n = (n + 1/2) sum_k w_k P_n(x_k) f(x_k), and i^n for their Filon moments
-_LEG_FIT = ((np.arange(16) + 0.5)[:, None] * _GL_W
-            * np.polynomial.legendre.legvander(_GL_X, 15).T)
-_I_POW = np.tile([1.0, 1j, -1.0, -1j], 4)
-# nodes on [0, 1] of one panel: the 16-node rule, then its two halves
-_PANEL_NODES = 0.5 * np.concatenate([_GL_X + 1.0, 0.5 * _GL_X + 0.5, 0.5 * _GL_X + 1.5])
-_GL_W2 = 0.5 * np.concatenate([_GL_W, _GL_W])
+from .quadrature import filon, panel_quad
 
 
 @dataclass(frozen=True)
@@ -144,58 +132,6 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 
-def _panel_quad(fun, lo, hi):
-    """Integrals of fun over windows [lo, hi] (arrays (m,)) at once: PANELS
-    Gauss-Legendre panels of 16 nodes, checked against 2 * PANELS.
-
-    fun maps nodes (m, 48) to values; one panel per step keeps memory O(m).
-    Returns the finer value, or raises ``QuadratureFailure`` where the two
-    differ by more than max(QUAD_ATOL, 10 QUAD_RTOL |value|)."""
-    width = (hi - lo) / PANELS
-    coarse, fine = np.zeros(lo.shape), np.zeros(lo.shape)
-    for p in range(PANELS):
-        v = fun(lo[:, None] + width[:, None] * (p + _PANEL_NODES))
-        coarse += v[:, :16] @ _GL_W
-        fine += v[:, 16:] @ _GL_W2
-    coarse, fine = 0.5 * width * coarse, 0.5 * width * fine
-    bad = ~(np.abs(fine - coarse) <= np.maximum(QUAD_ATOL, 10 * QUAD_RTOL * np.abs(fine)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureFailure(f"{PANELS} and {2 * PANELS} panels disagree on "
-                                f"({lo[i]}, {hi[i]}): {coarse[i]} vs {fine[i]}")
-    return fine
-
-
-def _filon(amp, s0, s1, xi):
-    """int_{s0}^{s1} amp(s) e^{i xi s} ds for arrays s0, s1, xi (m,) at once.
-
-    Panels [s0 2^k, s0 2^(k+1)] (the last ends at s1) run one index at a time
-    for all frequencies; amp maps their nodes (m, 16) to values.  Filon's rule:
-    the Legendre series through the 16 Gauss-Legendre values integrates
-    exactly at any frequency, as int_{-1}^1 P_n(x) e^{iwx} dx = 2 i^n j_n(w).
-    Raises ``QuadratureFailure`` where the top two coefficients, summed over
-    the panels, exceed max(QUAD_ATOL, 10 QUAD_RTOL int |amp|)."""
-    total = np.zeros(xi.shape, complex)
-    err, mass = np.zeros(xi.shape), np.zeros(xi.shape)
-    n_panels = int(np.ceil(np.log2(np.max(s1 / s0, initial=1.0))))
-    for k in range(n_panels):
-        lo = np.minimum(s0 * 2.0**k, s1)
-        hi = s1 if k == n_panels - 1 else np.minimum(2.0 * lo, s1)
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        f = amp(mid[:, None] + half[:, None] * _GL_X)
-        coef = f @ _LEG_FIT.T
-        moments = 2.0 * _I_POW * special.spherical_jn(np.arange(16), (xi * half)[:, None])
-        total += half * np.exp(1j * xi * mid) * np.sum(coef * moments, axis=1)
-        err += half * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
-        mass += half * (np.abs(f) @ _GL_W)
-    bad = ~(err <= np.maximum(QUAD_ATOL, 10 * QUAD_RTOL * mass))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureFailure(f"Filon panels do not resolve the amplitude on "
-                                f"({s0[i]}, {s1[i]}) at xi = {xi[i]}")
-    return total
-
-
 def _shell_top(measure, scale):
     """Upper end of an oscillatory shell: the support's, or on infinite
     support the first S = 2^k >= 1 with nu(|y| > S) <= 1e-14 scale.  As
@@ -225,11 +161,10 @@ def eval_exponent(triplet: LevyTriplet, xi):
     of its shape; in d >= 2 xi is (m, d) and the measure isotropic.  The
     jump integral is compensated inside |y| = 1.  Every part runs for all
     frequencies at once: below a cut of a few oscillation periods in log
-    radius (``_panel_quad``), above it as one oscillatory shell on Filon
-    panels (``_filon``, in d >= 2 through a Hankel-function amplitude).
+    radius (``panel_quad``), above it as one oscillatory shell on Filon
+    panels (``filon``, in d >= 2 through a Hankel-function amplitude).
     Either raises ``QuadratureFailure`` where its check finds the integrand
-    unresolved: PANELS against 2 * PANELS panels, or the top Legendre
-    coefficients of the Filon panels.
+    unresolved (see ``levyup.quadrature``).
     """
     xi = np.asarray(xi, float)
     if triplet.dim == 1 and (xi.ndim < 2 or xi.shape[-1] == 1):
@@ -284,7 +219,7 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
                 (4.0 * np.sin(wb / 2.0) ** 2 - wb * np.sin(wb)) / (wb * wb))
             return m.trunc2(np.exp(u)) * x * x * bracket_over_w2
 
-        val[pos] += _panel_quad(re_parts, u_lo, u_hi)
+        val[pos] += panel_quad(re_parts, u_lo, u_hi)
 
         if skew:
             # imaginary compensated part, density form in log radius with the
@@ -298,16 +233,16 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
                                 (wb - np.sin(wb)) / wb**3)
                 return frac * x**3 * rho(s) * s**4
 
-            val[pos] += 1j * skew * _panel_quad(im_small, u_lo, u_hi)
+            val[pos] += 1j * skew * panel_quad(im_small, u_lo, u_hi)
 
         # oscillatory shell (a, top]: its mass less the Fourier integral,
         # whose cos part is real and whose skewed sin part is imaginary
         top, s0 = _shell_top(m, float(m._continuous_tail(split))), np.maximum(a, lo)
         val[pos] += m._continuous_tail(a) - float(m._continuous_tail(top))
-        osc = _filon(rho, s0, np.full(a.shape, top), xi)
+        osc = filon(rho, s0, np.full(a.shape, top), xi)
         val[pos] -= osc.real + 1j * skew * osc.imag
         if skew:  # the compensation -i xi s on the shell inside |y| <= 1
-            lin = _filon(lambda s: s * rho(s), s0, np.full(a.shape, split), 0.0 * xi)
+            lin = filon(lambda s: s * rho(s), s0, np.full(a.shape, split), 0.0 * xi)
             val[pos] += 1j * skew * xi * lin.real
     return np.where(np.ravel(xi_in) < 0.0, np.conj(val), val).reshape(np.shape(xi_in))
 
@@ -343,14 +278,14 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
 
     u_top = np.log(s_cut)
     u_lo = np.maximum(np.log(lo), u_top - 160.0)
-    out[idx] += _panel_quad(integrand, u_lo, u_top)
+    out[idx] += panel_quad(integrand, u_lo, u_top)
     # below the window s |xi| <= 4 pi e^-160, where 1 - average = |xi|^2 s^2/(2d)
     # to relative O(w^2): the jumps there add |xi|^2 trunc2(s_lo)/(2d)
     out[idx] += r_xi**2 * np.asarray(m.trunc2(np.exp(u_lo)), float) / (2 * d)
     # shell (s_cut, top]: its mass less the sphere average against rho
     g_cut = m._continuous_tail(s_cut)
     top = _shell_top(m, g_cut.min(initial=np.inf))
-    osc = _filon(lambda s: rho(s) * _sphere_factor(s * x, d), np.maximum(s_cut, lo),
+    osc = filon(lambda s: rho(s) * _sphere_factor(s * x, d), np.maximum(s_cut, lo),
                  np.full(s_cut.shape, top), r_xi)
     out[idx] += g_cut - float(m._continuous_tail(top)) - osc.real
     return out

@@ -69,14 +69,30 @@ class TestSlowVariationMeasure:
         assert m.tail(np.array(golden["r"])).tolist() == golden["tail"]
         assert [m.tail(r) for r in golden["r"]] == golden["tail"]
 
-    def test_tail_memo_is_bounded(self):
+    def test_tail_takes_arrays_of_any_order_and_shape(self):
         m = ms.slow_variation_measure()
-        cap = ms._slow_tail_scalar.cache_info().maxsize
-        # radii above the support cost no quadrature but still fill the memo
-        m.tail(np.concatenate([np.logspace(-6, -2, 40),
-                               np.linspace(0.07, 0.9, cap + 100)]))
-        assert ms._slow_tail_scalar.cache_info().currsize <= cap
-        assert float(m.tail(1e-4)) > 0.0
+        r = np.concatenate([np.logspace(-14, -1.5, 30), [np.exp(-np.e), 0.07, 0.5, 3.0]])
+        r = path_rng(4, 0).permutation(r).reshape(2, 17)
+        out = m.tail(r)
+        assert out.shape == r.shape
+        assert out.ravel().tolist() == [m.tail(ri) for ri in r.ravel()]
+        assert all(type(m.tail(ri)) is float for ri in r.ravel())
+        assert np.all((out == 0.0) == (r >= np.exp(-np.e)))
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e-3, 0.05])
+    def test_tail_matches_a_quadpack_oracle(self, r):
+        from scipy import integrate
+
+        # G(r) = int_r^edge rho(s) ds = int s rho(s) du over u = log s, on
+        # unit sub-ranges of u; s rho(s) = 1 / (s^2 log(1/s) (log log(1/s))^2)
+        def s_rho(u):
+            v = -u
+            return np.exp(2.0 * v) / (v * np.log(v) ** 2)
+
+        edges = np.append(np.arange(np.log(r), -np.e, 1.0), -np.e)
+        ref = sum(integrate.quad(s_rho, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        assert ms.slow_variation_measure().tail(r) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestAtomAndLogSmooth:
@@ -159,6 +175,16 @@ class TestValidation:
         assert m.mean_jump_between(0.01, 1.0) == 0.0
 
     def test_mean_jump_between_one_sided(self):
-        m = ms.one_sided_stable_measure(0.5)
-        # int_a^1 y * y^{-1.5} dy = 2 (1 - sqrt(a))
-        assert m.mean_jump_between(0.25, 1.0) == pytest.approx(1.0, rel=1e-8)
+        for alpha in (0.3, 0.6, 1.4, 1.8):
+            m = ms.one_sided_stable_measure(alpha)
+            for a in (1e-4, 0.0316, 0.25):
+                # int_a^1 y * y^{-1-alpha} dy = (1 - a^{1-alpha}) / (1 - alpha)
+                exact = (1.0 - a ** (1.0 - alpha)) / (1.0 - alpha)
+                assert m.mean_jump_between(a, 1.0) == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_inconsistent_density_is_rejected(self):
+        m = ms.stable_measure(1.2, scale=1.0)
+        bad = ms.LevyMeasureModel(tail=m.tail, trunc2=m.trunc2,
+                                  radial_density=lambda s: 1.01 * m.radial_density(s))
+        with pytest.raises(ValueError, match="inconsistent with tail"):
+            bad.validate()

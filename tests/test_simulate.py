@@ -61,9 +61,9 @@ SCHEME_CASES = {
 # to the engine's arithmetic or stream use shows here
 GOLDEN_DIGESTS = {
     "cpg-atom": "37b62074bdb09e276d2e91aad3a8caea04783651bd9ba98c9be7969a5dda77ec",
-    "cpg-one_sided_1.4": "ae146d94693008ac2c0cf725c547a65200515ebf1cfbb4654f892896b7419265",
+    "cpg-one_sided_1.4": "81132a38010144c57e57ca272ac1e46e7e916858eb515030f8a11cb56f832d5c",
     "euler_sde-cauchy": "79d4f3e6e95fb242b0597ab34792a5928686d1e89f5266c840765f55f68787f5",
-    "euler_sde-one_sided_1.4": "bbdff7b52a1c0ac8fc30d63d2ab185e4a745523dc84ca947a14b4b3e0797f3e7",
+    "euler_sde-one_sided_1.4": "d6b12bd4ef41efd8442340705652899beb422132b7d9681aaad6d35fe53d24f5",
     "exact_stable-drift": "2e959436d245ceb30e3229d9f2de0d1e4678dc4d474dbd0294a7284dd3cd0f0f",
     "freeze-stable_type_1.3": "5c4879521e7f2adbafd28836a94251b6812abfc90fb5a8f6f6132971e484ec39",
     "freeze-variable_order": "f8445997d81c66aff9f8183a86faa5cad384e6b67339dbfbcbec70beac47ebe1",

@@ -243,7 +243,8 @@ def test_interpolated_symbol_matches_recorded_tables(name):
     # 1e-8 (log_smooth 6, slow_variation 25, from_stable(1.3) 20, all at
     # xi >= 2.3e7) were re-recorded after an independent check: xi^1.3 for
     # from_stable(1.3), QUADPACK on four geometric sub-ranges per octave for
-    # the other two.
+    # the other two.  So were log_smooth's entries at xi = 3.35e7 and 1e8,
+    # which that oracle put 7.7e-9 and 9.8e-9 off.
     ref = json.loads(GOLDEN_INTERPOLATED.read_text())[name]
     table = INTERPOLATED[name]().q(0.0, np.array(ref["xi"]))
     np.testing.assert_allclose(table.real, ref["psi"], rtol=1e-8, atol=0)
