@@ -9,7 +9,6 @@ exit-time inequalities by Monte Carlo.
 
 from .criteria import (
     Classification,
-    CriteriaSettings,
     ExitBounds,
     IntegralVerdict,
     bg_index,
@@ -59,7 +58,7 @@ from .symbols import (
 from . import processes
 
 __all__ = [
-    "Classification", "ConditionReport", "CriteriaSettings", "DyadicStats",
+    "Classification", "ConditionReport", "DyadicStats",
     "ExitBounds", "GrowthFunction", "IntegralVerdict", "LevyMeasureModel",
     "LevyTriplet", "McEstimate", "PathSample", "ProcessSpec", "SimConfig",
     "StateFamily", "TrendVerdict", "bg_index", "check_A1", "check_A2",

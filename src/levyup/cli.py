@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ import numpy as np
 from . import growth as gr
 from . import processes as pr
 from .criteria import (
-    CriteriaSettings,
     bg_index,
     check_A1,
     check_A2,
@@ -25,7 +24,7 @@ from .criteria import (
 )
 from .errors import BracketIndeterminate, LevyUpError, ParseError, ValidationError
 from .limsup import EXAMPLE_NAMES, dyadic_limsup_stats, reproduce_example, trend_classify
-from .simulate import SimConfig, simulate_path, verify_bound_table
+from .simulate import SimConfig, _grid_to, simulate_batch, verify_bound_table
 from .symbols import sector_check
 
 COMMANDS = ("classify", "conditions", "bg-index", "bounds", "simulate",
@@ -201,10 +200,6 @@ def _sim_config(cfg: RunConfig):
                      seed=cfg.run["seed"])
 
 
-def _settings(cfg: RunConfig):
-    return CriteriaSettings(n_levels=cfg.run["depth"])
-
-
 def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -277,22 +272,22 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
     if cmd == "classify":
         spec = build_process(cfg)
         f = build_growth(cfg)
-        settings = _settings(cfg)
+        depth = cfg.run["depth"]
         x = cfg.process.get("x", 0.0)
         if spec.kind == "levy":
-            result = classify_levy(spec, f, settings)
+            result = classify_levy(spec, f, n_max=depth)
         else:
             mode = cfg.run["mode"]
             if mode in ("auto", "upper"):
-                result = classify_ltp_upper(spec, x, f, settings=settings)
+                result = classify_ltp_upper(spec, x, f, n_max=depth)
                 if mode == "auto" and not result.definite:
                     lower = classify_ltp_lower(spec, x, f, C=cfg.run["big_c"],
-                                               settings=settings)
+                                               n_max=depth)
                     if lower.definite:
                         result = lower
             else:
                 result = classify_ltp_lower(spec, x, f, C=cfg.run["big_c"],
-                                            settings=settings)
+                                            n_max=depth)
         _write_csv(out / "classify.csv",
                    ("criterion", "c_or_eps", "verdict", "value", "n_levels"),
                    _classify_rows(result))
@@ -302,18 +297,17 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
     if cmd == "conditions":
         spec = build_process(cfg)
         f = build_growth(cfg)
-        settings = _settings(cfg)
         x = cfg.process.get("x", 0.0)
         rows = []
         sec = sector_check(spec, x_ball=(x, 0.5 if spec.kind != "levy" else 0.0))
         rows.append(("sector", sec.verdict, sec.witness, sec.reason))
         if spec.kind == "levy":
-            a1 = check_A1(spec.levy.measure, settings=settings)
+            a1 = check_A1(spec.levy.measure)
         else:
-            a1 = check_A1(spec, x=x, ball_radius=0.5, settings=settings)
+            a1 = check_A1(spec, x=x, ball_radius=0.5)
         rows.append(("A1", a1.verdict, a1.witness, a1.reason))
         try:
-            a2 = check_A2(f, settings=settings)
+            a2 = check_A2(f)
             rows.append(("A2", a2.verdict, a2.witness,
                          "shortcut" if a2.shortcut else a2.reason))
         except LevyUpError as exc:
@@ -330,7 +324,7 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
             raise ValidationError("bg-index needs a Levy process")
         try:
             beta = bg_index(spec.levy.measure, tol=cfg.run["tol"],
-                            settings=_settings(cfg))
+                            n_max=cfg.run["depth"])
         except BracketIndeterminate as exc:
             say(f"Indeterminate ({exc})")
             return 2
@@ -364,16 +358,14 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
     if cmd == "simulate":
         spec = build_process(cfg)
         x = cfg.process.get("x", 0.0)
-        sim = _sim_config(cfg)
-        rows = []
-        for p in range(min(cfg.run["paths"], 64)):
-            sample = simulate_path(spec, x, cfg.run["horizon"],
-                                   SimConfig(dt=sim.dt, n_paths=1,
-                                             seed=sim.seed, path_offset=p))
-            rows.extend(
-                (p, float(t), float(v), float(rm))
-                for t, v, rm in zip(sample.times, sample.values, sample.runmax)
-            )
+        sim = replace(_sim_config(cfg), n_paths=min(cfg.run["paths"], 64))
+        times = _grid_to(cfg.run["horizon"], sim.dt)
+        # each path draws from its own Philox stream, so one batch writes the
+        # rows that one simulate_path call per path would
+        values, runmax = simulate_batch(spec, x, times, sim)
+        rows = [(p, float(t), float(v), float(rm))
+                for p in range(sim.n_paths)
+                for t, v, rm in zip(times, values[p], runmax[p])]
         _write_csv(out / "paths.csv", ("path", "t", "value", "runmax"), rows)
         say(f"wrote {out / 'paths.csv'}")
         return 0

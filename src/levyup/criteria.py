@@ -5,6 +5,8 @@ integral is computed block-by-block over [2^{-(n+1)}, 2^{-n}] and classified
 from the behaviour of the block sums.  Convergence evidence is a geometric
 block-ratio bound; divergence evidence is block sums bounded away from zero
 or increasing.  Anything else is reported Indeterminate rather than guessed.
+The engine's depth ``n_max`` is the one numerical argument; every other
+threshold is a module constant beside the code that reads it.
 """
 
 from __future__ import annotations
@@ -25,31 +27,6 @@ from .symbols import (
     tail_trend,
 )
 
-
-@dataclass(frozen=True)
-class CriteriaSettings:
-    n_levels: int = 60            # deepest dyadic level
-    nodes_per_block: int = 16     # Gauss-Legendre order per block
-    ratio_max: float = 0.9925     # geometric evidence threshold for block ratios
-    floor: float = 1e-6           # divergence floor for last-half block sums
-    c_exponents: tuple = tuple(range(-4, 9))   # scan 2^k for "some c > 0"
-    r_grid_lo: float = 1e-6
-    r_grid_hi: float = 1e-1
-    r_grid_n: int = 30
-    kappa_margin: float = 0.05    # comparability exponent must stay below 1 by this
-    band_tol: float = 0.02        # critical-band half width for power classification
-    ball_points: int = 17
-    xi_radii: int = 48
-
-    def r_grid(self):
-        return np.logspace(np.log10(self.r_grid_hi), np.log10(self.r_grid_lo),
-                           self.r_grid_n)
-
-    def t_grid(self):
-        return np.logspace(-1, -6, 26)
-
-
-DEFAULTS = CriteriaSettings()
 
 _GL_CACHE = {}
 _A2_PANELS = 64  # uniform log-time panels of the A2 witness quadrature
@@ -120,14 +97,17 @@ class ExitBounds:
 # ---------------------------------------------------------------------------
 
 
-def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
-                    settings=DEFAULTS, rows=None):
+RATIO_MAX = 0.9925  # geometric evidence threshold for the last-half block ratios
+FLOOR = 1e-6        # divergence floor for the last-half block sums
+
+
+def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     """Classify int_0^1 g(t) dt from block sums over [2^{-(n+1)}, 2^{-n}].
 
-    Converges: the last half of the block ratios stays below ``ratio_max``;
+    Converges: the last half of the block ratios stays below ``RATIO_MAX``;
     the value is the partial sum plus a geometric tail bound (exact for
     exactly geometric decay).  Diverges: last-half block sums all above
-    ``floor``, or increasing.  Otherwise Indeterminate.  ``g`` takes the
+    ``FLOOR``, or increasing.  Otherwise Indeterminate.  ``g`` takes the
     array of one block's nodes and returns values of the same shape.
 
     With ``rows=k`` the integrand carries a leading parameter axis: it maps
@@ -155,11 +135,11 @@ def dyadic_integral(g, n_max=DEFAULTS.n_levels, nodes=DEFAULTS.nodes_per_block,
             raise EvaluationFailure(f"integrand not finite on block {n}")
         sums[n] = 0.5 * (b - a) * (vals @ w_ref)
     if rows is None:
-        return _classify_blocks(sums, settings)
-    return [_classify_blocks(row, settings) for row in sums.T]
+        return _classify_blocks(sums)
+    return [_classify_blocks(row) for row in sums.T]
 
 
-def _classify_blocks(sums, settings=DEFAULTS):
+def _classify_blocks(sums):
     n_max = len(sums) - 1
     half = len(sums) // 2
     tiny = 1e-300
@@ -171,7 +151,7 @@ def _classify_blocks(sums, settings=DEFAULTS):
         ratios = sums[1:] / np.where(sums[:-1] > tiny, sums[:-1], np.nan)
     last_ratios = ratios[half - 1:]
     finite = last_ratios[np.isfinite(last_ratios)]
-    if finite.size and float(np.max(finite)) <= settings.ratio_max:
+    if finite.size and float(np.max(finite)) <= RATIO_MAX:
         rho = float(np.max(finite))
         tail = sums[-1] * rho / (1.0 - rho)
         return IntegralVerdict(
@@ -179,7 +159,7 @@ def _classify_blocks(sums, settings=DEFAULTS):
             note=f"geometric ratio {rho:.4f}",
         )
     increasing = np.all(np.diff(last) >= -1e-12 * np.abs(last[:-1]))
-    if float(np.min(last)) >= settings.floor or (increasing and last[-1] > tiny):
+    if float(np.min(last)) >= FLOOR or (increasing and last[-1] > tiny):
         return IntegralVerdict("diverges", None, sums, n_max,
                                note="block sums bounded below" if not increasing
                                else "block sums increasing")
@@ -192,15 +172,15 @@ def _classify_blocks(sums, settings=DEFAULTS):
 # ---------------------------------------------------------------------------
 
 
-def _ball_states(spec, x, radius, n_z):
+def _ball_states(spec, x, radius):
     """States of B(x, radius) in the layout ``ProcessSpec.tail_at`` takes."""
-    z = ball_grid(x, radius, spec.dim, n_z)
+    z = ball_grid(x, radius, spec.dim)
     return z[..., 0] if spec.dim == 1 else z
 
 
 def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
                             ball_mode=None, ball_scale=1.0,
-                            fixed_ball_radius=None, settings=DEFAULTS):
+                            fixed_ball_radius=None, n_max=60):
     """Dyadic verdict for the jump-tail integral int_0^1 nu(., |y| >= c f(t)) dt.
 
     ``ball_mode`` None evaluates the plain tail (Levy case); "sup"/"inf" take
@@ -240,11 +220,10 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
             ft = np.asarray(f(t), float)
             radius = ball_scale * ft if fixed_ball_radius is None \
                 else fixed_ball_radius
-            z = _ball_states(spec, x, radius, settings.ball_points)
+            z = _ball_states(spec, x, radius)
             return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
 
-    return dyadic_integral(g, settings.n_levels, settings.nodes_per_block, settings,
-                           rows=rows)
+    return dyadic_integral(g, n_max, rows=rows)
 
 
 # (ball_mode, value_kind) -> symbol_extremum mode; Re q only under the inf-ball
@@ -254,7 +233,7 @@ _SYMBOL_MODES = {(None, "abs"): "sup_sup", ("sup", "abs"): "sup_sup",
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
                               ball_mode=None, ball_scale=1.0, value_kind="abs",
-                              verify_eps=True, settings=DEFAULTS):
+                              verify_eps=True, n_max=60):
     """Dyadic verdict for the symbol integral with frequency cap 1/(eps f(t)).
 
     For state-dependent processes the state ball has radius ball_scale * f(t)
@@ -276,11 +255,9 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
     def g(t):
         ft = np.asarray(f(t), float)
         radius = 0.0 if spec.kind == "levy" else ball_scale * ft
-        return symbol_extremum(spec, x, radius, 1.0 / (eps_col * ft), mode,
-                               n_z=settings.ball_points, n_radii=settings.xi_radii)
+        return symbol_extremum(spec, x, radius, 1.0 / (eps_col * ft), mode)
 
-    verdicts = dyadic_integral(g, settings.n_levels, settings.nodes_per_block,
-                               settings, rows=2 if verify_eps else None)
+    verdicts = dyadic_integral(g, n_max, rows=2 if verify_eps else None)
     if not verify_eps:
         return verdicts
     verdict, check = verdicts
@@ -300,7 +277,7 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
 # ---------------------------------------------------------------------------
 
 
-def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
+def check_A1(source, x=0.0, ball_radius=None, r_grid=None):
     """Small-jump/tail balance: limsup_{r->0} trunc2(r) / (r^2 G(r)) < infinity.
 
     ``source`` is a LevyMeasureModel or a ProcessSpec; with ``ball_radius``
@@ -309,7 +286,7 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
     1e3, or when it grows steadily in log-log as r -> 0.
     """
     if r_grid is None:
-        r_grid = np.logspace(np.log10(settings.r_grid_hi), -4, settings.r_grid_n)
+        r_grid = np.logspace(-1, -4, 30)
     r_grid = np.asarray(r_grid, float)
     if r_grid[0] < r_grid[-1]:
         r_grid = r_grid[::-1]
@@ -322,7 +299,7 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
         t2 = np.asarray(source.trunc2(r_grid), float)[:, None]
         where = ""
     else:
-        z1 = _ball_states(source, x, ball_radius or 0.0, settings.ball_points)
+        z1 = _ball_states(source, x, ball_radius or 0.0)
         g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
         where = " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,7 +321,7 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None, settings=DEFAULTS):
     return ConditionReport("indeterminate", est, r_grid, reason="unstable ratio")
 
 
-def check_A2(f: GrowthFunction, r_grid=None, use_shortcut=True, settings=DEFAULTS):
+def check_A2(f: GrowthFunction, r_grid=None, use_shortcut=True):
     """Growth condition on f: r^2 int_{f^{-1}(r)}^1 f(t)^{-2} dt <= M f^{-1}(r).
 
     The direct witness is maximized over the grid.  All inverses come from
@@ -356,7 +333,7 @@ def check_A2(f: GrowthFunction, r_grid=None, use_shortcut=True, settings=DEFAULT
     a > 1/2) is tried first when ``use_shortcut`` and reported with the
     shortcut flag set.
     """
-    r_grid = np.asarray(settings.r_grid() if r_grid is None else r_grid, float)
+    r_grid = np.asarray(np.logspace(-1, -6, 30) if r_grid is None else r_grid, float)
     if r_grid[0] < r_grid[-1]:
         r_grid = r_grid[::-1]
     witness = _a2_direct_witness(f, r_grid)
@@ -420,7 +397,7 @@ def _moment_integrand(measure, a):
     return g
 
 
-def bg_index(measure: LevyMeasureModel, tol=0.02, settings=DEFAULTS):
+def bg_index(measure: LevyMeasureModel, tol=0.02, n_max=60):
     """Small-jump activity index inf{a : int_{|y|<1} |y|^a nu(dy) < infinity}.
 
     The radial moment is rewritten through the tail,
@@ -431,8 +408,7 @@ def bg_index(measure: LevyMeasureModel, tol=0.02, settings=DEFAULTS):
         raise ValueError("tol must lie in (0, 0.1]")
 
     def verdict_at(a):
-        return dyadic_integral(_moment_integrand(measure, a), settings.n_levels,
-                               settings.nodes_per_block, settings)
+        return dyadic_integral(_moment_integrand(measure, a), n_max)
 
     lo, hi = 0.0, 2.0  # moment at 2 is finite for every Levy measure
     while hi - lo >= tol:
@@ -467,7 +443,10 @@ def _require_pure_jump(spec):
         )
 
 
-def classify_levy(spec: ProcessSpec, f: GrowthFunction, settings=DEFAULTS):
+C_EXPONENTS = tuple(range(-4, 9))  # the tail integrals scan c = 2^k for "some c > 0"
+
+
+def classify_levy(spec: ProcessSpec, f: GrowthFunction, n_max=60):
     """Zero/Infinity dichotomy for a Levy process via the jump-tail integral.
 
     Verifies the sector condition and one of the two side conditions first;
@@ -480,14 +459,14 @@ def classify_levy(spec: ProcessSpec, f: GrowthFunction, settings=DEFAULTS):
     evidence = {}
     sector = sector_check(spec)
     evidence["sector"] = sector
-    a1 = check_A1(spec.levy.measure, settings=settings)
+    a1 = check_A1(spec.levy.measure)
     evidence["A1"] = a1
     grounding = []
     if a1.holds:
         grounding.append("A1")
     else:
         try:
-            a2 = check_A2(f, settings=settings)
+            a2 = check_A2(f)
         except InverseFailure as exc:
             a2 = ConditionReport("fails", np.inf, np.array([]), reason=str(exc))
         evidence["A2"] = a2
@@ -503,9 +482,9 @@ def classify_levy(spec: ProcessSpec, f: GrowthFunction, settings=DEFAULTS):
 
     verdicts = {}
     n_diverge = 0
-    for k in settings.c_exponents:
+    for k in C_EXPONENTS:
         c = 2.0**k
-        v = tail_integral_criterion(spec, None, f, c, settings=settings)
+        v = tail_integral_criterion(spec, None, f, c, n_max=n_max)
         verdicts[c] = v
         if v.converges:
             evidence["tail_integrals"] = verdicts
@@ -514,14 +493,17 @@ def classify_levy(spec: ProcessSpec, f: GrowthFunction, settings=DEFAULTS):
         if v.diverges:
             n_diverge += 1
     evidence["tail_integrals"] = verdicts
-    if n_diverge == len(settings.c_exponents):
+    if n_diverge == len(C_EXPONENTS):
         return Classification("infinity", assumptions_used=grounding,
                               evidence=evidence)
     return Classification("indeterminate", assumptions_used=grounding,
                           evidence=evidence, reason="mixed integral evidence")
 
 
-def classify_power(spec: ProcessSpec, kappa, settings=DEFAULTS):
+BAND_TOL = 0.02  # half width of classify_power's critical band around 1/beta
+
+
+def classify_power(spec: ProcessSpec, kappa, n_max=60):
     """Power-function decision f(t) = t^kappa.
 
     kappa < 1/2 is an upper regime for every pure-jump Levy-type process;
@@ -538,7 +520,7 @@ def classify_power(spec: ProcessSpec, kappa, settings=DEFAULTS):
     if kappa < 0.5 - 1e-12:
         return Classification("zero", evidence=evidence,
                               reason="kappa below 1/2 is unconditional")
-    a1 = check_A1(spec.levy.measure, settings=settings)
+    a1 = check_A1(spec.levy.measure)
     evidence["A1"] = a1
     if abs(kappa - 0.5) <= 1e-12:
         if a1.holds:
@@ -552,53 +534,52 @@ def classify_power(spec: ProcessSpec, kappa, settings=DEFAULTS):
         return Classification("indeterminate", evidence=evidence,
                               reason="sector condition unverified")
     measure = spec.levy.measure
-    v = dyadic_integral(_moment_integrand(measure, 1.0 / kappa), settings.n_levels,
-                        settings.nodes_per_block, settings)
+    v = dyadic_integral(_moment_integrand(measure, 1.0 / kappa), n_max)
     evidence["moment_integral"] = v
     if v.converges:
         return Classification("zero", assumptions_used=["Sector"], evidence=evidence)
     if v.diverges:
         return Classification("infinity", assumptions_used=["Sector"],
                               evidence=evidence)
-    beta = bg_index(measure, settings.band_tol, settings)
+    beta = bg_index(measure, BAND_TOL, n_max)
     evidence["bg_index"] = beta
-    if abs(kappa - 1.0 / max(beta, 1e-9)) < settings.band_tol:
+    if abs(kappa - 1.0 / max(beta, 1e-9)) < BAND_TOL:
         return Classification("indeterminate", evidence=evidence,
                               reason="kappa in the critical band around 1/beta")
     outcome = "zero" if kappa < 1.0 / beta else "infinity"
     return Classification(outcome, assumptions_used=["Sector"], evidence=evidence)
 
 
-def majorization_holds(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
+def majorization_holds(spec: ProcessSpec, x, ball_radius):
     """Spot-check: some state in each ball dominates the symbol sup in |q|."""
     xi = np.logspace(0, 4, 9)
     xi_pts = xi[:, None] if spec.dim == 1 else np.pad(xi[:, None],
                                                       ((0, 0), (0, spec.dim - 1)))
     radii = np.linspace(ball_radius / 4, ball_radius, 4)
-    z = ball_grid(x, radii, spec.dim, settings.ball_points)
+    z = ball_grid(x, radii, spec.dim)
     table = np.abs(spec.q(z[:, :, None, :], xi_pts))   # radius x state x xi
     sup = table.max(axis=1, keepdims=True)
     dominant = np.all(table >= sup * (1 - 1e-9), axis=2)
     return bool(np.all(np.any(dominant, axis=1)))
 
 
-def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, settings):
-    """Sup-ball tail integrals at c = 2^k for k in ``settings.c_exponents``;
+def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, n_max):
+    """Sup-ball tail integrals at c = 2^k for k in ``C_EXPONENTS``;
     ``evidence[key]`` maps c to its verdict up to the first converging one,
     and the return value says whether one converges.
 
     For a power-type f the integral converges at every c or at none, so the
     first c runs alone (a converging scan stops there) and the others share
     one pass (``tail_integral_criterion`` with an array of c)."""
-    cs = [2.0**k for k in settings.c_exponents]
+    cs = [2.0**k for k in C_EXPONENTS]
 
     def scan(c):
         return tail_integral_criterion(spec, x, f, c, ball_mode="sup",
                                        fixed_ball_radius=fixed_ball_radius,
-                                       settings=settings)
+                                       n_max=n_max)
 
-    verdicts = [scan(cs[0])] if cs else []
-    if verdicts and not verdicts[0].converges and len(cs) > 1:
+    verdicts = [scan(cs[0])]
+    if not verdicts[0].converges:
         verdicts += scan(np.array(cs[1:]))
     for c, v in zip(cs, verdicts):
         evidence.setdefault(key, {})[c] = v
@@ -608,8 +589,7 @@ def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, settings):
 
 
 def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
-                       ball_radius=0.5, use_majorization_route=False,
-                       settings=DEFAULTS):
+                       ball_radius=0.5, use_majorization_route=False, n_max=60):
     """Upper-function decision for a state-dependent or SDE process.
 
     The symbol route (sup over the moving state ball of the capped symbol)
@@ -624,7 +604,7 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
     evidence = {}
 
     v2 = symbol_integral_criterion(spec, x, f, eps=1.0, ball_mode="sup",
-                                   settings=settings)
+                                   n_max=n_max)
     evidence["symbol_integral"] = v2
     if v2.converges:
         return Classification("zero", assumptions_used=[], evidence=evidence,
@@ -632,81 +612,81 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
 
     sector = sector_check(spec, x_ball=(x, ball_radius))
     evidence["sector"] = sector
-    a1p = check_A1(spec, x=x, ball_radius=ball_radius, settings=settings)
+    a1p = check_A1(spec, x=x, ball_radius=ball_radius)
     evidence["A1'"] = a1p
     if sector.holds and a1p.holds and _c_scan(
-            spec, x, f, None, evidence, "tail_integrals", settings):
+            spec, x, f, None, evidence, "tail_integrals", n_max):
         return Classification("zero", assumptions_used=["Sector", "A1'"],
                               evidence=evidence, reason="tail route")
 
     if use_majorization_route:
-        a2 = check_A2(f, settings=settings)
+        a2 = check_A2(f)
         evidence["A2"] = a2
-        if (a2.holds and majorization_holds(spec, x, ball_radius, settings)
+        if (a2.holds and majorization_holds(spec, x, ball_radius)
                 and _c_scan(spec, x, f, ball_radius, evidence, "fixed_ball_tail",
-                            settings)):
+                            n_max)):
             return Classification("zero", assumptions_used=["A2", "Majorization"],
                                   evidence=evidence, reason="fixed-ball tail route")
     return Classification("indeterminate", evidence=evidence,
                           reason="no convergent route")
 
 
-def _limsup_diverges(t_grid, values):
-    label, _ = tail_trend(t_grid, values, blowup=1e6)
+# the t grid of the lower-route witnesses and of conditions C1 and C2
+T_GRID = np.logspace(-1, -6, 26)
+T_GRID.flags.writeable = False
+
+
+def _limsup_diverges(values):
+    label, _ = tail_trend(T_GRID, values, blowup=1e6)
     return label == "diverging"
 
 
-def fit_symbol_growth(spec: ProcessSpec, x, ball_radius, settings=DEFAULTS):
+def fit_symbol_growth(spec: ProcessSpec, x, ball_radius):
     """Least-squares growth exponent of sup-ball |q| on |xi| in [1e2, 1e5]."""
     xi = np.logspace(2, 5, 13)
-    vals = symbol_extremum(spec, x, ball_radius, xi, "sup_sup",
-                           n_z=settings.ball_points, n_radii=settings.xi_radii)
+    vals = symbol_extremum(spec, x, ball_radius, xi, "sup_sup")
     slope = np.polyfit(np.log(xi), np.log(np.maximum(vals, 1e-300)), 1)[0]
     return float(min(max(slope, 1e-6), 2.0))
 
 
-def check_C1(spec: ProcessSpec, x, f: GrowthFunction, settings=DEFAULTS):
+KAPPA_MARGIN = 0.05  # check_C1's comparability exponent must stay below 1 by this
+
+
+def check_C1(spec: ProcessSpec, x, f: GrowthFunction):
     """Comparability of sup-ball and inf-ball symbol sizes with a t^{-kappa}
     envelope, kappa < 1.  For a regularly varying f only the unit ball scale
     is tested; a z-independent symbol passes trivially."""
     if spec.kind == "levy":
         return ConditionReport("holds", 0.0, np.array([]), reason="state-free symbol")
-    t_grid = settings.t_grid()
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
-    ft = np.asarray(f(t_grid), float)
-    num = symbol_extremum(spec, x, ft, 1.0 / ft, "sup_sup",
-                          n_z=settings.ball_points, n_radii=settings.xi_radii)
+    ft = np.asarray(f(T_GRID), float)
+    num = symbol_extremum(spec, x, ft, 1.0 / ft, "sup_sup")
     worst = 0.0
     for R in R_set:
-        den = symbol_extremum(spec, x, R * ft, 1.0 / ft, "inf_sup",
-                              n_z=settings.ball_points, n_radii=settings.xi_radii)
+        den = symbol_extremum(spec, x, R * ft, 1.0 / ft, "inf_sup")
         if np.any(den <= 0):
-            return ConditionReport("fails", np.inf, t_grid,
+            return ConditionReport("fails", np.inf, T_GRID,
                                    reason="inf-ball symbol vanishes")
         ratios = num / den
-        kappa_fit = -np.polyfit(np.log(t_grid), np.log(ratios), 1)[0]
+        kappa_fit = -np.polyfit(np.log(T_GRID), np.log(ratios), 1)[0]
         worst = max(worst, kappa_fit)
-        if kappa_fit >= 1.0 - settings.kappa_margin:
-            return ConditionReport("fails", kappa_fit, t_grid,
+        if kappa_fit >= 1.0 - KAPPA_MARGIN:
+            return ConditionReport("fails", kappa_fit, T_GRID,
                                    reason="comparability exponent reaches 1")
-    return ConditionReport("holds", worst, t_grid)
+    return ConditionReport("holds", worst, T_GRID)
 
 
-def check_C2(spec: ProcessSpec, x, f: GrowthFunction, ball_radius=0.5,
-             settings=DEFAULTS):
+def check_C2(spec: ProcessSpec, x, f: GrowthFunction, ball_radius=0.5):
     """Polynomial symbol growth of fitted order a plus liminf t^{-2/a} f(t) = inf."""
-    alpha = fit_symbol_growth(spec, x, ball_radius, settings)
-    t_grid = settings.t_grid()
-    w = t_grid ** (-2.0 / alpha) * f(t_grid)
-    if _limsup_diverges(t_grid, w) and np.all(np.diff(w) >= -1e-9 * w[:-1]):
-        rep = ConditionReport("holds", alpha, t_grid)
-        return rep
-    return ConditionReport("fails", alpha, t_grid,
+    alpha = fit_symbol_growth(spec, x, ball_radius)
+    w = T_GRID ** (-2.0 / alpha) * f(T_GRID)
+    if _limsup_diverges(w) and np.all(np.diff(w) >= -1e-9 * w[:-1]):
+        return ConditionReport("holds", alpha, T_GRID)
+    return ConditionReport("fails", alpha, T_GRID,
                            reason="t^{-2/a} f(t) does not blow up")
 
 
-def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
-                       settings=DEFAULTS):
+def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60):
     """Lower growth decision: Infinity via the inf-ball symbol blow-up, or a
     LowerBound(C/5) via the comparability/growth conditions plus a divergent
     inf-ball integral.
@@ -719,21 +699,19 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
         raise ValueError("C must be positive")
     _require_pure_jump(spec)
     evidence = {}
-    t_grid = settings.t_grid()
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
-    ft = np.asarray(f(t_grid), float)
+    ft = np.asarray(f(T_GRID), float)
 
     def witness(R, C_loc):
         radius = 0.0 if spec.kind == "levy" else R * ft
-        return t_grid * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
-                                        "inf_sup_re", n_z=settings.ball_points,
-                                        n_radii=settings.xi_radii)
+        return T_GRID * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
+                                        "inf_sup_re")
 
     blowup_all = True
     for R in R_set:
         w1 = witness(R, C)
         w2 = witness(R, C / 2.0)
-        ok = _limsup_diverges(t_grid, w1) and _limsup_diverges(t_grid, w2)
+        ok = _limsup_diverges(w1) and _limsup_diverges(w2)
         evidence[f"blowup_witness_R={R:g}"] = w1
         if not ok:
             blowup_all = False
@@ -742,7 +720,7 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
         return Classification("infinity", evidence=evidence,
                               reason="symbol blow-up route")
 
-    c1 = check_C1(spec, x, f, settings)
+    c1 = check_C1(spec, x, f)
     evidence["C1"] = c1
     grounds = []
     if c1.holds:
@@ -753,7 +731,7 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
             if not sec.holds:
                 grounds.remove("C1")
     if not grounds:
-        c2 = check_C2(spec, x, f, settings=settings)
+        c2 = check_C2(spec, x, f)
         evidence["C2"] = c2
         if c2.holds:
             grounds.append("C2")
@@ -762,22 +740,22 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
                               reason="neither comparability nor growth verified")
 
     if spec.kind == "levy":
-        v_tail = tail_integral_criterion(spec, None, f, C, settings=settings)
+        v_tail = tail_integral_criterion(spec, None, f, C, n_max=n_max)
     else:
         v_tail = tail_integral_criterion(spec, x, f, C, ball_mode="inf",
-                                         ball_scale=C, settings=settings)
+                                         ball_scale=C, n_max=n_max)
     evidence["inf_tail_integral"] = v_tail
     route = None
     if v_tail.diverges:
         route = "tail"
     else:
-        a1p = check_A1(spec, x=x, ball_radius=float(f(1.0)), settings=settings) \
-            if spec.kind != "levy" else check_A1(spec.levy.measure, settings=settings)
+        a1p = check_A1(spec, x=x, ball_radius=float(f(1.0))) \
+            if spec.kind != "levy" else check_A1(spec.levy.measure)
         evidence["A1'"] = a1p
         if a1p.holds:
             v_sym = symbol_integral_criterion(spec, x, f, eps=1.0,
                                               ball_mode=None if spec.kind == "levy" else "inf",
-                                              ball_scale=C, settings=settings)
+                                              ball_scale=C, n_max=n_max)
             evidence["inf_symbol_integral"] = v_sym
             if v_sym.diverges:
                 route = "symbol"
@@ -796,24 +774,22 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0,
 # ---------------------------------------------------------------------------
 
 
-def ball_tail_intensity(spec: ProcessSpec, x, r, settings=DEFAULTS):
+def ball_tail_intensity(spec: ProcessSpec, x, r):
     """G(x, r) = inf over the state ball B(x, r) of nu(z, {|y| > r})."""
     if spec.kind == "levy":
         return float(spec.levy.measure.tail(r))
-    return float(np.min(spec.tail_at(_ball_states(spec, x, r, settings.ball_points), r)))
+    return float(np.min(spec.tail_at(_ball_states(spec, x, r), r)))
 
 
-def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5, settings=DEFAULTS):
+def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
     """All closed exit-time bound factors at (t, r); see ExitBounds."""
     if t < 0 or r <= 0:
         raise ValueError("need t >= 0 and r > 0")
     if not 0 <= c_lower <= 1:
         raise ValueError("c_lower must lie in [0, 1]")
-    g2r = ball_tail_intensity(spec, x, 2 * r, settings)
-    supsup = symbol_extremum(spec, x, r, 1.0 / r, "sup_sup",
-                             n_z=settings.ball_points, n_radii=settings.xi_radii)
-    h_swap = symbol_extremum(spec, x, r, 1.0 / (2 * r), "sup_inf_re",
-                             n_z=settings.ball_points, n_radii=settings.xi_radii)
+    g2r = ball_tail_intensity(spec, x, 2 * r)
+    supsup = symbol_extremum(spec, x, r, 1.0 / r, "sup_sup")
+    h_swap = symbol_extremum(spec, x, r, 1.0 / (2 * r), "sup_inf_re")
     return ExitBounds(
         schilling_factor=t * supsup,
         survival_bound=1.0 / (1.0 + t * g2r),

@@ -61,14 +61,9 @@ def dyadic_time_grid(n_min, n_max, points_per_level=POINTS_PER_LEVEL):
 
 
 def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
-                        config: SimConfig | None = None,
-                        normalize_by="growth"):
-    """Quantiles of M_n over simulated paths for n = n_min..n_max.
-
-    ``f`` is a GrowthFunction; with normalize_by="self" the per-path realized
-    supremum at each level is its own normalizer (M_n is then identically 1
-    wherever the path has moved).
-    """
+                        config: SimConfig | None = None):
+    """Quantiles of M_n over simulated paths for n = n_min..n_max; ``f`` is
+    a GrowthFunction."""
     if n_max > 20:
         raise ValueError("n_max above 20 is not supported (grid would be huge)")
     if n_max - n_min < 2:
@@ -79,12 +74,7 @@ def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
     levels = np.arange(n_min, n_max + 1)
     t_vals = 2.0 ** -levels.astype(float)
     idx = np.searchsorted(times, t_vals + 1e-18) - 1
-    sup_vals = runmax[:, idx]  # (paths, levels)
-    if normalize_by == "self":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.where(sup_vals > 0, sup_vals / np.where(sup_vals > 0, sup_vals, 1.0), 0.0)
-    else:
-        m = sup_vals / np.asarray(f(t_vals), float)[None, :]
+    m = runmax[:, idx] / np.asarray(f(t_vals), float)[None, :]  # (paths, levels)
     q10, med, q90 = np.quantile(m, [0.10, 0.50, 0.90], axis=0)
     mean_log = np.array([
         np.log(col[col > 0]).mean() if np.any(col > 0) else -np.inf

@@ -62,11 +62,12 @@ def filon(amp, s0, s1, xi):
         hi = s1 if k == n_panels - 1 else np.minimum(2.0 * lo, s1)
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         f = amp(mid[:, None] + half[:, None] * _GL_X)
-        coef = f @ _LEG_FIT.T
+        # einsum sums row by row; a BLAS product's order varies with the batch
+        coef = np.einsum("ij,kj->ik", f, _LEG_FIT)
         moments = 2.0 * _I_POW * special.spherical_jn(np.arange(16), (xi * half)[:, None])
         total += half * np.exp(1j * xi * mid) * np.sum(coef * moments, axis=1)
         err += half * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
-        mass += half * (np.abs(f) @ _GL_W)
+        mass += half * np.einsum("ij,j->i", np.abs(f), _GL_W)
     bad = ~(err <= np.maximum(QUAD_ATOL, 10 * QUAD_RTOL * mass))
     if bad.any():
         i = int(np.argmax(bad))

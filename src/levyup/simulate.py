@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import DEFAULTS, ball_tail_intensity
+from .criteria import ball_tail_intensity
 from .errors import RateOverflow
 from .symbols import LevyTriplet, ProcessSpec, symbol_extremum
 
@@ -431,7 +431,7 @@ class BoundRow:
 
 
 def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig,
-                       c_standin=None, c_lower=0.5, settings=None):
+                       c_standin=None, c_lower=0.5):
     """Empirical check of one exit-time bound over a (t, r) grid of entries
     with t >= 0 and r > 0.
 
@@ -441,19 +441,17 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     probability is at most c_lower), or "max_ineq" (P(runmax >= r) <=
     c_standin * t * sup-sup |q|; the stand-in constant is reported, not
     asserted).  A row is violated when the empirical value beats the bound
-    by more than three half-widths of its 99% interval.  ``settings``
-    (criteria defaults when None) gives the state-ball points of G and of the
-    symbol extremum and the extremum's frequency radii; both are computed
-    once per distinct r.
+    by more than three half-widths of its 99% interval.  G(x, 2r) and the
+    sup-sup symbol extremum take the state-ball points and frequency radii of
+    ``ball_grid`` and ``symbol_extremum``; each is computed once per distinct r.
     """
     if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     for t, r in grid:
         if not (float(t) >= 0 and float(r) > 0):
             raise ValueError(f"grid entry (t={t}, r={r}) needs t >= 0 and r > 0")
-    settings = settings or DEFAULTS
     r_vals = sorted({float(r) for _, r in grid})
-    g2r = {r: ball_tail_intensity(spec, x, 2 * r, settings) for r in r_vals}
+    g2r = {r: ball_tail_intensity(spec, x, 2 * r) for r in r_vals}
     rows = []
 
     if bound_kind == "expected_exit":
@@ -471,10 +469,7 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
         return rows
 
     if bound_kind == "max_ineq":
-        supsup = {r: symbol_extremum(spec, x, r, 1.0 / r, "sup_sup",
-                                     n_z=settings.ball_points,
-                                     n_radii=settings.xi_radii)
-                  for r in r_vals}
+        supsup = {r: symbol_extremum(spec, x, r, 1.0 / r, "sup_sup") for r in r_vals}
     times = _grid_to(max(float(t) for t, _ in grid), config.dt)
     runmax = simulate_batch(spec, x, times, config)[1]
     for t, r in grid:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from levyup import growth as gr
@@ -17,6 +18,7 @@ from levyup.cli import (
 )
 from levyup.criteria import IntegralVerdict, classify_ltp_upper
 from levyup.errors import ParseError, ValidationError
+from levyup.simulate import SimConfig, simulate_path
 
 MINIMAL = """
 [process]
@@ -185,6 +187,25 @@ class TestCommands:
         assert rows[0] == ["path", "t", "value", "runmax"]
         assert len({r[0] for r in rows[1:]}) == 3
 
+    @pytest.mark.parametrize("process", [
+        "kind = cauchy", "kind = log_smooth", "kind = variable_order",
+        "kind = sde_cauchy", "kind = one_sided_stable\nalpha = 1.4"])
+    def test_simulate_rows_match_one_path_per_call(self, tmp_path, process):
+        # path p draws from its own Philox stream, so the batched command
+        # writes exactly the rows of one simulate_path call per path
+        body = f"[process]\n{process}\n\n[run]\npaths = 3\nhorizon = 0.02\nseed = 4\n"
+        cfg = self._cfg(tmp_path, body)
+        assert run_command("simulate", cfg, quiet=True) == 0
+        rows = read_csv(tmp_path / "out" / "paths.csv")[1:]
+        spec = build_process(cfg)
+        want = []
+        for p in range(3):
+            sample = simulate_path(spec, 0.0, 0.02,
+                                   SimConfig(n_paths=1, seed=4, path_offset=p))
+            want += [[str(p), str(float(t)), str(float(v)), str(float(rm))]
+                     for t, v, rm in zip(sample.times, sample.values, sample.runmax)]
+        assert rows == want
+
     def test_limsup_study_with_svg(self, tmp_path, capsys):
         body = MINIMAL + "\n[run]\npaths = 200\nn_max = 15\nsvg = true\n"
         cfg = self._cfg(tmp_path, body)
@@ -232,3 +253,14 @@ class TestMain:
         assert code in (0, 2)
         used = (tmp_path / "o" / "config_used.cfg").read_text()
         assert "paths = 100" in used and "seed = 9" in used
+
+    @pytest.mark.parametrize("depth", [20, 60])
+    def test_depth_reaches_the_dyadic_engine(self, tmp_path, depth):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(MINIMAL)
+        assert main(["classify", "--config", str(cfg_file), "--depth", str(depth),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        rows = read_csv(tmp_path / "o" / "classify.csv")[1:]
+        assert rows and {r[-1] for r in rows} == {str(depth + 1)}
+        sums = [float(r[3]) for r in rows]
+        assert np.all(np.isfinite(sums))

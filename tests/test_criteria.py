@@ -3,14 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyup import criteria
 from levyup import growth as gr
 from levyup import processes as pr
 from levyup.criteria import (
-    CriteriaSettings,
+    C_EXPONENTS,
+    T_GRID,
     IntegralVerdict,
     _a2_direct_witness,
     bg_index,
@@ -294,7 +295,7 @@ class TestBgIndex:
         # log factors, invisible within the dyadic depth; the estimate lands
         # just below
         m = pr.slow_variation_process().levy.measure
-        beta = bg_index(m, settings=CriteriaSettings(n_levels=60))
+        beta = bg_index(m, n_max=60)
         assert 1.9 <= beta <= 2.0
 
     def test_monotone_under_small_jump_thickening(self):
@@ -546,7 +547,7 @@ def test_criteria_match_recorded_values(name):
 # the parameter axis: one dyadic pass for a c-scan or an eps pair
 # ---------------------------------------------------------------------------
 
-C_SCAN = np.array([2.0**k for k in CriteriaSettings().c_exponents])
+C_SCAN = np.array([2.0**k for k in C_EXPONENTS])
 STATE_SPECS = {
     "variable_order": pr.variable_order_process,
     "stable_type": lambda: pr.stable_type_process(1.2),
@@ -621,27 +622,43 @@ def test_lower_blowup_witness_matches_one_cap_call(name):
     spec, x = scan_spec(name)
     f = gr.power(0.9)
     res = classify_ltp_lower(spec, x, f, C=2.0)
-    s = CriteriaSettings()
-    t_grid = s.t_grid()
+    t_grid = T_GRID
     ft = f(t_grid)
-    w1 = t_grid * symbol_extremum(spec, x, ft, 1.0 / (2.0 * ft), "inf_sup_re",
-                                  n_z=s.ball_points, n_radii=s.xi_radii)
+    w1 = t_grid * symbol_extremum(spec, x, ft, 1.0 / (2.0 * ft), "inf_sup_re")
     np.testing.assert_allclose(res.evidence["blowup_witness_R=1"], w1,
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+# 1/alpha = 0.77, 1.0 and 0.71: kappa in (0.3, 1.5) lies on both sides
+LEVY_SCAN_SPECS = {
+    "stable": lambda: pr.stable_process(1.3),
+    "raw_stable": lambda: pr.raw_stable_process(1.0),
+    "one_sided_stable": lambda: pr.one_sided_stable_process(1.4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SPECS) + sorted(LEVY_SCAN_SPECS))
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(x=st.floats(-1.0, 1.0), kappa=st.floats(0.3, 1.5))
+@example(x=0.0, kappa=0.5).via("below every 1/alpha")
+@example(x=0.0, kappa=1.4).via("above every 1/alpha")
 def test_c_scan_states_monotone_in_c(name, x, kappa):
-    # the sup-ball tail nu(z, |y| >= c f(t)) decreases in c: once the scan
-    # converges at some c, it converges at every larger c
-    spec = STATE_SPECS[name]()
+    # the (sup-ball) tail nu(z, |y| >= c f(t)) decreases in c: once the scan
+    # converges at some c it converges at every larger c, and once it
+    # diverges at some c it diverges at every smaller c; so the largest c
+    # decides whether any c converges
+    if name in LEVY_SCAN_SPECS:
+        spec, x, kw = LEVY_SCAN_SPECS[name](), None, {}
+    else:
+        spec, kw = STATE_SPECS[name](), {"ball_mode": "sup"}
     states = [v.state for v in tail_integral_criterion(
-        spec, x, gr.power(kappa), C_SCAN, ball_mode="sup")]
+        spec, x, gr.power(kappa), C_SCAN, **kw)]
     if "converges" in states:
         first = states.index("converges")
         assert set(states[first:]) == {"converges"}, states
+    if "diverges" in states:
+        last = len(states) - 1 - states[::-1].index("diverges")
+        assert set(states[:last + 1]) == {"diverges"}, states
 
 
 def decline_symbol_route(monkeypatch):
@@ -700,8 +717,7 @@ def test_lower_blowup_needs_both_witnesses(monkeypatch, name, failing):
     # a witness forced flat must stop it whichever of the two it is
     spec, x = scan_spec(name)
     f, C = gr.power(1.2), 3.0
-    s = CriteriaSettings()
-    t_grid = s.t_grid()
+    t_grid = T_GRID
     ft = f(t_grid)
     real, caps = criteria.symbol_extremum, []
 
@@ -717,8 +733,7 @@ def test_lower_blowup_needs_both_witnesses(monkeypatch, name, failing):
     def reference_blows_up():
         for R in (1.0,):  # a power f is regularly varying: one ball scale
             for key, C_loc in (("C", C), ("C/2", C / 2.0)):
-                w = t_grid * real(spec, x, R * ft, 1.0 / (C_loc * ft), "inf_sup_re",
-                                  n_z=s.ball_points, n_radii=s.xi_radii)
+                w = t_grid * real(spec, x, R * ft, 1.0 / (C_loc * ft), "inf_sup_re")
                 label, _ = tail_trend(t_grid, 0.0 * w if key == failing else w,
                                       blowup=1e6)
                 if label != "diverging":

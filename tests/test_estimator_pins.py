@@ -94,9 +94,6 @@ ESTIMATOR_CASES = {
     "limsup-growth-cauchy": lambda: _dyadic(dyadic_limsup_stats(
         pr.cauchy_process(), 0.0, power(0.5), 4, 10,
         SimConfig(n_paths=200, seed=5))),
-    "limsup-self-cauchy": lambda: _dyadic(dyadic_limsup_stats(
-        pr.cauchy_process(), 0.0, power(0.5), 4, 10,
-        SimConfig(n_paths=200, seed=5), normalize_by="self")),
     "limsup-growth-stable_type": lambda: _dyadic(dyadic_limsup_stats(
         pr.stable_type_process(1.3), 0.0, sqrt_t(), 4, 10,
         SimConfig(n_paths=200, seed=6))),

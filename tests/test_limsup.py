@@ -47,11 +47,6 @@ class TestDyadicStats:
         rescaled = st.median * 2.0 ** (st.levels * 0.2)
         assert rescaled.max() / rescaled.min() < 1.8
 
-    def test_self_normalization(self):
-        st = dyadic_limsup_stats(pr.cauchy_process(), 0.0, power(0.8), 4, 10,
-                                 CFG, normalize_by="self")
-        assert np.allclose(st.median, 1.0)
-
     def test_zero_process(self):
         st = dyadic_limsup_stats(pr.zero_process(), 0.0, power(0.8), 4, 10, CFG)
         assert np.all(st.median == 0.0)

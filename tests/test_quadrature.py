@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import levyup
+from levyup import processes as pr
 from levyup.errors import QuadratureFailure
 from levyup.quadrature import panel_quad
+from levyup.symbols import eval_exponent
 
 
 def test_import_loads_neither_scipy_integrate_nor_optimize():
@@ -32,6 +34,17 @@ def test_panel_quad_value_does_not_depend_on_its_batch():
     for i in range(rate.size):
         assert panel_quad(decay(rate[i:i + 1]), lo[:1], hi[:1])[0] == batch[i]
     np.testing.assert_allclose(batch, -np.expm1(-2.0 * rate) / rate, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("spec", [pr.stable_process(1.3),
+                                  pr.one_sided_stable_process(1.4)])
+def test_exponent_value_does_not_depend_on_its_batch(spec):
+    # the Filon shells reduce each frequency's row on its own, so a frequency
+    # reads the same value alone as in a batch
+    xi = np.geomspace(1e-2, 1e9, 37)
+    batch = eval_exponent(spec.levy, xi)
+    for i in range(xi.size):
+        assert eval_exponent(spec.levy, xi[i:i + 1])[0] == batch[i]
 
 
 def test_panel_quad_check_rejects_a_step():

@@ -10,9 +10,8 @@ from scipy import stats
 
 from levyup import processes as pr
 from levyup import simulate
-from levyup.criteria import CriteriaSettings
 from levyup.errors import RateOverflow
-from levyup.symbols import StateFamily, symbol_extremum
+from levyup.symbols import StateFamily
 from levyup.simulate import (
     SimConfig,
     estimate_exit_survival,
@@ -388,21 +387,6 @@ class TestBoundTables:
                                   self.GRID, SimConfig(n_paths=500, seed=94),
                                   c_standin=1.0)
         assert len(rows) == len(self.GRID)
-
-    def test_max_ineq_honours_settings(self):
-        # near x = pi/2 the intensity 1 + sin(z)/2 peaks inside the state
-        # ball, so the ball resolution changes the sup-sup extremum
-        spec, x = pr.stable_type_process(1.3), 1.5
-        coarse = CriteriaSettings(ball_points=4, xi_radii=8)
-        rows = verify_bound_table(spec, x, "max_ineq", self.GRID,
-                                  SimConfig(n_paths=50, seed=94),
-                                  settings=coarse)
-        for row in rows:
-            supsup = symbol_extremum(spec, x, row.r, 1.0 / row.r, "sup_sup",
-                                     n_z=4, n_radii=8)
-            assert supsup != symbol_extremum(spec, x, row.r, 1.0 / row.r,
-                                             "sup_sup")
-            assert row.bound == row.t * supsup
 
     def test_etemadi_comparison(self):
         spec = pr.raw_stable_process(1.0)
