@@ -32,7 +32,7 @@ from .limsup import (
     series_bound_max,
     trend_classify,
 )
-from .measures import LevyMeasureModel, concentration
+from .measures import LevyMeasureModel
 from .simulate import (
     McEstimate,
     PathSample,
@@ -63,7 +63,7 @@ __all__ = [
     "LevyTriplet", "McEstimate", "PathSample", "ProcessSpec", "SimConfig",
     "StateFamily", "TrendVerdict", "bg_index", "check_A1", "check_A2",
     "classify_levy", "classify_ltp_lower", "classify_ltp_upper",
-    "classify_power", "concentration", "constant", "dyadic_integral",
+    "classify_power", "constant", "dyadic_integral",
     "dyadic_limsup_stats", "estimate_exit_survival", "eval_exponent",
     "exit_bounds", "mc_event_probability", "power", "processes", "psi_star",
     "psi_star_h_constant", "reproduce_example", "sample_increment",

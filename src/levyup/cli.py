@@ -34,14 +34,13 @@ _PROCESS_KEYS = {"kind", "alpha", "radius", "mass", "x"}
 _GROWTH_KEYS = {"form", "kappa", "c"}
 _RUN_KEYS = {"paths", "seed", "depth", "dt", "out", "n_min", "n_max",
              "t_grid", "r_grid", "horizon", "example", "big_c", "svg",
-             "mode", "c_standin", "c_lower", "tol"}
+             "mode", "c_lower", "tol"}
 
 _DEF_RUN = {
     "paths": 1000, "seed": 0, "depth": 60, "dt": 1e-3, "out": "out",
     "n_min": 4, "n_max": 16, "t_grid": "0.01,0.05,0.1",
     "r_grid": "0.25,0.5,1.0", "horizon": 1.0, "example": "StableDichotomy",
-    "big_c": 1.0, "svg": False, "mode": "auto", "c_standin": 1.0,
-    "c_lower": 0.5, "tol": 0.02,
+    "big_c": 1.0, "svg": False, "mode": "auto", "c_lower": 0.5, "tol": 0.02,
 }
 
 

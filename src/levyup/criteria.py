@@ -363,16 +363,18 @@ def _a2_direct_witness(f, r_grid):
     return r_grid**2 * above[np.searchsorted(edges, u0)] / t0
 
 
-def _a2_shortcut(f, alphas=None):
+A2_SHORTCUT_ALPHAS = np.linspace(0.55, 0.95, 9)  # exponents a tried for f/t^a
+A2_SHORTCUT_ALPHAS.flags.writeable = False
+
+
+def _a2_shortcut(f):
     t = np.logspace(-12, -0.3, 48)
     ft = f(t)
     over_t = ft / t
     # f(t)/t must increase (as t decreases) without bound
     if not (np.all(np.diff(over_t) <= 1e-9 * over_t[:-1]) and over_t[0] > 10 * over_t[-1]):
         return False
-    if alphas is None:
-        alphas = np.linspace(0.55, 0.95, 9)
-    for a in alphas:
+    for a in A2_SHORTCUT_ALPHAS:
         ratio = ft / t**a
         if np.all(np.diff(ratio) >= -1e-9 * ratio[1:]) and ratio[0] < 0.1 * ratio[-1]:
             return True

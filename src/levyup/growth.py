@@ -24,16 +24,13 @@ class GrowthFunction:
     fn: Callable
     descriptor: tuple = ("custom",)
     regularly_varying: bool = False
-    check: bool = True
 
     def __post_init__(self):
-        if self.check:
-            t = np.logspace(-12, 0, 60)
-            v = self(t)
-            if np.any(~np.isfinite(v)) or np.any(v <= 0):
-                raise ValueError("growth function must be positive and finite on (0,1]")
-            if np.any(np.diff(v) < -1e-12 * np.abs(v[:-1])):
-                raise ValueError("growth function must be non-decreasing on (0,1]")
+        v = self(np.logspace(-12, 0, 60))
+        if np.any(~np.isfinite(v)) or np.any(v <= 0):
+            raise ValueError("growth function must be positive and finite on (0,1]")
+        if np.any(np.diff(v) < -1e-12 * np.abs(v[:-1])):
+            raise ValueError("growth function must be non-decreasing on (0,1]")
 
     def __call__(self, t):
         return self.fn(np.asarray(t, float))
@@ -108,11 +105,10 @@ def sqrt_loglog():
     return GrowthFunction(fn=fn, descriptor=("sqrt_loglog",), regularly_varying=True)
 
 
-def from_callable(fn, descriptor=("custom",), regularly_varying=False, check=True):
+def from_callable(fn, descriptor=("custom",), regularly_varying=False):
     """Wrap a user-supplied vectorized callable."""
     return GrowthFunction(
         fn=lambda t: np.asarray(fn(np.asarray(t, float)), float),
         descriptor=tuple(descriptor),
         regularly_varying=regularly_varying,
-        check=check,
     )

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import processes as pr
 from .criteria import Classification, classify_levy, classify_ltp_upper, classify_power
-from .growth import power, sqrt_t
+from .growth import power
 from .simulate import SimConfig, simulate_batch
 from .symbols import ProcessSpec
 
@@ -148,73 +149,49 @@ def _agrees(analytic: Classification, trend: TrendVerdict):
     return trend.label in _COMPATIBLE[analytic.outcome]
 
 
+# looked up at call time, so a patched or traced classifier is the one that runs
+_CLASSIFIERS = {
+    "levy": lambda spec, f: classify_levy(spec, f),
+    "upper": lambda spec, f: classify_ltp_upper(spec, 0.0, f),
+    "power": lambda spec, f: classify_power(spec, f.descriptor[1]),
+}
+
+# name -> rows (key, classifier, process builder, kappa of f = t^kappa, whether
+# the row also runs a dyadic simulation study); a row's classification and
+# study are both keyed by its key
+_EXAMPLES = {
+    "StableDichotomy": (("kappa=0.8", "levy", pr.cauchy_process, 0.8, True),
+                        ("kappa=1.25", "levy", pr.cauchy_process, 1.25, True)),
+    "SlowVariation": (("sqrt", "levy", pr.slow_variation_process, 0.5, True),),
+    # the medians separate like 2^{-n(1/order - kappa)} per level, so the
+    # empirical study needs a wide exponent gap; the narrow-gap exponent is
+    # still classified analytically
+    "VariableOrder": (("kappa=0.6", "upper", pr.variable_order_process, 0.6, False),
+                      ("kappa=0.45", "upper", pr.variable_order_process, 0.45, True)),
+    "StableType": (("pinned", "upper", lambda: pr.stable_type_process(1.5),
+                    1.0 / 1.5 - 0.05, False),
+                   ("kappa=0.45", "upper", lambda: pr.stable_type_process(1.5), 0.45,
+                    True)),
+    "SdeCauchy": (("sde", "upper", pr.sde_process, 0.8, True),
+                  ("driver", "levy", pr.cauchy_process, 0.8, True)),
+    "SqrtTLaw": (("power=1/2", "power", pr.cauchy_process, 0.5, True),),
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
+
+
 def reproduce_example(name, n_paths=500, n_min=4, n_max=16, seed=0):
     """Run one named study end to end: the analytic classification and the
     matching dyadic simulation, with a flag recording whether they agree."""
-    from . import processes as pr
-
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example {name!r}")
     config = SimConfig(n_paths=n_paths, seed=seed)
     analytic, empirical, stats = {}, {}, {}
-
-    if name == "StableDichotomy":
-        spec = pr.cauchy_process()
-        for kappa in (0.8, 1.25):
-            key = f"kappa={kappa:g}"
-            f = power(kappa)
-            analytic[key] = classify_levy(spec, f)
-            st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-            stats[key] = st
-            empirical[key] = trend_classify(st)
-    elif name == "SlowVariation":
-        spec = pr.slow_variation_process()
-        f = sqrt_t()
-        analytic["sqrt"] = classify_levy(spec, f)
-        st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-        stats["sqrt"] = st
-        empirical["sqrt"] = trend_classify(st)
-    elif name == "VariableOrder":
-        # the medians separate like 2^{-n(1/order - kappa)} per level, so the
-        # empirical study needs a wide exponent gap; the narrow-gap exponent
-        # is still classified analytically
-        spec = pr.variable_order_process()
-        analytic["kappa=0.6"] = classify_ltp_upper(spec, 0.0, power(0.6))
-        f = power(0.45)
-        analytic["kappa=0.45"] = classify_ltp_upper(spec, 0.0, f)
-        st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-        stats["kappa=0.45"] = st
-        empirical["kappa=0.45"] = trend_classify(st)
-    elif name == "StableType":
-        alpha = 1.5
-        spec = pr.stable_type_process(alpha)
-        analytic["pinned"] = classify_ltp_upper(spec, 0.0,
-                                                power(1.0 / alpha - 0.05))
-        f = power(0.45)
-        analytic["kappa=0.45"] = classify_ltp_upper(spec, 0.0, f)
-        st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-        stats["kappa=0.45"] = st
-        empirical["kappa=0.45"] = trend_classify(st)
-    elif name == "SdeCauchy":
-        spec = pr.sde_process()
-        f = power(0.8)
-        analytic["sde"] = classify_ltp_upper(spec, 0.0, f)
-        analytic["driver"] = classify_levy(pr.cauchy_process(), f)
-        st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-        stats["sde"] = st
-        empirical["sde"] = trend_classify(st)
-        std = dyadic_limsup_stats(pr.cauchy_process(), 0.0, f, n_min, n_max,
-                                  config)
-        stats["driver"] = std
-        empirical["driver"] = trend_classify(std)
-    elif name == "SqrtTLaw":
-        spec = pr.cauchy_process()
-        f = sqrt_t()
-        analytic["power=1/2"] = classify_power(spec, 0.5)
-        st = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
-        stats["power=1/2"] = st
-        empirical["power=1/2"] = trend_classify(st)
-    else:
-        raise ValueError(f"unknown example {name!r}")
-
+    for key, classifier, build, kappa, simulated in _EXAMPLES[name]:
+        spec, f = build(), power(kappa)
+        analytic[key] = _CLASSIFIERS[classifier](spec, f)
+        if simulated:
+            stats[key] = dyadic_limsup_stats(spec, 0.0, f, n_min, n_max, config)
+            empirical[key] = trend_classify(stats[key])
     agree = all(
         _agrees(analytic[k], empirical[k]) for k in analytic if k in empirical
     )
@@ -222,26 +199,22 @@ def reproduce_example(name, n_paths=500, n_min=4, n_max=16, seed=0):
                          stats=stats, agree=agree)
 
 
-EXAMPLE_NAMES = ("StableDichotomy", "SlowVariation", "VariableOrder",
-                 "StableType", "SdeCauchy", "SqrtTLaw")
-
-
 # ---------------------------------------------------------------------------
 # numeric series bound used by the level-subsampling argument
 # ---------------------------------------------------------------------------
 
 
-def series_bound_max(t_grid=None, n_terms=10_000):
-    """max over t of sum_{n<=N} n^{-2} t^{1/n} log(1/t); bounded by 2."""
-    if t_grid is None:
-        t_grid = np.concatenate([
-            np.logspace(-6, -1, 600),
-            np.linspace(0.1, 0.999, 1400),
-        ])
+SERIES_T_GRID = np.concatenate([np.logspace(-6, -1, 600), np.linspace(0.1, 0.999, 1400)])
+SERIES_T_GRID.flags.writeable = False
+
+
+def series_bound_max(n_terms=10_000):
+    """max over t in SERIES_T_GRID of sum_{n<=N} n^{-2} t^{1/n} log(1/t);
+    bounded by 2."""
     n = np.arange(1, n_terms + 1, dtype=float)
     best = 0.0
-    for i in range(0, len(t_grid), _SERIES_BLOCK):
-        t = t_grid[i:i + _SERIES_BLOCK]
+    for i in range(0, len(SERIES_T_GRID), _SERIES_BLOCK):
+        t = SERIES_T_GRID[i:i + _SERIES_BLOCK]
         log_t = np.log(t)
         vals = np.exp(log_t[None, :] / n[:, None]) * (-log_t)[None, :] / n[:, None] ** 2
         best = max(best, float(vals.sum(axis=0).max()))

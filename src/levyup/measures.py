@@ -22,6 +22,7 @@ from .quadrature import panel_quad
 Concentration = namedtuple("Concentration", ["G", "K", "h", "I"])
 
 _E_MINUS_E = float(np.exp(-np.e))  # support edge of the slowly-varying measure
+DENSITY_RTOL = 1e-6  # validate's tolerance between shell integrals and tail steps
 
 
 @dataclass
@@ -65,12 +66,13 @@ class LevyMeasureModel:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, r_grid=None, rtol=1e-6):
+    def validate(self, r_grid=None):
         """Check monotonicity, integrability, and density/tail consistency.
 
         Raises ValueError on violation.  Density consistency compares panel
-        integrals of the radial density over shells against tail differences;
-        a density that jumps inside a shell raises ``QuadratureFailure``.
+        integrals of the radial density over shells against tail differences
+        to relative ``DENSITY_RTOL``; a density that jumps inside a shell
+        raises ``QuadratureFailure``.
         """
         if r_grid is None:
             r_grid = np.logspace(-4, 0.5, 25)
@@ -90,7 +92,7 @@ class LevyMeasureModel:
             for a, b, val in zip(shells[:-1], shells[1:], vals):
                 ref = float(self.tail(a)) - float(self.tail(b))
                 ref -= sum(m for s, m in self.atoms if a < s <= b)
-                if abs(val - ref) > rtol * max(abs(ref), 1e-12):
+                if abs(val - ref) > DENSITY_RTOL * max(abs(ref), 1e-12):
                     raise ValueError(
                         f"density of {self.name!r} inconsistent with tail on "
                         f"({a}, {b}]: {val} vs {ref}"
@@ -339,8 +341,3 @@ def null_measure(dim=1):
     """The zero measure (no jumps)."""
     zero = lambda r: np.zeros_like(np.asarray(r, float))
     return LevyMeasureModel(tail=zero, trunc2=zero, dim=dim, name="null")
-
-
-def concentration(measure: LevyMeasureModel, r):
-    """Concentration functions (G, K, h, I) of a measure at radius r."""
-    return measure.concentration(r)

@@ -128,10 +128,15 @@ def atom_process(radius=2.0, mass=1.0):
     return _as_levy(m, symbol=symbol, name=f"atom({radius:g})")
 
 
-def _interpolated_symbol(measure, lo=1e-3, hi=1e10, n=140):
-    """Radial real symbol built by quadrature once and interpolated in log-log."""
+INTERP_LO = 1e-3  # lowest frequency of an interpolated symbol's table
+INTERP_POINTS = 140  # log-spaced frequencies in that table
+
+
+def _interpolated_symbol(measure, hi=1e10):
+    """Radial real symbol built by quadrature once on INTERP_POINTS
+    frequencies from INTERP_LO to hi and interpolated in log-log."""
     triplet = LevyTriplet(b=np.zeros(1), Q=None, measure=measure)
-    grid = np.logspace(np.log10(lo), np.log10(hi), n)
+    grid = np.logspace(np.log10(INTERP_LO), np.log10(hi), INTERP_POINTS)
     vals = np.maximum(np.real(eval_exponent(triplet, grid)), 1e-300)
     log_g, log_v = np.log(grid), np.log(vals)
     slope_lo = (log_v[1] - log_v[0]) / (log_g[1] - log_g[0])

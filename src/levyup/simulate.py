@@ -41,7 +41,6 @@ _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-3
-    delta_jump: float | None = None  # None: sqrt(dt) clamped to [1e-4, 1e-1]
     n_paths: int = 1000
     seed: int = 0
     scheme: str = "auto"
@@ -50,14 +49,13 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.delta_jump is not None and self.delta_jump <= 0:
-            raise ValueError("delta_jump must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 
-    def delta_for(self, dt):
-        if self.delta_jump is not None:
-            return self.delta_jump
+    @staticmethod
+    def delta_for(dt):
+        """Jump cutoff of the compound-Poisson schemes: sqrt(dt) clamped to
+        [1e-4, 1e-1]."""
         return float(np.clip(np.sqrt(dt), 1e-4, 1e-1))
 
     def path_rngs(self):
@@ -168,7 +166,10 @@ def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
     return lambda rng: (stable_draws(rng, alpha, len(dts), sigma) * scale + drift, None)
 
 
-def _levy_sampler(triplet: LevyTriplet, dts, delta, rate_cap=1e4):
+RATE_CAP = 1e4  # largest mean jump count per step that _levy_sampler accepts
+
+
+def _levy_sampler(triplet: LevyTriplet, dts, delta):
     """Continuous and jump increments of a 1-d Levy triplet on step sizes dts.
 
     ``continuous`` holds drift (recentred to the cutoff delta), the Gaussian
@@ -178,7 +179,7 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta, rate_cap=1e4):
     m = triplet.measure
     delta = min(float(delta), 1.0)
     rate = float(m.tail(delta))
-    if np.any(rate * dts > rate_cap):
+    if np.any(rate * dts > RATE_CAP):
         raise RateOverflow(
             "jump rate times step exceeds the cap; decrease dt or raise delta")
     var = float(m.trunc2(delta))
@@ -431,7 +432,7 @@ class BoundRow:
 
 
 def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig,
-                       c_standin=None, c_lower=0.5):
+                       c_lower=0.5):
     """Empirical check of one exit-time bound over a (t, r) grid of entries
     with t >= 0 and r > 0.
 
@@ -439,11 +440,12 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     "expected_exit" (E tau_r <= 1/G(x,2r); the t column is unused),
     "lower_max" (P(runmax > r) >= (1-c) t G(x,2r) wherever the empirical
     probability is at most c_lower), or "max_ineq" (P(runmax >= r) <=
-    c_standin * t * sup-sup |q|; the stand-in constant is reported, not
-    asserted).  A row is violated when the empirical value beats the bound
-    by more than three half-widths of its 99% interval.  G(x, 2r) and the
-    sup-sup symbol extremum take the state-ball points and frequency radii of
-    ``ball_grid`` and ``symbol_extremum``; each is computed once per distinct r.
+    t * sup-sup |q|, the paper's bound with its absolute constant taken as
+    1).  A row is violated when the empirical value beats the bound by more
+    than three half-widths of its 99% interval.  G(x, 2r) and the
+    sup-sup symbol extremum take the state-ball points of ``ball_grid`` and
+    the frequency radii ``symbols.EXTREMUM_RADII``; each is computed once per
+    distinct r.
     """
     if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
@@ -490,7 +492,7 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
         else:
             hits = int(np.sum(runmax[:, idx] >= r))
             est = proportion_estimate(hits, config.n_paths)
-            bound = (c_standin if c_standin is not None else 1.0) * t * supsup[r]
+            bound = t * supsup[r]
             violated = est.p_hat > bound + 3 * est.ci_half_width
         rows.append(BoundRow(t=t, r=r, empirical=est.p_hat,
                              ci=est.ci_half_width, bound=float(bound),

@@ -132,16 +132,24 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 
-def _shell_top(measure, scale):
-    """Upper end of an oscillatory shell: the support's, or on infinite
-    support the first S = 2^k >= 1 with nu(|y| > S) <= 1e-14 scale.  As
-    0 <= 1 - cos <= 2, twice that tail bounds the part of the shell above S."""
-    hi, top = measure.support[1], 1.0
-    while np.isinf(hi) and measure._continuous_tail(top) > 1e-14 * scale:
-        top *= 2.0
-        if np.isinf(top):
-            raise QuadratureFailure(f"tail above 2^k stays above 1e-14 * {scale}")
-    return top if np.isinf(hi) else hi
+def _shell_top(measure, s0, xi, scale):
+    """Upper ends of the oscillatory shells (s0, top] at frequencies xi > 0
+    (arrays (m,)): the support's end, or on infinite support the first
+    S = max(s0, 1) 2^k where the shell's Fourier integral above S is at most
+    1e-14 scale.  That integral is bounded by the mass G(S) and, the radial
+    density being non-increasing there, by 2 rho(S)/xi (second mean value
+    theorem), so each frequency gets its own cut."""
+    hi = measure.support[1]
+    if np.isfinite(hi):
+        return np.full(xi.shape, float(hi))
+    top = np.maximum(s0, 1.0)
+    while (open_ := np.minimum(measure._continuous_tail(top),
+                               2.0 * measure.radial_density(top) / xi) > 1e-14 * scale).any():
+        top = np.where(open_, 2.0 * top, top)
+        if np.isinf(top).any():
+            raise QuadratureFailure("the shell's Fourier tail stays above 1e-14 of "
+                                    f"its mass up to 2^1023 at xi = {xi[np.isinf(top)][0]}")
+    return top
 
 
 def _sphere_factor(u, dim):
@@ -164,7 +172,9 @@ def eval_exponent(triplet: LevyTriplet, xi):
     radius (``panel_quad``), above it as one oscillatory shell on Filon
     panels (``filon``, in d >= 2 through a Hankel-function amplitude).
     Either raises ``QuadratureFailure`` where its check finds the integrand
-    unresolved (see ``levyup.quadrature``).
+    unresolved (see ``levyup.quadrature``).  On infinite support the shell is
+    cut where its Fourier tail falls below 1e-14 of its mass; that bound
+    assumes a radial density non-increasing above radius 1.
     """
     xi = np.asarray(xi, float)
     if triplet.dim == 1 and (xi.ndim < 2 or xi.shape[-1] == 1):
@@ -235,11 +245,11 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
 
             val[pos] += 1j * skew * panel_quad(im_small, u_lo, u_hi)
 
-        # oscillatory shell (a, top]: its mass less the Fourier integral,
-        # whose cos part is real and whose skewed sin part is imaginary
-        top, s0 = _shell_top(m, float(m._continuous_tail(split))), np.maximum(a, lo)
-        val[pos] += m._continuous_tail(a) - float(m._continuous_tail(top))
-        osc = filon(rho, s0, np.full(a.shape, top), xi)
+        # oscillatory shell above a: its whole mass less the Fourier integral
+        # up to the cut, whose cos part is real and skewed sin part imaginary
+        s0 = np.maximum(a, lo)
+        val[pos] += m._continuous_tail(a)
+        osc = filon(rho, s0, _shell_top(m, s0, xi, float(m._continuous_tail(split))), xi)
         val[pos] -= osc.real + 1j * skew * osc.imag
         if skew:  # the compensation -i xi s on the shell inside |y| <= 1
             lin = filon(lambda s: s * rho(s), s0, np.full(a.shape, split), 0.0 * xi)
@@ -282,12 +292,12 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
     # below the window s |xi| <= 4 pi e^-160, where 1 - average = |xi|^2 s^2/(2d)
     # to relative O(w^2): the jumps there add |xi|^2 trunc2(s_lo)/(2d)
     out[idx] += r_xi**2 * np.asarray(m.trunc2(np.exp(u_lo)), float) / (2 * d)
-    # shell (s_cut, top]: its mass less the sphere average against rho
-    g_cut = m._continuous_tail(s_cut)
-    top = _shell_top(m, g_cut.min(initial=np.inf))
-    osc = filon(lambda s: rho(s) * _sphere_factor(s * x, d), np.maximum(s_cut, lo),
-                 np.full(s_cut.shape, top), r_xi)
-    out[idx] += g_cut - float(m._continuous_tail(top)) - osc.real
+    # shell above s_cut: its whole mass less the sphere average against rho
+    # up to the cut, where the average's modulus is at most 1
+    g_cut, s0 = m._continuous_tail(s_cut), np.maximum(s_cut, lo)
+    osc = filon(lambda s: rho(s) * _sphere_factor(s * x, d), s0,
+                 _shell_top(m, s0, r_xi, g_cut), r_xi)
+    out[idx] += g_cut - osc.real
     return out
 
 
@@ -302,25 +312,23 @@ def _directions(dim, n=32):
     if dim == 2:
         th = np.linspace(0, 2 * np.pi, n, endpoint=False)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
-    # Fibonacci-style spread, deterministic
-    idx = np.arange(n) + 0.5
-    phi = np.arccos(1 - 2 * idx / n)
-    theta = np.pi * (1 + 5**0.5) * idx
-    pts = np.stack(
-        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)], axis=1
-    )
-    if dim == 3:
-        return pts
-    rng = np.random.default_rng(12345)
-    extra = rng.standard_normal((n, dim))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    return extra
+    if dim == 3:  # Fibonacci-style spread, deterministic
+        idx = np.arange(n) + 0.5
+        phi = np.arccos(1 - 2 * idx / n)
+        theta = np.pi * (1 + 5**0.5) * idx
+        return np.stack([np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(phi)], axis=1)
+    extra = np.random.default_rng(12345).standard_normal((n, dim))
+    return extra / np.linalg.norm(extra, axis=1, keepdims=True)
 
 
-def xi_grid(radius, dim, n_radii=64, n_dirs=32, decades=4.0):
+XI_DECADES = 4.0  # decades of frequency radii below the cap in xi_grid
+
+
+def xi_grid(radius, dim, n_radii=64, n_dirs=32):
     """Deterministic frequency grid filling the ball |xi| <= radius; a 1-d
     array of radii gives one grid per radius (leading axis)."""
-    radii = np.logspace(np.log10(radius) - decades, np.log10(radius), n_radii).T
+    radii = np.logspace(np.log10(radius) - XI_DECADES, np.log10(radius), n_radii).T
     dirs = _directions(dim, n_dirs)
     grid = (radii[..., None, None] * dirs).reshape(radii.shape[:-1] + (-1, dim))
     return grid, radii, dirs
@@ -342,11 +350,11 @@ def ball_grid(center, radius, dim, n=17):
     return np.concatenate([middle, pts], axis=-2)
 
 
-def psi_star(spec: ProcessSpec, x, r, n_radii=64, n_dirs=32):
+def psi_star(spec: ProcessSpec, x, r):
     """sup of Re q(x, .) over the ball |xi| <= r, on a refined log grid."""
     if r <= 0:
         raise ValueError("r must be positive")
-    grid, radii, dirs = xi_grid(r, spec.dim, n_radii, n_dirs)
+    grid, radii, dirs = xi_grid(r, spec.dim)
     vals = np.real(spec.q(x, grid)).reshape(len(radii), len(dirs))
     best = float(vals.max(initial=0.0))
     j = int(np.unravel_index(np.argmax(vals), vals.shape)[0])
@@ -365,16 +373,17 @@ _EXTREMUM_MODES = {
     "inf_sup_re": ("inf", "re"),
     "sup_inf_re": ("swap", "re"),
 }
+EXTREMUM_RADII = 48  # frequency radii per cap in symbol_extremum (32 directions each)
 
 
-def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup",
-                    n_z=17, n_radii=48, n_dirs=32):
+def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"):
     """Extremum of the symbol over B(x, ball_radius) x {|xi| <= xi_radius}.
 
     Modes: sup_sup (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|),
     inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
     used by the symbol-based exit bound).  For a Levy process the z-extremum
-    collapses.
+    collapses.  States are the 17 points of ``ball_grid``, frequencies the
+    ``xi_grid`` of ``EXTREMUM_RADII`` radii below each cap.
 
     ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
     ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
@@ -392,13 +401,13 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
         z_kind, val_kind = _EXTREMUM_MODES[mode]
     except KeyError:
         raise ValueError(f"unknown extremum mode {mode!r}") from None
-    xi, _, _ = xi_grid(xi_r, spec.dim, n_radii, n_dirs)
+    xi, _, _ = xi_grid(xi_r, spec.dim, EXTREMUM_RADII)
     if spec.dim == 1:  # directions (+1, -1); Hermitian q has even |q| and Re q
         xi = xi[:, ::2]
     if spec.kind == "levy" or not ball_r.any():
         q = spec.q(x, xi.reshape(-1, spec.dim)).reshape(xi_r.size, 1, -1)
     else:
-        z = ball_grid(x, ball_r, spec.dim, n_z)
+        z = ball_grid(x, ball_r, spec.dim)
         q = spec.q(z[:, :, None, :], xi[:, None, :, :])
     table = np.abs(q) if val_kind == "abs" else np.real(q)
     if z_kind == "swap":
@@ -433,16 +442,21 @@ class ConditionReport:
         return self.verdict == "fails"
 
 
-def tail_trend(grid, values, stability=0.10, slope_min=0.02, growth_min=1.5,
-               blowup=1e3):
+TREND_STABILITY = 0.10  # relative spread of the last half that tail_trend calls stable
+TREND_SLOPE_MIN = 0.02  # log-log slope toward the limit that counts as growth
+TREND_GROWTH_MIN = 1.5  # last-over-first factor of the last half that growth needs
+
+
+def tail_trend(grid, values, blowup=1e3):
     """Classify the limiting trend of ``values`` along ``grid``.
 
     ``grid`` must be ordered so that increasing index approaches the limit
     (e.g. radii decreasing to 0).  Returns (label, estimate) with label in
     {"stable", "diverging", "indeterminate"}; the estimate is the extremum of
     the last half of the values.  Stability means the last-half values vary by
-    less than ``stability`` relatively; divergence means a positive log-log
-    slope with real growth, or exceeding ``blowup``.
+    less than ``TREND_STABILITY`` relatively; divergence means a log-log slope
+    above ``TREND_SLOPE_MIN`` with growth by ``TREND_GROWTH_MIN``, or
+    exceeding ``blowup``.
     """
     values = np.asarray(values, float)
     grid = np.asarray(grid, float)
@@ -451,7 +465,7 @@ def tail_trend(grid, values, stability=0.10, slope_min=0.02, growth_min=1.5,
     hi, lo = float(np.max(half)), float(np.min(half))
     if hi <= 0:
         return "stable", 0.0
-    if lo > 0 and hi / lo - 1.0 < stability:
+    if lo > 0 and hi / lo - 1.0 < TREND_STABILITY:
         return "stable", hi
     if hi > blowup:
         return "diverging", hi
@@ -463,56 +477,57 @@ def tail_trend(grid, values, stability=0.10, slope_min=0.02, growth_min=1.5,
         # orient: does the value grow as the grid approaches its limit?
         toward_limit = np.sign(lx[-1] - lx[0])
         slope *= toward_limit
-        if slope > slope_min and half[-1] > growth_min * half[0] > 0:
+        if slope > TREND_SLOPE_MIN and half[-1] > TREND_GROWTH_MIN * half[0] > 0:
             return "diverging", hi
     return "indeterminate", hi
 
 
-def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0), xi_radii=None, n_dirs=32,
-                 n_z=9):
+SECTOR_RADII = np.logspace(-2, 6, 49)  # frequency radii of sector_check
+SECTOR_RADII.flags.writeable = False
+SECTOR_BALL_POINTS = 9  # ball_grid points of sector_check's state ball
+
+
+def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     """Check |Im q| <= C Re q on a ball of states times a frequency grid.
 
     Holds with witness C* (the largest observed ratio) when the ratio is
     stable over the top frequency decades; fails when Re q vanishes where
-    Im q does not, or when the ratio keeps growing along the grid.
+    Im q does not, or when the ratio keeps growing along the grid.  The grid
+    is ``SECTOR_RADII`` times 32 directions on ``SECTOR_BALL_POINTS`` states.
     """
     center, radius = x_ball
-    if xi_radii is None:
-        xi_radii = np.logspace(-2, 6, 49)
-    xi_radii = np.asarray(xi_radii, float)
-    if xi_radii.min() <= 0:
-        raise ValueError("frequency grid must exclude 0")
-    dirs = _directions(spec.dim, n_dirs)
-    z_points = ball_grid(center, radius, spec.dim, n_z)
-    grid = (xi_radii[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
+    dirs = _directions(spec.dim)
+    z_points = ball_grid(center, radius, spec.dim, SECTOR_BALL_POINTS)
+    grid = (SECTOR_RADII[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
     states = z_points[0] if spec.kind == "levy" else z_points[:, None, :]
-    q = spec.q(states, grid).reshape(-1, len(xi_radii), len(dirs))
+    q = spec.q(states, grid).reshape(-1, len(SECTOR_RADII), len(dirs))
     re, im = np.real(q), np.abs(np.imag(q))
     if not ((re > 0) | (im > 0)).any():
         raise DegenerateSymbol("symbol vanishes on the whole grid")
     if ((re <= 0) & (im > 1e-12)).any():
         return ConditionReport(
-            "fails", float(np.inf), xi_radii, reason="Re q = 0 where Im q > 0"
+            "fails", float(np.inf), SECTOR_RADII, reason="Re q = 0 where Im q > 0"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(re > 0, im / re, 0.0)
     ratio_by_level = ratios.max(axis=(0, 2))
-    label, est = tail_trend(xi_radii, ratio_by_level)
+    label, est = tail_trend(SECTOR_RADII, ratio_by_level)
     if label == "stable":
-        return ConditionReport("holds", est, xi_radii)
+        return ConditionReport("holds", est, SECTOR_RADII)
     if label == "diverging":
-        return ConditionReport("fails", est, xi_radii, reason="ratio diverges")
-    return ConditionReport("indeterminate", est, xi_radii, reason="unstable ratio")
+        return ConditionReport("fails", est, SECTOR_RADII, reason="ratio diverges")
+    return ConditionReport("indeterminate", est, SECTOR_RADII, reason="unstable ratio")
 
 
-def validate_symbol(spec: ProcessSpec, x_points=None, xi_points=None, slack=1e-12):
-    """Assert q(x,0)=0, Hermitian symmetry, Re q >= 0, and the doubling bound."""
-    if x_points is None:
-        x_points = [np.zeros(spec.dim), 0.3 * np.ones(spec.dim)]
-    if xi_points is None:
-        base, _, _ = xi_grid(10.0, spec.dim, n_radii=12, n_dirs=8)
-        xi_points = base
-    xi_points = np.atleast_2d(xi_points)
+DOUBLING_SLACK = 1e-12  # absolute slack of validate_symbol's doubling bound
+
+
+def validate_symbol(spec: ProcessSpec):
+    """Assert q(x,0)=0, Hermitian symmetry, Re q >= 0, and the doubling bound
+    at the states 0 and (0.3, ..., 0.3) on a 12-radius, 8-direction grid of
+    frequencies up to |xi| = 10."""
+    x_points = [np.zeros(spec.dim), 0.3 * np.ones(spec.dim)]
+    xi_points, _, _ = xi_grid(10.0, spec.dim, n_radii=12, n_dirs=8)
     for x in x_points:
         q0 = spec.q(x, np.zeros((1, spec.dim)))
         if abs(q0[0]) > 1e-9:
@@ -524,17 +539,20 @@ def validate_symbol(spec: ProcessSpec, x_points=None, xi_points=None, slack=1e-1
         if np.any(np.real(q_plus) < -1e-10):
             raise AssertionError("Re q < 0 on the grid")
         q_double = spec.q(x, 2 * xi_points)
-        if np.any(np.abs(q_double) > 4 * np.abs(q_plus) + slack):
+        if np.any(np.abs(q_double) > 4 * np.abs(q_plus) + DOUBLING_SLACK):
             raise AssertionError("doubling bound |q(2 xi)| <= 4 |q(xi)| violated")
     return True
 
 
-def psi_star_h_constant(spec: ProcessSpec, measure: LevyMeasureModel, r_grid=None):
-    """Fit the single constant c with h(r)/c <= psi*(1/r) <= c h(r) on a grid."""
-    if r_grid is None:
-        r_grid = np.logspace(-4, -1, 13)
+H_RADII = np.logspace(-4, -1, 13)  # radii r of psi_star_h_constant's fit
+H_RADII.flags.writeable = False
+
+
+def psi_star_h_constant(spec: ProcessSpec, measure: LevyMeasureModel):
+    """Fit the single constant c with h(r)/c <= psi*(1/r) <= c h(r) on
+    ``H_RADII``."""
     cs = []
-    for r in r_grid:
+    for r in H_RADII:
         h = measure.concentration(r).h
         p = psi_star(spec, np.zeros(spec.dim), 1.0 / r)
         if h <= 0 or p <= 0:

@@ -1,8 +1,10 @@
-"""Regression pins for the Monte Carlo estimators and check_A1.
+"""Regression pins for the Monte Carlo estimators, check_A1 and the worked
+examples.
 
 ``tests/data/estimator_pins.json`` holds SHA-256 digests of estimator
 outputs and check_A1 reports, recorded before the estimators moved onto
-``simulate_batch`` and check_A1 onto one array pass.  Per-path Philox
+``simulate_batch`` and check_A1 onto one array pass, and digests of every
+``reproduce_example`` report, recorded before its studies became one table.  Per-path Philox
 streams are independent of how paths are grouped, so every digest must stay
 bit-identical; check_A1 witnesses are compared at rtol 1e-14 and their
 verdicts and reasons exactly.  Regenerate (only for a documented change of
@@ -20,7 +22,7 @@ from levyup import measures as ms
 from levyup import processes as pr
 from levyup.criteria import check_A1
 from levyup.growth import power, sqrt_t
-from levyup.limsup import dyadic_limsup_stats
+from levyup.limsup import EXAMPLE_NAMES, dyadic_limsup_stats, reproduce_example
 from levyup.simulate import (
     SimConfig,
     estimate_exit_survival,
@@ -52,6 +54,19 @@ def _bound_rows(rows):
 def _dyadic(st):
     return _digest(np.concatenate([st.levels, st.t_values, st.q10, st.median,
                                    st.q90, st.mean_log, [st.n_paths]]))
+
+
+def _example(name):
+    """Digest of the analytic outcomes and reasons, trend labels, stats arrays
+    and agreement flag of one worked example, in the report's key order."""
+    rep = reproduce_example(name, n_paths=120, n_min=4, n_max=12, seed=2)
+    record = {
+        "analytic": [[k, c.outcome, c.reason] for k, c in rep.analytic.items()],
+        "trends": [[k, v.label] for k, v in rep.empirical.items()],
+        "stats": [[k, _dyadic(st)] for k, st in rep.stats.items()],
+        "agree": rep.agree,
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 ESTIMATOR_CASES = {
@@ -87,7 +102,7 @@ ESTIMATOR_CASES = {
         SimConfig(n_paths=500, seed=93))),
     "bounds-max_ineq-raw_stable": lambda: _bound_rows(verify_bound_table(
         pr.raw_stable_process(1.0), 0.0, "max_ineq", GRID,
-        SimConfig(n_paths=300, seed=94), c_standin=1.0)),
+        SimConfig(n_paths=300, seed=94))),
     "bounds-max_ineq-variable_order": lambda: _bound_rows(verify_bound_table(
         pr.variable_order_process(), 0.0, "max_ineq", GRID,
         SimConfig(n_paths=300, seed=95))),
@@ -137,6 +152,7 @@ def compute_pins():
     return {
         "estimators": {name: fn() for name, fn in sorted(ESTIMATOR_CASES.items())},
         "check_A1": {name: _a1_report(name) for name in sorted(A1_CASES)},
+        "examples": {name: _example(name) for name in sorted(EXAMPLE_NAMES)},
     }
 
 
@@ -156,6 +172,11 @@ def test_check_A1_report(pins, case):
     assert got["verdict"] == want["verdict"]
     assert got["reason"] == want["reason"]
     np.testing.assert_allclose(got["witness"], want["witness"], rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_example_digest(pins, name):
+    assert _example(name) == pins["examples"][name]
 
 
 if __name__ == "__main__":

@@ -384,8 +384,7 @@ class TestBoundTables:
 
     def test_max_ineq_reports_with_standin(self):
         rows = verify_bound_table(pr.raw_stable_process(1.0), 0.0, "max_ineq",
-                                  self.GRID, SimConfig(n_paths=500, seed=94),
-                                  c_standin=1.0)
+                                  self.GRID, SimConfig(n_paths=500, seed=94))
         assert len(rows) == len(self.GRID)
 
     def test_etemadi_comparison(self):

@@ -135,6 +135,23 @@ class TestEvalExponent:
         val = eval_exponent(tri, mags[:, None] * np.array([0.6, 0.8]))
         np.testing.assert_allclose(val.real, mags**alpha, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("alpha", [0.02, 0.04])
+    def test_heavy_tail_shells_cut_per_frequency(self, alpha):
+        # the tail G(S) ~ S^-alpha stays above 1e-14 of the shell's mass up
+        # to 2^1023; the Fourier integral above S is cut by 2 rho(S)/xi instead
+        spec = pr.stable_process(alpha)
+        xi = np.array([0.1, 1.0, 1e3])
+        val = eval_exponent(spec.levy, xi)
+        np.testing.assert_allclose(val.real, xi**alpha, rtol=1e-12, atol=0)
+        assert np.all(val.imag == 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_isotropic_heavy_tail_shells(self, dim):
+        tri = LevyTriplet(b=np.zeros(dim), Q=None, measure=ms.stable_measure(0.04, dim=dim))
+        mags = np.array([0.1, 1.0, 1e3])
+        val = eval_exponent(tri, mags[:, None] * np.eye(dim)[0])
+        np.testing.assert_allclose(val.real, mags**0.04, rtol=1e-10, atol=0)
+
     def test_infinite_tail_above_the_qawf_cycle_limit(self):
         # above xi ~ 1.07e9, where QUADPACK's infinite-range Fourier rule
         # wrapped its cycle count; the density is real only at positive
