@@ -127,34 +127,53 @@ class LevyMeasureModel:
         return self._cache[key]
 
     def sample_jumps(self, n, delta, rng):
-        """Draw n jumps with |y| > delta; returns array (n,) in 1-d, (n, dim) else."""
+        """Draw n jumps with |y| > delta from 3n uniforms (2n and n directions
+        when dim > 1); returns array (n,) in 1-d, (n, dim) else."""
         if n == 0:
             shape = (0,) if self.dim == 1 else (0, self.dim)
             return np.zeros(shape)
+        words = rng.random((3 if self.dim == 1 else 2) * n).reshape(-1, n)
+        jumps = self.jumps_from_uniforms(words, [n], delta)
+        if self.dim == 1:
+            return jumps
+        dirs = rng.standard_normal((n, self.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return jumps[:, None] * dirs
+
+    def jumps_from_uniforms(self, words, counts, delta):
+        """Jumps with |y| > delta of several streams, stream i drawing counts[i].
+
+        The rows of ``words`` hold, in stream order, each jump's selector
+        (atom or continuous part), rank (a stream's atoms take its ranks
+        first) and, in 1-d, sign.  Returns the 1-d jumps, else the radii.
+        """
         g_delta = float(self.tail(delta))
         if g_delta <= 0:
             raise ZeroTail(f"no mass above delta={delta} for {self.name!r}")
         atom_part = [(s, m) for s, m in self.atoms if s > delta]
         atom_mass = sum(m for _, m in atom_part)
-        radii = np.empty(n)
-        is_atom = rng.uniform(0.0, 1.0, n) * g_delta < atom_mass
+        n = words.shape[1]
+        radii, ranks = np.empty(n), words[1]
+        is_atom = words[0] * g_delta < atom_mass
         if atom_mass > 0:
+            if 0 < is_atom.sum() < n:  # hand each stream's ranks atoms first
+                stream = np.repeat(np.arange(len(counts)), counts)
+                order = np.argsort(2 * stream + ~is_atom, kind="stable")
+                ranks = np.empty(n)
+                ranks[order] = words[1]
             sizes = np.array([s for s, _ in atom_part])
-            probs = np.array([m for _, m in atom_part]) / atom_mass
-            radii[is_atom] = rng.choice(sizes, size=int(is_atom.sum()), p=probs)
-        n_cont = int((~is_atom).sum())
-        if n_cont:
+            cdf = (np.array([m for _, m in atom_part]) / atom_mass).cumsum()
+            cdf /= cdf[-1]
+            radii[is_atom] = sizes[cdf.searchsorted(ranks[is_atom], side="right")]
+        cont = ~is_atom
+        if cont.any():
             log_g, log_r = self._magnitude_inverse(delta)
-            cont_mass = float(self._continuous_tail(delta))
-            target = cont_mass * rng.uniform(0.0, 1.0, n_cont)
+            target = float(self._continuous_tail(delta)) * ranks[cont]
             target = np.clip(target, np.exp(log_g[0]), np.exp(log_g[-1]))
-            radii[~is_atom] = np.exp(np.interp(np.log(target), log_g, log_r))
-        if self.dim == 1:
-            signs = np.where(rng.uniform(0, 1, n) < self.side_weights[1], 1.0, -1.0)
-            return radii * signs
-        dirs = rng.standard_normal((n, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return radii[:, None] * dirs
+            radii[cont] = np.exp(np.interp(np.log(target), log_g, log_r))
+        if self.dim > 1:
+            return radii
+        return radii * np.where(words[2] < self.side_weights[1], 1.0, -1.0)
 
     def mean_jump_between(self, a, b):
         """int_{a < |y| <= b} y nu(dy), first coordinate (0 for symmetric)."""

@@ -18,15 +18,18 @@ Philox(key = s * 2^64 + p), so parallel and serial execution agree and
 identical (config, model) inputs give identical output.
 
 Memory: simulate_batch's two outputs, values and runmax, are the only
-n_paths x steps arrays, and the stepper adds O(n_paths + steps) scratch.
-Each path's increments are drawn straight into its output rows: a Levy path
-is finished there, a state-dependent path's noise waits there until the time
-loop, which advances all paths at once, overwrites it step by step.  The
-estimators read the outputs directly.
+n_paths x steps arrays, and the stepper adds O(BLOCK + steps) scratch (plus
+the jump words of one block).  Each path draws its noise from its own stream
+straight into its output rows; the rows are then finished a block of
+max(1, BLOCK // steps) paths at a time.  A Levy block is turned into paths
+and running maxima in place; a state-dependent block's noise waits there
+until the time loop, which advances all paths at once, overwrites it step by
+step.  The estimators read the outputs directly.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,10 +50,19 @@ class SimConfig:
     path_offset: int = 0  # global index of the first path (for chunked runs)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.n_paths, self.seed, self.path_offset)):
+            raise ValueError("n_paths, seed and path_offset must be integers")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        # a path's Philox key is seed * 2^64 + path index, so both must fit
+        # in 64 bits for distinct (seed, path) pairs to get distinct streams
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
+        if self.path_offset < 0 or self.path_offset + self.n_paths > 2**64:
+            raise ValueError("need path_offset >= 0 and path_offset + n_paths <= 2^64")
 
     @staticmethod
     def delta_for(dt):
@@ -65,8 +77,7 @@ class SimConfig:
         rng = path_rng(self.seed, self.path_offset)
         state = rng.bit_generator.state
         for p in range(self.n_paths):
-            hi, lo = divmod((int(self.seed) << 64) + self.path_offset + p, 1 << 64)
-            state["state"]["key"] = np.array([lo, hi], np.uint64)
+            state["state"]["key"] = np.array([self.path_offset + p, self.seed], np.uint64)
             rng.bit_generator.state = state
             yield rng
 
@@ -147,23 +158,34 @@ def _cms_symmetric(u, w, alpha):
     return su / cu * rest
 
 
-def _cms_pair(rng, size):
-    return rng.uniform(-np.pi / 2, np.pi / 2, size), rng.standard_exponential(size)
+def _park_cms(rng, a, b):
+    """Draw the (uniform, exponential) pairs of _cms_symmetric into a and b."""
+    a[:] = rng.uniform(-np.pi / 2, np.pi / 2, len(a))
+    rng.standard_exponential(out=b)
 
 
 def stable_draws(rng, alpha, size, sigma=1.0):
-    return sigma * _cms_symmetric(*_cms_pair(rng, size), alpha)
+    u, w = np.empty(size), np.empty(size)
+    _park_cms(rng, u, w)
+    return sigma * _cms_symmetric(u, w, alpha)
 
 
-# A sampler draw(rng) -> (continuous, jumps or None) gives one path's
-# increments on the steps dts; its path-independent terms are computed once.
+# A sampler (draw, finish) on the steps dts: draw(rng, a, b) parks one path's
+# draws in its rows a and b and returns any further words it drew;
+# finish(a, b, parked) turns a block of rows into increments in place and
+# tells whether b holds a second part.  Only draw reads a stream.
 
 
 def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
     """Exact drift + (sigma |xi|)^alpha stable increments; no jump part."""
     alpha, sigma = stable_family
     scale, drift = dts ** (1.0 / alpha), float(triplet.b[0]) * dts
-    return lambda rng: (stable_draws(rng, alpha, len(dts), sigma) * scale + drift, None)
+
+    def finish(a, b, parked):
+        a[...] = sigma * _cms_symmetric(a, b, alpha) * scale + drift
+        return False
+
+    return _park_cms, finish
 
 
 RATE_CAP = 1e4  # largest mean jump count per step that _levy_sampler accepts
@@ -172,9 +194,11 @@ RATE_CAP = 1e4  # largest mean jump count per step that _levy_sampler accepts
 def _levy_sampler(triplet: LevyTriplet, dts, delta):
     """Continuous and jump increments of a 1-d Levy triplet on step sizes dts.
 
-    ``continuous`` holds drift (recentred to the cutoff delta), the Gaussian
-    part, and the small-jump surrogate; ``jumps`` holds the compound-Poisson
-    sums of jumps above delta.
+    The continuous part, in a, holds drift (recentred to the cutoff delta),
+    the Gaussian part, and the small-jump surrogate; the jump part, in b,
+    holds the compound-Poisson sums of jumps above delta.  A path parks its
+    normals in a and its Poisson counts in b, and draws its jump uniforms in
+    one call (see ``LevyMeasureModel.jumps_from_uniforms``).
     """
     m = triplet.measure
     delta = min(float(delta), 1.0)
@@ -188,22 +212,24 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
     drift = (float(triplet.b[0]) - m.mean_jump_between(delta, 1.0)) * dts
     sd, mean_counts = np.sqrt(var * dts), rate * dts
 
-    def draw(rng):
-        cont = drift + sd * rng.standard_normal(dts.shape)
-        counts = rng.poisson(mean_counts)
-        total = int(counts.sum())
-        if not total:
-            return cont, np.zeros_like(dts)
-        return cont, _segment_sums(m.sample_jumps(total, delta, rng), counts)
+    def draw(rng, a, b):
+        rng.standard_normal(out=a)
+        b[:] = counts = rng.poisson(mean_counts)
+        return rng.random(3 * int(counts.sum())).reshape(3, -1)
 
-    return draw
+    def finish(a, b, parked):
+        a[...] = drift + sd * a
+        counts = b.astype(np.intp)
+        words = np.concatenate(parked, axis=1)
+        sums = np.zeros(counts.size)
+        if words.shape[1]:
+            jumps = m.jumps_from_uniforms(words, counts.sum(axis=1), delta)
+            # unbuffered: each step's jumps are added in the order drawn
+            np.add.at(sums, np.repeat(np.arange(counts.size), counts.ravel()), jumps)
+        b[...] = sums.reshape(b.shape)
+        return True
 
-
-def _segment_sums(values, counts):
-    out = np.zeros(len(counts))
-    idx = np.repeat(np.arange(len(counts)), counts)
-    np.add.at(out, idx, values)
-    return out
+    return draw, finish
 
 
 def sample_increment(triplet: LevyTriplet, dt, delta, rng):
@@ -215,8 +241,10 @@ def sample_increment(triplet: LevyTriplet, dt, delta, rng):
     """
     if dt <= 0 or not 0 < delta <= 1:
         raise ValueError("need dt > 0 and delta in (0, 1]")
-    cont, jumps = _levy_sampler(triplet, np.array([dt], float), delta)(rng)
-    return float(cont[0] + jumps[0])
+    draw, finish = _levy_sampler(triplet, np.array([dt], float), delta)
+    a, b = np.empty((1, 1)), np.empty((1, 1))
+    finish(a, b, [draw(rng, a[0], b[0])])
+    return float(a[0, 0] + b[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +265,16 @@ def _compound_poisson_gauss(spec, dts, config):
 
 def _euler_sde(spec, dts, config):
     if spec.stable_family is not None:
-        draw = _stable_sampler(spec.driver, spec.stable_family, dts)
+        sampler = _stable_sampler(spec.driver, spec.stable_family, dts)
     else:
-        draw = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
+        sampler = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
 
     def advance(state, cont, jumps, dt):
         s = np.asarray(spec.sigma(state), float)
         pre = state + s * cont
         return (None, pre) if jumps is None else (pre, pre + s * jumps)
 
-    return draw, advance
+    return sampler, advance
 
 
 def _freeze_symbol(spec, dts, config):
@@ -260,10 +288,10 @@ def _freeze_symbol(spec, dts, config):
         alpha, sigma = params(state)
         return None, state + sigma * _cms_symmetric(u, w, alpha) * dt ** (1.0 / alpha)
 
-    return (lambda rng: _cms_pair(rng, len(dts))), advance
+    return (_park_cms, lambda a, b, parked: True), advance
 
 
-# scheme -> (process kind, build(spec, dts, config) -> (draw, advance)); an
+# scheme -> (process kind, build(spec, dts, config) -> (sampler, advance)); an
 # advance(state, first, second, dt) -> (pre-jump or None, post) marks a
 # state-dependent scheme, None a Levy scheme of independent increments
 _SCHEMES = {
@@ -284,32 +312,39 @@ def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
     return "freeze_symbol"
 
 
-def _step(draw, advance, x0, dts, config):
-    """Draw every path's increments from its own stream, in path order.
+BLOCK = 4096  # path-steps per block: a block holds max(1, BLOCK // steps) paths
 
-    A Levy path (advance is None) is finished in its own output rows.  A
-    state-dependent path parks its noise there instead, the first draw in
-    values[p, 1:] and the jump or second draw in runmax[p, 1:]; one time loop
-    then advances all paths at once, step j reading column j + 1 before it
-    overwrites that column with the state and the running maximum.
+
+def _step(sampler, advance, x0, dts, config):
+    """Draw every path's noise from its own stream, in path order, and finish
+    the paths a block at a time.
+
+    Each path parks its draws in its output rows, values[p, 1:] and
+    runmax[p, 1:]; the sampler's finish then turns the block's rows into
+    increments.  A Levy block (advance is None) is summed and its running
+    maximum taken in place.  A state-dependent block leaves its noise parked;
+    one time loop then advances all paths at once, step j reading
+    column j + 1 before it overwrites that column with the state and the
+    running maximum.
     """
+    draw, finish = sampler
     n, k = config.n_paths, len(dts)
     values, runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
     values[:, 0], runmax[:, 0] = x0, 0.0
-    second = False
-    for p, rng in enumerate(config.path_rngs()):
-        a, b = draw(rng)
-        if advance is not None:
-            values[p, 1:] = a
-            if b is not None:
-                runmax[p, 1:], second = b, True
-        elif b is None:
-            values[p, 1:] = post = x0 + np.cumsum(a)
-            runmax[p, 1:] = np.maximum.accumulate(np.abs(post - x0))
-        else:
-            values[p, 1:] = post = x0 + np.cumsum(a) + np.cumsum(b)
-            runmax[p, 1:] = np.maximum.accumulate(
-                np.maximum(np.abs(post - x0), np.abs(post - b - x0)))
+    rngs, per = config.path_rngs(), max(1, BLOCK // k)
+    for lo in range(0, n, per):
+        a, b = values[lo:lo + per, 1:], runmax[lo:lo + per, 1:]
+        second = finish(a, b, [draw(rng, a[i], b[i])
+                                for i, rng in zip(range(len(a)), rngs)])
+        if advance is None:
+            post = x0 + np.cumsum(a, axis=1)
+            if second:
+                post += np.cumsum(b, axis=1)
+                dev = np.maximum(np.abs(post - x0), np.abs(post - b - x0))
+            else:
+                dev = np.abs(post - x0)
+            a[...] = post
+            np.maximum.accumulate(dev, axis=1, out=b)
     if advance is None:
         return values, runmax
     state, run = np.full(n, x0), np.zeros(n)
@@ -343,8 +378,8 @@ def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
         raise ValueError(f"{scheme} needs a process of kind {kind!r}")
     dts = np.diff(times)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
-    draw, advance = build(spec, dts, config)
-    return _step(draw, advance, x0, dts, config)
+    sampler, advance = build(spec, dts, config)
+    return _step(sampler, advance, x0, dts, config)
 
 
 def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):

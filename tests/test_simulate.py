@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from levyup import measures as ms
 from levyup import processes as pr
 from levyup import simulate
 from levyup.errors import RateOverflow
@@ -67,6 +68,49 @@ GOLDEN_DIGESTS = {
     "freeze-stable_type_1.3": "5c4879521e7f2adbafd28836a94251b6812abfc90fb5a8f6f6132971e484ec39",
     "freeze-variable_order": "f8445997d81c66aff9f8183a86faa5cad384e6b67339dbfbcbec70beac47ebe1",
 }
+
+
+MIXED_ATOMS = ((0.3, 20.0), (0.8, 10.0))
+
+
+def _mixed_measure():
+    """Two atoms above the cutoff over the raw stable(1.2) density, with
+    unequal side weights: the one measure whose atom and continuous jumps
+    interleave within one path."""
+    base = ms.stable_measure(1.2, scale=1.0)
+
+    def tail(r):
+        r = np.asarray(r, float)
+        return base.tail(r) + sum(m * (r < s) for s, m in MIXED_ATOMS)
+
+    def trunc2(r):
+        r = np.asarray(r, float)
+        return base.trunc2(r) + sum(m * s**2 * (r >= s) for s, m in MIXED_ATOMS)
+
+    return ms.LevyMeasureModel(tail=tail, trunc2=trunc2,
+                               radial_density=base.radial_density,
+                               side_weights=(0.35, 0.65), atoms=MIXED_ATOMS,
+                               name="mixed")
+
+
+def _mixed_process():
+    # the symbol is never read by the path engine
+    return pr.levy_process_from_measure(
+        _mixed_measure(), b=0.2, symbol=lambda x, xi: np.zeros(xi.shape[:-1], complex))
+
+
+# SHA-256 digests recorded before paths were finished a block at a time:
+# the bytes of _mixed_measure().sample_jumps(5000, 0.05, path_rng(4, 0)),
+# and the (values, runmax) bytes of simulate_batch(_mixed_process(), 0.25,
+# GRID_IRREGULAR, SimConfig(n_paths=50, seed=17, path_offset=5,
+# scheme="compound_poisson_gauss"))
+MIXED_DIGESTS = {
+    "sample_jumps": "89c55bae1b1b9175dc9a9fe1df8d36e5c68c72f17137fdea732351bec48b74dc",
+    "simulate_batch": "0d3d7e001d8b5bc0966ef326bef103a59646a5c787c4dad95e45ba1bd2dac179",
+}
+
+BLOCK_CASES = {**SCHEME_CASES,
+               "cpg-mixed": (_mixed_process, "compound_poisson_gauss")}
 
 
 def _batch_digest(values, runmax):
@@ -151,9 +195,48 @@ class TestPaths:
         assert values.shape == runmax.shape == (6, len(GRID_IRREGULAR))
         assert _batch_digest(values, runmax) == GOLDEN_DIGESTS[case]
 
+    def test_mixed_measure_pins(self):
+        jumps = _mixed_measure().sample_jumps(5000, 0.05, path_rng(4, 0))
+        assert hashlib.sha256(jumps.tobytes()).hexdigest() == MIXED_DIGESTS["sample_jumps"]
+        cfg = SimConfig(n_paths=50, seed=17, path_offset=5,
+                        scheme="compound_poisson_gauss")
+        out = simulate_batch(_mixed_process(), 0.25, GRID_IRREGULAR, cfg)
+        assert _batch_digest(*out) == MIXED_DIGESTS["simulate_batch"]
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_size_changes_nothing(self, monkeypatch, case):
+        # one path per block, three (the last block ragged), the default,
+        # and every path in one block all give the same bytes
+        build, scheme = BLOCK_CASES[case]
+        spec, k = build(), len(GRID_IRREGULAR) - 1
+        cfg = SimConfig(n_paths=110, seed=17, path_offset=5, scheme=scheme)
+        default = _batch_digest(*simulate_batch(spec, 0.25, GRID_IRREGULAR, cfg))
+        assert simulate.BLOCK // k < cfg.n_paths
+        for block in (1, 3 * k, cfg.n_paths * k):
+            monkeypatch.setattr(simulate, "BLOCK", block)
+            out = simulate_batch(spec, 0.25, GRID_IRREGULAR, cfg)
+            assert _batch_digest(*out) == default, block
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"path_offset": -1},
+        {"path_offset": 2**64 - 3, "n_paths": 4}, {"path_offset": 0.5},
+        {"dt": float("nan")}, {"dt": float("inf")}, {"dt": 0.0}, {"dt": -1e-3},
+        {"n_paths": 2.5}, {"n_paths": 0}])
+    def test_config_rejects_what_would_fail_later(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    def test_config_accepts_the_edges_of_the_key_space(self):
+        cfg = SimConfig(n_paths=2, seed=2**64 - 1, path_offset=2**64 - 2)
+        values, runmax = simulate_batch(pr.cauchy_process(), 0.0, GRID_IRREGULAR, cfg)
+        assert np.isfinite(values).all() and np.isfinite(runmax).all()
+        assert SimConfig(n_paths=np.int64(3), seed=np.uint64(7)).n_paths == 3
+
     @pytest.mark.parametrize("seed,offset", [(0, 0), (17, 5), (3, 2**40), (2**50, 2**64 - 2)])
     def test_rekeyed_streams_match_path_rng(self, seed, offset):
-        cfg = SimConfig(n_paths=4, seed=seed, path_offset=offset)
+        # path indices stop at 2^64 - 1: a larger one would share its key
+        # with a path of the next seed
+        cfg = SimConfig(n_paths=min(4, 2**64 - offset), seed=seed, path_offset=offset)
         for p, rng in enumerate(cfg.path_rngs()):
             ref = path_rng(seed, offset + p)
             # normal draws leave a buffered word that the next key must clear
@@ -164,7 +247,7 @@ class TestPaths:
 
     @pytest.mark.parametrize("case", ["cauchy"] + sorted(SCHEME_CASES))
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(n=st.integers(1, 40), offset=st.integers(0, 2**65),
+    @given(n=st.integers(1, 40), offset=st.integers(0, 2**64 - 40),
            cuts=st.tuples(st.floats(0, 1), st.floats(0, 1)))
     def test_chunking_matches_unchunked(self, case, n, offset, cuts):
         # one call against the calls for the (possibly empty) pieces that two
