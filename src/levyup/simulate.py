@@ -17,14 +17,35 @@ part.  Randomness is counter-based: path p of a run with seed s draws from
 Philox(key = s * 2^64 + p), so parallel and serial execution agree and
 identical (config, model) inputs give identical output.
 
-Memory: simulate_batch's two outputs, values and runmax, are the only
-n_paths x steps arrays, and the stepper adds O(BLOCK + steps) scratch (plus
-the jump words of one block).  Each path draws its noise from its own stream
-straight into its output rows; the rows are then finished a block of
-max(1, BLOCK // steps) paths at a time.  A Levy block is turned into paths
-and running maxima in place; a state-dependent block's noise waits there
-until the time loop, which advances all paths at once, overwrites it step by
-step.  The estimators read the outputs directly.
+Memory: the stepper draws and finishes the paths a window of steps at a
+time and hands each finished window to a reducer, which keeps what its
+caller reads.  Each path parks its noise from its own stream straight into
+the window's rows, which are then finished a block of max(1, BLOCK // m)
+paths at a time (m steps per window): a Levy block is turned into paths and
+running maxima in place, and a state-dependent window's noise waits there
+until its time loop, which advances every path still alive, overwrites it
+step by step.
+
+- simulate_batch keeps everything.  It takes one whole-horizon window whose
+  rows are its two outputs, values and runmax, the only n_paths x steps
+  arrays; the stepper adds O(BLOCK + steps) scratch (plus the jump words of
+  one block).
+- first_exit_times, behind verify_bound_table's expected_exit, keeps each
+  path's first exit time and a censored flag, and retires a path at its
+  exit.  Its windows start at EXIT_WINDOW steps and double, and the run
+  stops when no path is left.  Only _park_cms draws (exact_stable,
+  freeze_symbol, and euler_sde with a stable driver) can resume mid-path:
+  a path of k steps draws k uniforms, one word each, then k exponentials,
+  so it keeps two cursors on its stream, the uniforms at word j and the
+  exponentials from word k on (see _Streams).  Draws of a variable number
+  of words (the normals and Poisson counts of compound_poisson_gauss and of
+  euler_sde with a non-stable driver) keep one whole-horizon window: a
+  compound_poisson_gauss block of paths is reduced as soon as it is
+  finished, while euler_sde with a compound-Poisson driver still parks all
+  of its paths' draws, n_paths x steps, before its time loop.
+
+A path's draws, values, running maximum and exit time do not depend on the
+windows or the blocks, to the bit.
 """
 
 from __future__ import annotations
@@ -39,6 +60,7 @@ from .errors import RateOverflow
 from .symbols import LevyTriplet, ProcessSpec, symbol_extremum
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+EXIT_HORIZON = 8.0  # expected_exit follows each path to EXIT_HORIZON / G(x, 2r)
 
 
 @dataclass(frozen=True)
@@ -158,10 +180,11 @@ def _cms_symmetric(u, w, alpha):
     return su / cu * rest
 
 
-def _park_cms(rng, a, b):
-    """Draw the (uniform, exponential) pairs of _cms_symmetric into a and b."""
+def _park_cms(rng, a, b, exp_rng=None):
+    """Draw the (uniform, exponential) pairs of _cms_symmetric into a and b;
+    the exponentials come from exp_rng when one is given."""
     a[:] = rng.uniform(-np.pi / 2, np.pi / 2, len(a))
-    rng.standard_exponential(out=b)
+    (rng if exp_rng is None else exp_rng).standard_exponential(out=b)
 
 
 def stable_draws(rng, alpha, size, sigma=1.0):
@@ -172,8 +195,9 @@ def stable_draws(rng, alpha, size, sigma=1.0):
 
 # A sampler (draw, finish) on the steps dts: draw(rng, a, b) parks one path's
 # draws in its rows a and b and returns any further words it drew;
-# finish(a, b, parked) turns a block of rows into increments in place and
-# tells whether b holds a second part.  Only draw reads a stream.
+# finish(a, b, parked, steps) turns a block of rows, whose columns are the
+# steps dts[steps], into increments in place and tells whether b holds a
+# second part.  Only draw reads a stream.
 
 
 def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
@@ -181,8 +205,8 @@ def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
     alpha, sigma = stable_family
     scale, drift = dts ** (1.0 / alpha), float(triplet.b[0]) * dts
 
-    def finish(a, b, parked):
-        a[...] = sigma * _cms_symmetric(a, b, alpha) * scale + drift
+    def finish(a, b, parked, steps):
+        a[...] = sigma * _cms_symmetric(a, b, alpha) * scale[steps] + drift[steps]
         return False
 
     return _park_cms, finish
@@ -217,8 +241,8 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
         b[:] = counts = rng.poisson(mean_counts)
         return rng.random(3 * int(counts.sum())).reshape(3, -1)
 
-    def finish(a, b, parked):
-        a[...] = drift + sd * a
+    def finish(a, b, parked, steps):
+        a[...] = drift[steps] + sd[steps] * a
         counts = b.astype(np.intp)
         words = np.concatenate(parked, axis=1)
         sums = np.zeros(counts.size)
@@ -243,7 +267,7 @@ def sample_increment(triplet: LevyTriplet, dt, delta, rng):
         raise ValueError("need dt > 0 and delta in (0, 1]")
     draw, finish = _levy_sampler(triplet, np.array([dt], float), delta)
     a, b = np.empty((1, 1)), np.empty((1, 1))
-    finish(a, b, [draw(rng, a[0], b[0])])
+    finish(a, b, [draw(rng, a[0], b[0])], slice(None))
     return float(a[0, 0] + b[0, 0])
 
 
@@ -288,7 +312,7 @@ def _freeze_symbol(spec, dts, config):
         alpha, sigma = params(state)
         return None, state + sigma * _cms_symmetric(u, w, alpha) * dt ** (1.0 / alpha)
 
-    return (_park_cms, lambda a, b, parked: True), advance
+    return (_park_cms, lambda a, b, parked, steps: True), advance
 
 
 # scheme -> (process kind, build(spec, dts, config) -> (sampler, advance)); an
@@ -313,59 +337,185 @@ def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
 
 
 BLOCK = 4096  # path-steps per block: a block holds max(1, BLOCK // steps) paths
+EXIT_WINDOW = 64  # steps in a first-exit run's first window; each next one doubles
 
 
-def _step(sampler, advance, x0, dts, config):
-    """Draw every path's noise from its own stream, in path order, and finish
-    the paths a block at a time.
+class _Streams:
+    """Each path's draws on its own Philox stream, one window of steps at a
+    time.
 
-    Each path parks its draws in its output rows, values[p, 1:] and
-    runmax[p, 1:]; the sampler's finish then turns the block's rows into
-    increments.  A Levy block (advance is None) is summed and its running
-    maximum taken in place.  A state-dependent block leaves its noise parked;
-    one time loop then advances all paths at once, step j reading
-    column j + 1 before it overwrites that column with the state and the
-    running maximum.
+    A whole-horizon window draws with ``config.path_rngs()``, path by path
+    in order.  A shorter one exists only for _park_cms draws: on its stream a
+    path of k steps draws k uniforms, one word each, and then k
+    exponentials.  So a path has two cursors: its uniforms for the steps
+    from j0 on start at word j0, and its exponentials go on at the word
+    where its last window left them (word k before its first).  Philox is
+    counter-based, so a generator re-keyed to a path and set to a word gives
+    the same bytes as one that drew its way there.
+    """
+
+    def __init__(self, config, draw, k):
+        self.draw, self.k = draw, k
+        self.seed, self.offset = config.seed, config.path_offset
+        self.rngs, self.u = config.path_rngs(), None
+        self.exp_word = np.full(config.n_paths, k, np.int64)
+
+    def _seek(self, rng, p, word):
+        """Re-key rng to path p of the run, at word ``word`` of its stream."""
+        state = self.fresh
+        state["state"]["key"] = np.array([self.offset + p, self.seed], np.uint64)
+        state["state"]["counter"] = np.array([word // 4, 0, 0, 0], np.uint64)
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(word % 4)
+
+    def park(self, paths, j0, a, b):
+        """Park the draws of the given paths' steps j0, j0 + 1, ... in their
+        rows of a and b; returns what draw returned for each path."""
+        if a.shape[1] == self.k:
+            return [self.draw(next(self.rngs), a[i], b[i]) for i in range(len(a))]
+        if self.u is None:
+            self.u, self.e = path_rng(self.seed, 0), path_rng(self.seed, 0)
+            self.fresh = self.u.bit_generator.state  # counter 0, empty buffer
+        for i, p in enumerate(map(int, paths)):
+            self._seek(self.u, p, j0)
+            self._seek(self.e, p, int(self.exp_word[p]))
+            _park_cms(self.u, a[i], b[i], self.e)
+            state = self.e.bit_generator.state  # 4 words per counter step
+            counter = int(state["state"]["counter"][0])
+            self.exp_word[p] = 4 * counter - 4 + state["buffer_pos"]
+        return [None] * len(a)
+
+
+def _sum_levy(a, b, second, x0, total, run, resume):
+    """Turn a finished Levy block's increments into paths (in a) and running
+    maxima (in b), in place.
+
+    With ``resume`` the rows go on from each path's sum of continuous
+    increments (total) and running maximum (run) before the block's first
+    step, which gives the bytes of one cumulative sum over the whole row;
+    only _park_cms draws resume, and those have no jump part.  Returns both
+    at the block's last step.
+    """
+    if resume:
+        a[:, 0] += total
+    csum = np.cumsum(a, axis=1)
+    post = x0 + csum
+    if second:
+        post += np.cumsum(b, axis=1)
+        dev = np.maximum(np.abs(post - x0), np.abs(post - b - x0))
+    else:
+        dev = np.abs(post - x0)
+    if resume:
+        dev[:, 0] = np.maximum(dev[:, 0], run)
+    a[...] = post
+    np.maximum.accumulate(dev, axis=1, out=b)
+    return csum[:, -1], b[:, -1]
+
+
+def _step(sampler, advance, x0, dts, config, reducer):
+    """Draw and finish the paths a window of steps at a time, and hand each
+    finished window to the reducer.
+
+    The reducer gives the windows, ``reducer.windows(k)`` -> (j0, j1) pairs
+    (used only by _park_cms draws; every other scheme takes one window of all
+    k steps); the rows of a window, ``reducer.rows(paths, m)`` -> (a, b)
+    arrays of shape (len(paths), m); and which paths go on to the next
+    window, ``reducer.take(paths, values, runmax, j0)`` -> boolean mask, once
+    a window's rows hold its values and running maxima.
+
+    Each path parks its draws in its rows a and b; the sampler's finish then
+    turns a block of max(1, BLOCK // m) paths' rows into increments.  A Levy
+    block (advance is None) is summed and its running maximum taken in
+    place, and is reduced at once.  A state-dependent window leaves its noise
+    parked; one time loop then advances every path still alive, step j
+    reading column j before it overwrites that column with the state and the
+    running maximum.  The paths still alive are compacted once per window.
     """
     draw, finish = sampler
     n, k = config.n_paths, len(dts)
-    values, runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
-    values[:, 0], runmax[:, 0] = x0, 0.0
-    rngs, per = config.path_rngs(), max(1, BLOCK // k)
-    for lo in range(0, n, per):
-        a, b = values[lo:lo + per, 1:], runmax[lo:lo + per, 1:]
-        second = finish(a, b, [draw(rng, a[i], b[i])
-                                for i, rng in zip(range(len(a)), rngs)])
+    alive, total, run, state = np.arange(n), np.zeros(n), np.zeros(n), np.full(n, x0)
+    streams = _Streams(config, draw, k)
+    for j0, j1 in (reducer.windows(k) if draw is _park_cms else [(0, k)]):
+        steps, m = slice(j0, j1), j1 - j0
+        per = max(1, BLOCK // m)
         if advance is None:
-            post = x0 + np.cumsum(a, axis=1)
-            if second:
-                post += np.cumsum(b, axis=1)
-                dev = np.maximum(np.abs(post - x0), np.abs(post - b - x0))
-            else:
-                dev = np.abs(post - x0)
-            a[...] = post
-            np.maximum.accumulate(dev, axis=1, out=b)
-    if advance is None:
-        return values, runmax
-    state, run = np.full(n, x0), np.zeros(n)
-    for j in range(k):
-        pre, state = advance(state, values[:, j + 1],
-                             runmax[:, j + 1] if second else None, dts[j])
-        if pre is not None:
-            run = np.maximum(run, np.abs(pre - x0))
-        run = np.maximum(run, np.abs(state - x0))
-        values[:, j + 1], runmax[:, j + 1] = state, run
-    return values, runmax
+            keep = np.empty(len(alive), bool)
+            for lo in range(0, len(alive), per):
+                blk = slice(lo, lo + per)
+                a, b = reducer.rows(alive[blk], m)
+                second = finish(a, b, streams.park(alive[blk], j0, a, b), steps)
+                total[blk], run[blk] = _sum_levy(a, b, second, x0, total[blk],
+                                                 run[blk], j0 > 0)
+                keep[blk] = reducer.take(alive[blk], a, b, j0)
+        else:
+            values, runmax = reducer.rows(alive, m)
+            for lo in range(0, len(alive), per):
+                a, b = values[lo:lo + per], runmax[lo:lo + per]
+                second = finish(a, b, streams.park(alive[lo:lo + per], j0, a, b), steps)
+            for j in range(m):
+                pre, state = advance(state, values[:, j],
+                                     runmax[:, j] if second else None, dts[j0 + j])
+                if pre is not None:
+                    run = np.maximum(run, np.abs(pre - x0))
+                run = np.maximum(run, np.abs(state - x0))
+                values[:, j], runmax[:, j] = state, run
+            keep = reducer.take(alive, values, runmax, j0)
+        alive, total, run, state = alive[keep], total[keep], run[keep], state[keep]
+        if not alive.size:
+            break
 
 
-def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
-    """Simulate n_paths trajectories on a fixed grid; returns (values, runmax).
+class _KeepAll:
+    """Reducer of simulate_batch: every path's values and running maxima, in
+    one whole-horizon window drawn straight into the two outputs."""
 
-    ``times`` must start at 0 and increase.  Arrays have shape
-    (n_paths, len(times)); runmax tracks sup_{s <= t_k} |X_s - x| including
-    the within-step pre-jump point for jump-decomposed schemes.
-    """
-    times = np.asarray(times, float)
+    def __init__(self, n, k, x0):
+        self.values, self.runmax = np.empty((n, k + 1)), np.empty((n, k + 1))
+        self.values[:, 0], self.runmax[:, 0] = x0, 0.0
+
+    @staticmethod
+    def windows(k):
+        return [(0, k)]
+
+    def rows(self, paths, m):
+        rows = slice(paths[0], paths[-1] + 1)  # consecutive: no path retires
+        return self.values[rows, 1:], self.runmax[rows, 1:]
+
+    @staticmethod
+    def take(paths, values, runmax, j0):
+        return np.ones(len(paths), bool)
+
+
+class _FirstExit:
+    """Reducer that keeps each path's first grid time with runmax >= r, or
+    times[-1] and a censored flag for a path that never gets there; a path
+    retires at its exit.  Windows of EXIT_WINDOW steps, doubling."""
+
+    def __init__(self, times, r, n):
+        self.times, self.r = times, r
+        self.tau, self.censored = np.full(n, times[-1]), np.ones(n, bool)
+
+    @staticmethod
+    def windows(k):
+        j0, m = 0, EXIT_WINDOW
+        while j0 < k:
+            yield j0, min(j0 + m, k)
+            j0, m = j0 + m, 2 * m
+
+    @staticmethod
+    def rows(paths, m):
+        return np.empty((len(paths), m)), np.empty((len(paths), m))
+
+    def take(self, paths, values, runmax, j0):
+        exceed = runmax >= self.r
+        hit = exceed.any(axis=1)
+        self.tau[paths[hit]] = self.times[j0 + 1 + exceed[hit].argmax(axis=1)]
+        self.censored[paths[hit]] = False
+        return ~hit
+
+
+def _prepare(spec, x, times, config):
+    """Validate a run on the grid times; returns (sampler, advance, x0, dts)."""
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and be strictly increasing")
     if spec.dim != 1:
@@ -378,8 +528,34 @@ def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
         raise ValueError(f"{scheme} needs a process of kind {kind!r}")
     dts = np.diff(times)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
-    sampler, advance = build(spec, dts, config)
-    return _step(sampler, advance, x0, dts, config)
+    return *build(spec, dts, config), x0, dts
+
+
+def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
+    """Simulate n_paths trajectories on a fixed grid; returns (values, runmax).
+
+    ``times`` must start at 0 and increase.  Arrays have shape
+    (n_paths, len(times)); runmax tracks sup_{s <= t_k} |X_s - x| including
+    the within-step pre-jump point for jump-decomposed schemes.
+    """
+    sampler, advance, x0, dts = _prepare(spec, x, np.asarray(times, float), config)
+    keep = _KeepAll(config.n_paths, len(dts), x0)
+    _step(sampler, advance, x0, dts, config, keep)
+    return keep.values, keep.runmax
+
+
+def first_exit_times(spec: ProcessSpec, x, times, r, config: SimConfig):
+    """Each path's first time on the grid ``times`` with
+    sup_{s <= t} |X_s - x| >= r, and whether it was censored (it never got
+    there; its time is then times[-1]).  The bytes are those of a scan of
+    simulate_batch's runmax, but a path stops at its exit: see the module's
+    Memory note for which schemes stop early.
+    """
+    times = np.asarray(times, float)
+    sampler, advance, x0, dts = _prepare(spec, x, times, config)
+    first = _FirstExit(times, r, config.n_paths)
+    _step(sampler, advance, x0, dts, config, first)
+    return first.tau, first.censored
 
 
 def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):
@@ -446,16 +622,6 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     return proportion_estimate(hits, config.n_paths)
 
 
-def exit_times_from_runmax(times, runmax, r):
-    """First grid time with runmax >= r; censored paths return times[-1]."""
-    exceed = runmax >= r
-    first = np.argmax(exceed, axis=1)
-    never = ~exceed.any(axis=1)
-    out = times[first]
-    out[never] = times[-1]
-    return out, never
-
-
 @dataclass
 class BoundRow:
     t: float
@@ -472,7 +638,11 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     with t >= 0 and r > 0.
 
     bound_kind: "exit_survival" (P(tau_r >= t) <= 1/(1 + t G(x,2r))),
-    "expected_exit" (E tau_r <= 1/G(x,2r); the t column is unused),
+    "expected_exit" (E tau_r <= 1/G(x,2r); the t column is unused and a
+    row's t is the horizon EXIT_HORIZON / G(x, 2r), at which a path that has
+    not left the ball is censored and counted at the horizon; paths stop at
+    their exit, in windows, for every scheme but those whose draws take a
+    variable number of words, see the module's Memory note),
     "lower_max" (P(runmax > r) >= (1-c) t G(x,2r) wherever the empirical
     probability is at most c_lower), or "max_ineq" (P(runmax >= r) <=
     t * sup-sup |q|, the paper's bound with its absolute constant taken as
@@ -493,10 +663,8 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
 
     if bound_kind == "expected_exit":
         for r in r_vals:
-            horizon = 8.0 / g2r[r] if g2r[r] > 0 else 1.0
-            times = _grid_to(horizon, config.dt)
-            runmax = simulate_batch(spec, x, times, config)[1]
-            taus, censored = exit_times_from_runmax(times, runmax, r)
+            horizon = EXIT_HORIZON / g2r[r] if g2r[r] > 0 else 1.0
+            taus = first_exit_times(spec, x, _grid_to(horizon, config.dt), r, config)[0]
             est = mean_estimate(taus)
             bound = np.inf if g2r[r] == 0 else 1.0 / g2r[r]
             rows.append(BoundRow(

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyup
 from levyup import growth as gr
 from levyup import processes as pr
 from levyup.cli import (
@@ -29,6 +34,20 @@ alpha = 1.0
 form = power
 kappa = 0.8
 """
+
+
+# ru_maxrss ceiling of `levyup bounds` on variable_order with the default run
+# keys; the .github workflow checks the same figure
+BOUNDS_RSS_CEILING_MB = 400
+
+# runs the CLI in a child of its own and prints the child's ru_maxrss (in
+# KB on Linux) on the last line, so no other process of the test session
+# counts towards it
+_MAXRSS_OF_CHILD = (
+    "import resource, subprocess, sys; "
+    "sys.stdout.write(subprocess.run([sys.executable, '-m', 'levyup.cli', *sys.argv[1:]],"
+    " capture_output=True, text=True).stdout); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
 def read_csv(path):
@@ -264,3 +283,19 @@ class TestMain:
         assert rows and {r[-1] for r in rows} == {str(depth + 1)}
         sums = [float(r[3]) for r in rows]
         assert np.all(np.isfinite(sums))
+
+    def test_bounds_on_variable_order_stay_small(self, tmp_path):
+        # expected_exit's horizon 8 / G(2r) reaches 311,720 steps at r = 1,
+        # but each path stops at its exit, most within 5% of it; run to
+        # the horizon, the 1000 default paths took 5.46 GB
+        cfg_file = tmp_path / "vo.cfg"
+        cfg_file.write_text("[process]\nkind = variable_order\n")
+        src = str(Path(levyup.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _MAXRSS_OF_CHILD, "bounds", "--config",
+             str(cfg_file), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        *lines, maxrss_kb = out.stdout.strip().splitlines()
+        assert lines[-1].endswith(" 0 violations")
+        assert int(maxrss_kb) / 1024 <= BOUNDS_RSS_CEILING_MB

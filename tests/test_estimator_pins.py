@@ -33,6 +33,7 @@ from levyup.simulate import (
 PINS = pathlib.Path(__file__).parent / "data" / "estimator_pins.json"
 
 GRID = [(t, r) for t in (0.02, 0.1) for r in (0.25, 0.5)]
+EXIT_GRID = [(0.0, 0.05), (0.0, 0.1)]
 # 2100 paths, recorded when the state stepper advanced 2000 paths at a time:
 # these pins show that advancing all paths at once changes no result
 BIG = 2100
@@ -97,6 +98,17 @@ ESTIMATOR_CASES = {
     "bounds-expected_exit-raw_stable_1.5": lambda: _bound_rows(verify_bound_table(
         pr.raw_stable_process(1.5), 0.0, "expected_exit",
         [(0.0, 0.25), (0.0, 0.5)], SimConfig(n_paths=200, seed=92))),
+    # one per remaining scheme, recorded while every path still ran to the
+    # horizon 8 / G(x, 2r): small radii keep that horizon short
+    "bounds-expected_exit-variable_order": lambda: _bound_rows(verify_bound_table(
+        pr.variable_order_process(), 0.0, "expected_exit", EXIT_GRID,
+        SimConfig(n_paths=200, seed=97))),
+    "bounds-expected_exit-sde": lambda: _bound_rows(verify_bound_table(
+        pr.sde_process(), 0.0, "expected_exit", EXIT_GRID,
+        SimConfig(n_paths=200, seed=98))),
+    "bounds-expected_exit-one_sided_1.4": lambda: _bound_rows(verify_bound_table(
+        pr.one_sided_stable_process(1.4), 0.0, "expected_exit", EXIT_GRID,
+        SimConfig(n_paths=200, seed=99))),
     "bounds-lower_max-raw_stable": lambda: _bound_rows(verify_bound_table(
         pr.raw_stable_process(1.0), 0.0, "lower_max", GRID,
         SimConfig(n_paths=500, seed=93))),

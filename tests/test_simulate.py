@@ -16,6 +16,7 @@ from levyup.symbols import StateFamily
 from levyup.simulate import (
     SimConfig,
     estimate_exit_survival,
+    first_exit_times,
     mc_event_probability,
     path_rng,
     proportion_estimate,
@@ -31,6 +32,9 @@ GRID_01 = np.linspace(0.0, 0.1, 101)
 # short irregular grid: per-step sizes differ, so every dts-dependent
 # coefficient of a scheme is exercised
 GRID_IRREGULAR = np.concatenate([[0.0], np.cumsum(np.linspace(5e-4, 2e-3, 40))])
+
+# long enough that a first-exit run takes windows of 64, 128, 256 and 52 steps
+GRID_LONG = np.linspace(0.0, 0.5, 501)
 
 
 def _stable_with_drift():
@@ -216,6 +220,28 @@ class TestPaths:
             monkeypatch.setattr(simulate, "BLOCK", block)
             out = simulate_batch(spec, 0.25, GRID_IRREGULAR, cfg)
             assert _batch_digest(*out) == default, block
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("n", [1, 3, 110])
+    @pytest.mark.parametrize("window, times", [(1, GRID_IRREGULAR), (3, GRID_IRREGULAR),
+                                               (simulate.EXIT_WINDOW, GRID_LONG)])
+    def test_first_exits_match_a_scan_of_runmax(self, monkeypatch, case, n, window, times):
+        # windows that start at 1 or 3 steps and double cut the rows at
+        # ragged places; the default takes several windows of GRID_LONG only
+        build, scheme = BLOCK_CASES[case]
+        spec = build()
+        cfg = SimConfig(n_paths=n, seed=17, path_offset=5, scheme=scheme)
+        runmax = simulate_batch(spec, 0.25, times, cfg)[1]
+        monkeypatch.setattr(simulate, "EXIT_WINDOW", window)
+        for r in (0.05, 0.3):
+            exceed = runmax >= r
+            never = ~exceed.any(axis=1)
+            want = np.where(never, times[-1], times[exceed.argmax(axis=1)])
+            tau, censored = first_exit_times(spec, 0.25, times, r, cfg)
+            assert np.array_equal(tau, want), r
+            assert np.array_equal(censored, never), r
+        if n == 110 and times is GRID_IRREGULAR:
+            assert 0 < never.sum() < n  # some paths at r = 0.3 are censored
 
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"path_offset": -1},
@@ -408,9 +434,8 @@ def _peak_bytes(fn):
 
 class TestMemory:
     def test_expected_exit_keeps_no_copy_of_runmax(self):
-        # simulate_batch's two outputs are the only paths x steps arrays;
-        # the estimator adds exceedance flags (1/8 of one array) after the
-        # values array is released
+        # the exit-time reducer keeps no paths x steps array: its peak stays
+        # under a fifth of one such array's bytes (this run needs 0.09)
         spec, grid = pr.raw_stable_process(1.5), [(0.0, 0.25)]
         verify_bound_table(spec, 0.0, "expected_exit", grid, SimConfig(n_paths=2))
         cfg = SimConfig(n_paths=200, seed=3)
@@ -418,7 +443,27 @@ class TestMemory:
         peak = _peak_bytes(lambda: rows.extend(verify_bound_table(
             spec, 0.0, "expected_exit", grid, cfg)))
         n_times = max(int(np.ceil(rows[0].t / cfg.dt)), 1) + 1
-        assert peak <= 2.5 * cfg.n_paths * n_times * 8
+        assert peak <= 0.2 * cfg.n_paths * n_times * 8
+
+    @pytest.mark.parametrize("build", [lambda: pr.raw_stable_process(1.5),
+                                       pr.variable_order_process],
+                             ids=["exact_stable", "freeze_symbol"])
+    def test_expected_exit_peak_does_not_grow_with_the_horizon(self, monkeypatch, build):
+        # paths stop at their exit, so a horizon four times as long adds at
+        # most one window of every path plus the per-step vectors (the grid,
+        # its steps and the stable sampler's scale and drift)
+        spec, grid = build(), [(0.0, 0.25)]
+        verify_bound_table(spec, 0.0, "expected_exit", grid, SimConfig(n_paths=2))
+        cfg, peaks, steps = SimConfig(n_paths=200, seed=3), [], []
+        for factor in (1, 4):
+            monkeypatch.setattr(simulate, "EXIT_HORIZON", 8.0 * factor)
+            rows = []
+            peaks.append(_peak_bytes(lambda: rows.extend(verify_bound_table(
+                spec, 0.0, "expected_exit", grid, cfg))))
+            steps.append(int(np.ceil(rows[0].t / cfg.dt)))
+        window = 2 * cfg.n_paths * simulate.EXIT_WINDOW * 8
+        assert peaks[1] - peaks[0] <= window + 4 * 8 * (steps[1] - steps[0])
+        assert peaks[1] < 0.1 * cfg.n_paths * steps[1] * 8
 
     @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
     def test_stepper_peak_is_the_two_outputs(self, case):
