@@ -15,7 +15,7 @@ import numpy as np
 from . import processes as pr
 from .criteria import Classification, classify_levy, classify_ltp_upper, classify_power
 from .growth import power
-from .simulate import SimConfig, simulate_batch
+from .simulate import SimConfig, _paths_at
 from .symbols import ProcessSpec
 
 SLOPE_THRESHOLD = 0.05   # per level, in log2 of the median
@@ -71,11 +71,11 @@ def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
         raise ValueError("need at least three levels")
     config = config or SimConfig(n_paths=500, seed=0)
     times = dyadic_time_grid(n_min, n_max)
-    runmax = simulate_batch(spec, x, times, config)[1]
     levels = np.arange(n_min, n_max + 1)
     t_vals = 2.0 ** -levels.astype(float)
-    idx = np.searchsorted(times, t_vals + 1e-18) - 1
-    m = runmax[:, idx] / np.asarray(f(t_vals), float)[None, :]  # (paths, levels)
+    cols = np.searchsorted(times, t_vals + 1e-18) - 1
+    runmax = _paths_at(spec, x, times, cols, config)[1]
+    m = runmax / np.asarray(f(t_vals), float)[None, :]  # (paths, levels)
     q10, med, q90 = np.quantile(m, [0.10, 0.50, 0.90], axis=0)
     mean_log = np.array([
         np.log(col[col > 0]).mean() if np.any(col > 0) else -np.inf

@@ -486,6 +486,32 @@ class _KeepAll:
         return np.ones(len(paths), bool)
 
 
+class _Columns:
+    """Reducer that keeps each path's value and running maximum at the grid
+    columns ``cols`` (column 0 is the start): one whole-horizon window,
+    finished a block of paths at a time in scratch rows."""
+
+    def __init__(self, cols, n, x0):
+        self.cols = np.asarray(cols)
+        self.values = np.full((n, len(self.cols)), x0)
+        self.runmax = np.zeros((n, len(self.cols)))
+        self.after = self.cols > 0  # grid column c is window column c - 1
+
+    @staticmethod
+    def windows(k):
+        return [(0, k)]
+
+    @staticmethod
+    def rows(paths, m):
+        return np.empty((len(paths), m)), np.empty((len(paths), m))
+
+    def take(self, paths, values, runmax, j0):
+        rows, at = slice(paths[0], paths[-1] + 1), self.cols[self.after] - 1
+        self.values[rows, self.after] = values[:, at]
+        self.runmax[rows, self.after] = runmax[:, at]
+        return np.ones(len(paths), bool)
+
+
 class _FirstExit:
     """Reducer that keeps each path's first grid time with runmax >= r, or
     times[-1] and a censored flag for a path that never gets there; a path
@@ -558,10 +584,24 @@ def first_exit_times(spec: ProcessSpec, x, times, r, config: SimConfig):
     return first.tau, first.censored
 
 
+def _paths_at(spec: ProcessSpec, x, times, cols, config: SimConfig):
+    """Each path's (values, runmax) at the grid columns ``cols`` of
+    ``times``, of shape (n_paths, len(cols)): the bytes of simulate_batch's
+    columns, without its two n_paths x steps arrays."""
+    sampler, advance, x0, dts = _prepare(spec, x, np.asarray(times, float), config)
+    keep = _Columns(cols, config.n_paths, x0)
+    _step(sampler, advance, x0, dts, config, keep)
+    return keep.values, keep.runmax
+
+
+def _grid_to(T, dt):
+    n_steps = max(int(np.ceil(T / dt)), 1)
+    return np.linspace(0.0, T, n_steps + 1)
+
+
 def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):
     """One trajectory on the uniform grid of step config.dt up to T."""
-    n_steps = max(int(np.ceil(T / config.dt)), 1)
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = _grid_to(T, config.dt)
     one = replace(config, n_paths=1)
     values, runmax = simulate_batch(spec, x, times, one)
     return PathSample(times=times, values=values[0],
@@ -572,11 +612,6 @@ def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
-
-
-def _grid_to(T, dt):
-    n_steps = max(int(np.ceil(T / dt)), 1)
-    return np.linspace(0.0, T, n_steps + 1)
 
 
 def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
@@ -591,15 +626,14 @@ def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
     if not (t_grid >= 0).all():
         raise ValueError("t_grid entries must be non-negative")
     times = _grid_to(float(t_grid.max()), config.dt)
-    runmax = simulate_batch(spec, x, times, config)[1]
+    cols = np.maximum(np.searchsorted(times, t_grid + 1e-15) - 1, 0)
+    runmax = _paths_at(spec, x, times, cols, config)[1]
     out = []
-    for t in t_grid:
+    for t, col in zip(t_grid, runmax.T):
         if t == 0.0:
             out.append(McEstimate(1.0, 0.0, config.n_paths))
             continue
-        idx = max(int(np.searchsorted(times, t + 1e-15)) - 1, 0)
-        hits = int(np.sum(runmax[:, idx] < r))
-        out.append(proportion_estimate(hits, config.n_paths))
+        out.append(proportion_estimate(int(np.sum(col < r)), config.n_paths))
     return out
 
 
@@ -613,12 +647,12 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     if not (t > 0 and r > 0):
         raise ValueError("event parameters must be positive")
     times = _grid_to(float(t), config.dt)
-    values, runmax = simulate_batch(spec, x, times, config)
+    values, runmax = _paths_at(spec, x, times, [len(times) - 1], config)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     if kind == "runmax_at_least":
-        hits = int(np.sum(runmax[:, -1] >= r))
+        hits = int(np.sum(runmax >= r))
     else:
-        hits = int(np.sum(np.abs(values[:, -1] - x0) >= r))
+        hits = int(np.sum(np.abs(values - x0) >= r))
     return proportion_estimate(hits, config.n_paths)
 
 
@@ -675,25 +709,26 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
 
     if bound_kind == "max_ineq":
         supsup = {r: symbol_extremum(spec, x, r, 1.0 / r, "sup_sup") for r in r_vals}
-    times = _grid_to(max(float(t) for t, _ in grid), config.dt)
-    runmax = simulate_batch(spec, x, times, config)[1]
-    for t, r in grid:
+    t_vals = np.array([float(t) for t, _ in grid])
+    times = _grid_to(t_vals.max(), config.dt)
+    cols = np.searchsorted(times, t_vals + 1e-15) - 1
+    runmax = _paths_at(spec, x, times, cols, config)[1]
+    for (t, r), col in zip(grid, runmax.T):
         t, r = float(t), float(r)
-        idx = int(np.searchsorted(times, t + 1e-15)) - 1
         if bound_kind == "exit_survival":
-            hits = int(np.sum(runmax[:, idx] < r))
+            hits = int(np.sum(col < r))
             est = proportion_estimate(hits, config.n_paths)
             bound = 1.0 / (1.0 + t * g2r[r])
             violated = est.p_hat > bound + 3 * est.ci_half_width
         elif bound_kind == "lower_max":
-            hits = int(np.sum(runmax[:, idx] > r))
+            hits = int(np.sum(col > r))
             est = proportion_estimate(hits, config.n_paths)
             if est.p_hat > c_lower:
                 continue  # outside the regime of the lower bound
             bound = min((1.0 - c_lower) * t * g2r[r], 1.0)
             violated = est.p_hat < bound - 3 * est.ci_half_width
         else:
-            hits = int(np.sum(runmax[:, idx] >= r))
+            hits = int(np.sum(col >= r))
             est = proportion_estimate(hits, config.n_paths)
             bound = t * supsup[r]
             violated = est.p_hat > bound + 3 * est.ci_half_width
