@@ -277,26 +277,25 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
 # ---------------------------------------------------------------------------
 
 
-def check_A1(source, x=0.0, ball_radius=None, r_grid=None):
+# the decreasing radii of check_A1's and check_A2's witnesses
+A1_RADII = np.logspace(-1, -4, 30)
+A1_RADII.flags.writeable = False
+A2_RADII = np.logspace(-1, -6, 30)
+A2_RADII.flags.writeable = False
+
+
+def check_A1(source, x=0.0, ball_radius=None):
     """Small-jump/tail balance: limsup_{r->0} trunc2(r) / (r^2 G(r)) < infinity.
 
     ``source`` is a LevyMeasureModel or a ProcessSpec; with ``ball_radius``
     set (state-dependent case) the ratio is first maximized over the state
-    ball.  Fails when the tail vanishes on the grid, when the ratio exceeds
+    ball.  Fails when the tail vanishes on A1_RADII, when the ratio exceeds
     1e3, or when it grows steadily in log-log as r -> 0.
     """
-    if r_grid is None:
-        r_grid = np.logspace(-1, -4, 30)
-    r_grid = np.asarray(r_grid, float)
-    if r_grid[0] < r_grid[-1]:
-        r_grid = r_grid[::-1]
-    if r_grid.min() > 1e-4 + 1e-12:
-        raise ValueError("r_grid must reach down to 1e-4")
-
-    r_col = r_grid[:, None]
+    r_col = A1_RADII[:, None]
     if isinstance(source, LevyMeasureModel):
-        g = np.asarray(source.tail(r_grid), float)[:, None]
-        t2 = np.asarray(source.trunc2(r_grid), float)[:, None]
+        g = np.asarray(source.tail(A1_RADII), float)[:, None]
+        t2 = np.asarray(source.trunc2(A1_RADII), float)[:, None]
         where = ""
     else:
         z1 = _ball_states(source, x, ball_radius or 0.0)
@@ -307,24 +306,24 @@ def check_A1(source, x=0.0, ball_radius=None, r_grid=None):
     # a vanishing tail above the support is skipped; along the approach to 0
     # (second half of the grid) it means no jump mass, and the balance fails
     dead = np.flatnonzero(np.any(g <= 0.0, axis=1))
-    late = dead[dead >= len(r_grid) // 2]
+    late = dead[dead >= len(A1_RADII) // 2]
     if late.size:
-        return ConditionReport("fails", np.inf, r_grid,
-                               reason=f"tail vanishes at r={r_grid[late[0]]}{where}")
+        return ConditionReport("fails", np.inf, A1_RADII,
+                               reason=f"tail vanishes at r={A1_RADII[late[0]]}{where}")
     first_live = dead[-1] + 1 if dead.size else 0
-    r_live, w_live = r_grid[first_live:], witness[first_live:]
+    r_live, w_live = A1_RADII[first_live:], witness[first_live:]
     label, est = tail_trend(r_live, w_live)
     if label == "stable":
-        return ConditionReport("holds", est, r_grid)
+        return ConditionReport("holds", est, A1_RADII)
     if label == "diverging":
-        return ConditionReport("fails", est, r_grid, reason="ratio grows as r -> 0")
-    return ConditionReport("indeterminate", est, r_grid, reason="unstable ratio")
+        return ConditionReport("fails", est, A1_RADII, reason="ratio grows as r -> 0")
+    return ConditionReport("indeterminate", est, A1_RADII, reason="unstable ratio")
 
 
-def check_A2(f: GrowthFunction, r_grid=None, use_shortcut=True):
+def check_A2(f: GrowthFunction, use_shortcut=True):
     """Growth condition on f: r^2 int_{f^{-1}(r)}^1 f(t)^{-2} dt <= M f^{-1}(r).
 
-    The direct witness is maximized over the grid.  All inverses come from
+    The direct witness is maximized over A2_RADII.  All inverses come from
     one call and all integrals from one fixed 16-node Gauss-Legendre pass in
     u = log t (_A2_PANELS uniform panels split at each log f^{-1}(r)): exact
     to rounding for smooth f; a kink of f inside a panel costs ~2e-7
@@ -333,19 +332,16 @@ def check_A2(f: GrowthFunction, r_grid=None, use_shortcut=True):
     a > 1/2) is tried first when ``use_shortcut`` and reported with the
     shortcut flag set.
     """
-    r_grid = np.asarray(np.logspace(-1, -6, 30) if r_grid is None else r_grid, float)
-    if r_grid[0] < r_grid[-1]:
-        r_grid = r_grid[::-1]
-    witness = _a2_direct_witness(f, r_grid)
+    witness = _a2_direct_witness(f, A2_RADII)
     if use_shortcut and _a2_shortcut(f):
-        return ConditionReport("holds", witness.max(), r_grid, shortcut=True,
+        return ConditionReport("holds", witness.max(), A2_RADII, shortcut=True,
                                reason="f/t increases to infinity, f/t^a decreases")
-    label, est = tail_trend(r_grid, witness)
+    label, est = tail_trend(A2_RADII, witness)
     if label == "stable":
-        return ConditionReport("holds", est, r_grid)
+        return ConditionReport("holds", est, A2_RADII)
     if label == "diverging":
-        return ConditionReport("fails", est, r_grid, reason="witness grows as r -> 0")
-    return ConditionReport("indeterminate", est, r_grid, reason="unstable witness")
+        return ConditionReport("fails", est, A2_RADII, reason="witness grows as r -> 0")
+    return ConditionReport("indeterminate", est, A2_RADII, reason="unstable witness")
 
 
 def _a2_direct_witness(f, r_grid):

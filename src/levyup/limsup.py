@@ -73,9 +73,7 @@ def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
     times = dyadic_time_grid(n_min, n_max)
     levels = np.arange(n_min, n_max + 1)
     t_vals = 2.0 ** -levels.astype(float)
-    cols = np.searchsorted(times, t_vals + 1e-18) - 1
-    runmax = _paths_at(spec, x, times, cols, config)[1]
-    m = runmax / np.asarray(f(t_vals), float)[None, :]  # (paths, levels)
+    m = _paths_at(spec, x, times, t_vals, config)[1] / np.asarray(f(t_vals), float)
     q10, med, q90 = np.quantile(m, [0.10, 0.50, 0.90], axis=0)
     mean_log = np.array([
         np.log(col[col > 0]).mean() if np.any(col > 0) else -np.inf

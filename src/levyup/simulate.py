@@ -21,15 +21,18 @@ Memory: the stepper draws and finishes the paths a window of steps at a
 time and hands each finished window to a reducer, which keeps what its
 caller reads.  Each path parks its noise from its own stream straight into
 the window's rows, which are then finished a block of max(1, BLOCK // m)
-paths at a time (m steps per window): a Levy block is turned into paths and
-running maxima in place, and a state-dependent window's noise waits there
-until its time loop, which advances every path still alive, overwrites it
-step by step.
+paths at a time (m steps per window); the stepper's own scratch is
+O(BLOCK + steps), plus the jump words of one block.
 
-- simulate_batch keeps everything.  It takes one whole-horizon window whose
-  rows are its two outputs, values and runmax, the only n_paths x steps
-  arrays; the stepper adds O(BLOCK + steps) scratch (plus the jump words of
-  one block).
+- simulate_batch keeps everything: its one whole-horizon window's rows are
+  its two outputs, values and runmax, the only n_paths x steps arrays.
+- The estimators keep columns: each path's value and running maximum at
+  the last grid time <= t for each t they read (_paths_at), from one
+  whole-horizon window whose Levy blocks are finished in scratch rows.
+- State-dependent schemes (euler_sde, freeze_symbol) still park n_paths x m
+  noise, which waits for a time loop that advances every path at once and
+  overwrites it step by step: in a whole-horizon window, n_paths x steps
+  twice.
 - first_exit_times, behind verify_bound_table's expected_exit, keeps each
   path's first exit time and a censored flag, and retires a path at its
   exit.  Its windows start at EXIT_WINDOW steps and double, and the run
@@ -39,10 +42,7 @@ step by step.
   so it keeps two cursors on its stream, the uniforms at word j and the
   exponentials from word k on (see _Streams).  Draws of a variable number
   of words (the normals and Poisson counts of compound_poisson_gauss and of
-  euler_sde with a non-stable driver) keep one whole-horizon window: a
-  compound_poisson_gauss block of paths is reduced as soon as it is
-  finished, while euler_sde with a compound-Poisson driver still parks all
-  of its paths' draws, n_paths x steps, before its time loop.
+  euler_sde with a non-stable driver) keep one whole-horizon window.
 
 A path's draws, values, running maximum and exit time do not depend on the
 windows or the blocks, to the bit.
@@ -492,10 +492,8 @@ class _Columns:
     finished a block of paths at a time in scratch rows."""
 
     def __init__(self, cols, n, x0):
-        self.cols = np.asarray(cols)
-        self.values = np.full((n, len(self.cols)), x0)
-        self.runmax = np.zeros((n, len(self.cols)))
-        self.after = self.cols > 0  # grid column c is window column c - 1
+        self.values, self.runmax = np.full((n, len(cols)), x0), np.zeros((n, len(cols)))
+        self.cols, self.after = cols, cols > 0  # grid column c is window column c - 1
 
     @staticmethod
     def windows(k):
@@ -584,11 +582,13 @@ def first_exit_times(spec: ProcessSpec, x, times, r, config: SimConfig):
     return first.tau, first.censored
 
 
-def _paths_at(spec: ProcessSpec, x, times, cols, config: SimConfig):
-    """Each path's (values, runmax) at the grid columns ``cols`` of
-    ``times``, of shape (n_paths, len(cols)): the bytes of simulate_batch's
-    columns, without its two n_paths x steps arrays."""
-    sampler, advance, x0, dts = _prepare(spec, x, np.asarray(times, float), config)
+def _paths_at(spec: ProcessSpec, x, times, t, config: SimConfig):
+    """Each path's (values, runmax) at the last grid time <= t for each t,
+    of shape (n_paths, len(t)): simulate_batch's columns, to the bit.  The
+    relative slack takes a grid time a rounding above t as the time t."""
+    times = np.asarray(times, float)
+    cols = np.searchsorted(times, np.asarray(t, float) * (1 + 1e-12), side="right") - 1
+    sampler, advance, x0, dts = _prepare(spec, x, times, config)
     keep = _Columns(cols, config.n_paths, x0)
     _step(sampler, advance, x0, dts, config, keep)
     return keep.values, keep.runmax
@@ -625,16 +625,10 @@ def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
         raise ValueError("r must be positive")
     if not (t_grid >= 0).all():
         raise ValueError("t_grid entries must be non-negative")
-    times = _grid_to(float(t_grid.max()), config.dt)
-    cols = np.maximum(np.searchsorted(times, t_grid + 1e-15) - 1, 0)
-    runmax = _paths_at(spec, x, times, cols, config)[1]
-    out = []
-    for t, col in zip(t_grid, runmax.T):
-        if t == 0.0:
-            out.append(McEstimate(1.0, 0.0, config.n_paths))
-            continue
-        out.append(proportion_estimate(int(np.sum(col < r)), config.n_paths))
-    return out
+    runmax = _paths_at(spec, x, _grid_to(float(t_grid.max()), config.dt), t_grid, config)[1]
+    return [McEstimate(1.0, 0.0, config.n_paths) if t == 0.0
+            else proportion_estimate(np.sum(col < r), config.n_paths)
+            for t, col in zip(t_grid, runmax.T)]
 
 
 def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
@@ -646,14 +640,10 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
         raise ValueError(f"unknown event kind {kind!r}")
     if not (t > 0 and r > 0):
         raise ValueError("event parameters must be positive")
-    times = _grid_to(float(t), config.dt)
-    values, runmax = _paths_at(spec, x, times, [len(times) - 1], config)
+    values, runmax = _paths_at(spec, x, _grid_to(float(t), config.dt), [t], config)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
-    if kind == "runmax_at_least":
-        hits = int(np.sum(runmax >= r))
-    else:
-        hits = int(np.sum(np.abs(values - x0) >= r))
-    return proportion_estimate(hits, config.n_paths)
+    dev = runmax if kind == "runmax_at_least" else np.abs(values - x0)
+    return proportion_estimate(np.sum(dev >= r), config.n_paths)
 
 
 @dataclass
@@ -709,27 +699,22 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
 
     if bound_kind == "max_ineq":
         supsup = {r: symbol_extremum(spec, x, r, 1.0 / r, "sup_sup") for r in r_vals}
-    t_vals = np.array([float(t) for t, _ in grid])
-    times = _grid_to(t_vals.max(), config.dt)
-    cols = np.searchsorted(times, t_vals + 1e-15) - 1
-    runmax = _paths_at(spec, x, times, cols, config)[1]
+    t_vals = [float(t) for t, _ in grid]
+    runmax = _paths_at(spec, x, _grid_to(max(t_vals), config.dt), t_vals, config)[1]
     for (t, r), col in zip(grid, runmax.T):
         t, r = float(t), float(r)
         if bound_kind == "exit_survival":
-            hits = int(np.sum(col < r))
-            est = proportion_estimate(hits, config.n_paths)
+            est = proportion_estimate(np.sum(col < r), config.n_paths)
             bound = 1.0 / (1.0 + t * g2r[r])
             violated = est.p_hat > bound + 3 * est.ci_half_width
         elif bound_kind == "lower_max":
-            hits = int(np.sum(col > r))
-            est = proportion_estimate(hits, config.n_paths)
+            est = proportion_estimate(np.sum(col > r), config.n_paths)
             if est.p_hat > c_lower:
                 continue  # outside the regime of the lower bound
             bound = min((1.0 - c_lower) * t * g2r[r], 1.0)
             violated = est.p_hat < bound - 3 * est.ci_half_width
         else:
-            hits = int(np.sum(col >= r))
-            est = proportion_estimate(hits, config.n_paths)
+            est = proportion_estimate(np.sum(col >= r), config.n_paths)
             bound = t * supsup[r]
             violated = est.p_hat > bound + 3 * est.ci_half_width
         rows.append(BoundRow(t=t, r=r, empirical=est.p_hat,

@@ -36,18 +36,22 @@ kappa = 0.8
 """
 
 
-# ru_maxrss ceiling of `levyup bounds` on variable_order with the default run
-# keys; the .github workflow checks the same figure
+# ru_maxrss ceilings of `levyup bounds` on variable_order and of `levyup
+# limsup-study`, each with the default run keys; the .github workflow checks
+# the same figures
 BOUNDS_RSS_CEILING_MB = 400
+LIMSUP_RSS_CEILING_MB = 85
 
-# runs the CLI in a child of its own and prints the child's ru_maxrss (in
-# KB on Linux) on the last line, so no other process of the test session
-# counts towards it
+# runs the CLI in a child of its own, prints the child's ru_maxrss (in KB on
+# Linux) on the last line, so no other process of the test session counts
+# towards it, and exits with the child's status
 _MAXRSS_OF_CHILD = (
     "import resource, subprocess, sys; "
-    "sys.stdout.write(subprocess.run([sys.executable, '-m', 'levyup.cli', *sys.argv[1:]],"
-    " capture_output=True, text=True).stdout); "
-    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    "child = subprocess.run([sys.executable, '-m', 'levyup.cli', *sys.argv[1:]],"
+    " capture_output=True, text=True); "
+    "sys.stdout.write(child.stdout); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
+    "sys.exit(child.returncode)")
 
 
 def read_csv(path):
@@ -299,3 +303,17 @@ class TestMain:
         *lines, maxrss_kb = out.stdout.strip().splitlines()
         assert lines[-1].endswith(" 0 violations")
         assert int(maxrss_kb) / 1024 <= BOUNDS_RSS_CEILING_MB
+
+    def test_limsup_study_keeps_columns_only(self, tmp_path):
+        # the default study (Cauchy, 1000 paths, 3,584 steps) keeps each
+        # path's running maximum at its 13 levels and reads ~58 MB; with
+        # both paths x steps arrays of simulate_batch it read ~112 MB
+        src = str(Path(levyup.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _MAXRSS_OF_CHILD, "limsup-study",
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        maxrss_kb = out.stdout.strip().splitlines()[-1]
+        assert len(read_csv(tmp_path / "o" / "limsup.csv")) == 14
+        assert int(maxrss_kb) / 1024 <= LIMSUP_RSS_CEILING_MB

@@ -14,10 +14,12 @@ the streams or the estimators) with ``python tests/test_estimator_pins.py``.
 import hashlib
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from levyup import criteria
 from levyup import measures as ms
 from levyup import processes as pr
 from levyup.criteria import check_A1
@@ -126,7 +128,8 @@ ESTIMATOR_CASES = {
         SimConfig(n_paths=200, seed=6))),
 }
 
-# check_A1 inputs: (source, keyword arguments)
+# check_A1 inputs: (source, keyword arguments); "radii" stands in for
+# criteria.A1_RADII
 A1_CASES = {
     "raw_stable_0.5": (lambda: pr.raw_stable_process(0.5).levy.measure, {}),
     "raw_stable_1.0": (lambda: pr.raw_stable_process(1.0).levy.measure, {}),
@@ -137,9 +140,9 @@ A1_CASES = {
     "null": (ms.null_measure, {}),
     # radii above the support in the first half of the grid are skipped
     "atom-wide_grid": (lambda: pr.atom_process().levy.measure,
-                       {"r_grid": np.logspace(1, -4, 30)}),
+                       {"radii": np.logspace(1, -4, 30)}),
     "slow_variation-wide_grid": (lambda: pr.slow_variation_process().levy.measure,
-                                 {"r_grid": np.logspace(0, -4, 30)}),
+                                 {"radii": np.logspace(0, -4, 30)}),
     # the tail vanishes into the second half of the grid
     "small_atom": (lambda: ms.atom_measure(radius=1e-3), {}),
     "variable_order": (pr.variable_order_process,
@@ -155,7 +158,9 @@ A1_CASES = {
 
 def _a1_report(case):
     build, kwargs = A1_CASES[case]
-    rep = check_A1(build(), **kwargs)
+    kwargs = dict(kwargs)
+    with mock.patch.object(criteria, "A1_RADII", kwargs.pop("radii", criteria.A1_RADII)):
+        rep = check_A1(build(), **kwargs)
     return {"verdict": rep.verdict, "witness": float(rep.witness),
             "reason": rep.reason}
 

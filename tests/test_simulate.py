@@ -12,6 +12,8 @@ from levyup import measures as ms
 from levyup import processes as pr
 from levyup import simulate
 from levyup.errors import RateOverflow
+from levyup.growth import power
+from levyup.limsup import dyadic_limsup_stats, dyadic_time_grid
 from levyup.symbols import StateFamily
 from levyup.simulate import (
     SimConfig,
@@ -35,6 +37,14 @@ GRID_IRREGULAR = np.concatenate([[0.0], np.cumsum(np.linspace(5e-4, 2e-3, 40))])
 
 # long enough that a first-exit run takes windows of 64, 128, 256 and 52 steps
 GRID_LONG = np.linspace(0.0, 0.5, 501)
+
+# grids and times read through _paths_at: dyadic_limsup_stats's grid at
+# every level, and a uniform grid whose times 16, 20 and 32 an absolute
+# slack of 1e-15 would read one step early
+COLUMN_CASES = {
+    "dyadic": (dyadic_time_grid(4, 16), (0.0, *2.0 ** -np.arange(4.0, 17.0))),
+    "grid_to": (simulate._grid_to(32.0, 0.1), (0.0, 16.0, 20.0, 32.0)),
+}
 
 
 def _stable_with_drift():
@@ -243,6 +253,23 @@ class TestPaths:
         if n == 110 and times is GRID_IRREGULAR:
             assert 0 < never.sum() < n  # some paths at r = 0.3 are censored
 
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("n", [1, 3, 110])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    @pytest.mark.parametrize("grid", sorted(COLUMN_CASES))
+    def test_columns_match_simulate_batch(self, monkeypatch, case, n, per_block, grid):
+        # the estimators' reads equal simulate_batch's columns at the grid
+        # times they stand for, with one or three paths per block
+        build, scheme = BLOCK_CASES[case]
+        spec, (times, ts) = build(), COLUMN_CASES[grid]
+        cfg = SimConfig(n_paths=n, seed=17, path_offset=5, scheme=scheme)
+        values, runmax = simulate_batch(spec, 0.25, times, cfg)
+        cols = [int(np.flatnonzero(times == t).item()) for t in ts]
+        monkeypatch.setattr(simulate, "BLOCK", per_block * (len(times) - 1))
+        got_values, got_runmax = simulate._paths_at(spec, 0.25, times, ts, cfg)
+        assert np.array_equal(got_values, values[:, cols])
+        assert np.array_equal(got_runmax, runmax[:, cols])
+
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"path_offset": -1},
         {"path_offset": 2**64 - 3, "n_paths": 4}, {"path_offset": 0.5},
@@ -414,10 +441,11 @@ class TestEstimators:
 
 @pytest.fixture
 def no_simulation(monkeypatch):
-    """Make any simulate_batch call fail, so validation must come first."""
+    """Make the path engine, which every reducer runs through, fail, so
+    validation must come first."""
     def refuse(*args, **kwargs):
-        raise AssertionError("simulate_batch was called")
-    monkeypatch.setattr(simulate, "simulate_batch", refuse)
+        raise AssertionError("the path engine was called")
+    monkeypatch.setattr(simulate, "_step", refuse)
 
 
 def _peak_bytes(fn):
@@ -464,6 +492,30 @@ class TestMemory:
         window = 2 * cfg.n_paths * simulate.EXIT_WINDOW * 8
         assert peaks[1] - peaks[0] <= window + 4 * 8 * (steps[1] - steps[0])
         assert peaks[1] < 0.1 * cfg.n_paths * steps[1] * 8
+
+    @pytest.mark.parametrize("build", [lambda: pr.stable_process(1.5),
+                                       lambda: pr.one_sided_stable_process(1.4)],
+                             ids=["exact_stable", "compound_poisson_gauss"])
+    def test_limsup_stats_keep_columns_only(self, build):
+        # the column reducer keeps paths x levels values and finishes each
+        # block of paths in scratch rows: the peak stays under a fifth of
+        # one paths x steps array (these runs need 0.05)
+        spec, f = build(), power(0.5)
+        dyadic_limsup_stats(spec, 0.0, f, 4, 16, SimConfig(n_paths=2))
+        cfg = SimConfig(n_paths=300, seed=1)
+        peak = _peak_bytes(lambda: dyadic_limsup_stats(spec, 0.0, f, 4, 16, cfg))
+        assert peak <= 0.2 * cfg.n_paths * len(dyadic_time_grid(4, 16)) * 8
+
+    def test_exit_survival_table_keeps_columns_only(self):
+        # as above for a bound table read at six grid times (this run
+        # needs 0.08; its O(BLOCK) scratch is most of that)
+        spec, grid = pr.raw_stable_process(1.0), [
+            (t, r) for t in (0.1, 0.5, 1.0) for r in (0.25, 0.5)]
+        verify_bound_table(spec, 0.0, "exit_survival", grid, SimConfig(n_paths=2))
+        cfg = SimConfig(n_paths=500, seed=1)
+        peak = _peak_bytes(lambda: verify_bound_table(
+            spec, 0.0, "exit_survival", grid, cfg))
+        assert peak <= 0.2 * cfg.n_paths * (int(1.0 / cfg.dt) + 1) * 8
 
     @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
     def test_stepper_peak_is_the_two_outputs(self, case):
