@@ -465,6 +465,12 @@ def _step(sampler, advance, x0, dts, config, reducer):
             break
 
 
+def _scratch_rows(paths, m):
+    # rows m + 1 long: a row stride of a multiple of 4 KB (m a multiple of 512)
+    # puts a column in one cache set, and state-dependent time loops go by column
+    return np.empty((len(paths), m + 1))[:, 1:], np.empty((len(paths), m + 1))[:, 1:]
+
+
 class _KeepAll:
     """Reducer of simulate_batch: every path's values and running maxima, in
     one whole-horizon window drawn straight into the two outputs."""
@@ -488,25 +494,19 @@ class _KeepAll:
 
 class _Columns:
     """Reducer that keeps each path's value and running maximum at the grid
-    columns ``cols`` (column 0 is the start): one whole-horizon window,
-    finished a block of paths at a time in scratch rows."""
+    columns ``cols`` (0 is the start, c > 0 is window column c - 1): one
+    whole-horizon window, finished a block of paths at a time in scratch rows."""
 
     def __init__(self, cols, n, x0):
         self.values, self.runmax = np.full((n, len(cols)), x0), np.zeros((n, len(cols)))
-        self.cols, self.after = cols, cols > 0  # grid column c is window column c - 1
+        self.after, self.at = cols > 0, cols[cols > 0] - 1
 
-    @staticmethod
-    def windows(k):
-        return [(0, k)]
-
-    @staticmethod
-    def rows(paths, m):
-        return np.empty((len(paths), m)), np.empty((len(paths), m))
+    windows, rows = staticmethod(_KeepAll.windows), staticmethod(_scratch_rows)
 
     def take(self, paths, values, runmax, j0):
-        rows, at = slice(paths[0], paths[-1] + 1), self.cols[self.after] - 1
-        self.values[rows, self.after] = values[:, at]
-        self.runmax[rows, self.after] = runmax[:, at]
+        rows = slice(paths[0], paths[-1] + 1)  # consecutive: no path retires
+        self.values[rows, self.after] = values[:, self.at]
+        self.runmax[rows, self.after] = runmax[:, self.at]
         return np.ones(len(paths), bool)
 
 
@@ -526,9 +526,7 @@ class _FirstExit:
             yield j0, min(j0 + m, k)
             j0, m = j0 + m, 2 * m
 
-    @staticmethod
-    def rows(paths, m):
-        return np.empty((len(paths), m)), np.empty((len(paths), m))
+    rows = staticmethod(_scratch_rows)
 
     def take(self, paths, values, runmax, j0):
         exceed = runmax >= self.r
