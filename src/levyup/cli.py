@@ -298,12 +298,9 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
         f = build_growth(cfg)
         x = cfg.process.get("x", 0.0)
         rows = []
-        sec = sector_check(spec, x_ball=(x, 0.5 if spec.kind != "levy" else 0.0))
+        sec = sector_check(spec, x_ball=(x, 0.5))
         rows.append(("sector", sec.verdict, sec.witness, sec.reason))
-        if spec.kind == "levy":
-            a1 = check_A1(spec.levy.measure)
-        else:
-            a1 = check_A1(spec, x=x, ball_radius=0.5)
+        a1 = check_A1(spec, x=x, ball_radius=0.5)
         rows.append(("A1", a1.verdict, a1.witness, a1.reason))
         try:
             a2 = check_A2(f)

@@ -21,6 +21,7 @@ from .measures import LevyMeasureModel
 from .symbols import (
     ConditionReport,
     ProcessSpec,
+    _trend_report,
     ball_grid,
     sector_check,
     symbol_extremum,
@@ -112,17 +113,18 @@ def dyadic_integral(g, n_max=60, nodes=16, rows=None):
 
     With ``rows=k`` the integrand carries a leading parameter axis: it maps
     the (nodes,) array to (k, nodes) values, and the result is a list of k
-    verdicts, row i classified as a one-row call on g(t)[i] would be (its
-    block sums agree to rounding).  Each block still costs one call of ``g``.
+    verdicts, row i equal to a one-row call on g(t)[i] to the bit.  Each
+    block still costs one call of ``g``; the blocks x rows x nodes table is
+    reduced row by row once all blocks are in.
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     x_ref, w_ref = _gl_nodes(nodes)
     shape = (nodes,) if rows is None else (rows, nodes)
-    sums = np.empty((n_max + 1,) + shape[:-1])  # blocks x rows
-    for n in range(n_max + 1):
-        a, b = 2.0 ** -(n + 1), 2.0**-n
-        t = 0.5 * (b - a) * x_ref + 0.5 * (a + b)
+    table = np.empty((n_max + 1,) + shape)  # blocks x rows x nodes
+    half_widths = np.ldexp(1.0, -2 - np.arange(n_max + 1))
+    for n, h in enumerate(half_widths):
+        t = h * x_ref + 3.0 * h  # the nodes of [2^{-(n+1)}, 2^{-n}], midpoint 3h
         try:
             vals = np.asarray(g(t), float)
         except Exception as exc:
@@ -133,10 +135,12 @@ def dyadic_integral(g, n_max=60, nodes=16, rows=None):
                 f"it must map the {t.shape} node array to values of shape {shape}")
         if np.any(~np.isfinite(vals)):
             raise EvaluationFailure(f"integrand not finite on block {n}")
-        sums[n] = 0.5 * (b - a) * (vals @ w_ref)
+        table[n] = vals
+    # einsum sums row by row; a BLAS product's order varies with the row count
+    sums = np.einsum("n...j,j->n...", table, w_ref).T * half_widths  # rows x blocks
     if rows is None:
         return _classify_blocks(sums)
-    return [_classify_blocks(row) for row in sums.T]
+    return [_classify_blocks(row) for row in sums]
 
 
 def _classify_blocks(sums):
@@ -173,7 +177,10 @@ def _classify_blocks(sums):
 
 
 def _ball_states(spec, x, radius):
-    """States of B(x, radius) in the layout ``ProcessSpec.tail_at`` takes."""
+    """States of B(x, radius) in the layout ``ProcessSpec.tail_at`` takes; a
+    Levy process is the state-free case, whose ball collapses to its centre."""
+    if spec.kind == "levy":
+        radius = 0.0
     z = ball_grid(x, radius, spec.dim)
     return z[..., 0] if spec.dim == 1 else z
 
@@ -254,8 +261,7 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
 
     def g(t):
         ft = np.asarray(f(t), float)
-        radius = 0.0 if spec.kind == "levy" else ball_scale * ft
-        return symbol_extremum(spec, x, radius, 1.0 / (eps_col * ft), mode)
+        return symbol_extremum(spec, x, ball_scale * ft, 1.0 / (eps_col * ft), mode)
 
     verdicts = dyadic_integral(g, n_max, rows=2 if verify_eps else None)
     if not verify_eps:
@@ -289,8 +295,9 @@ def check_A1(source, x=0.0, ball_radius=None):
 
     ``source`` is a LevyMeasureModel or a ProcessSpec; with ``ball_radius``
     set (state-dependent case) the ratio is first maximized over the state
-    ball.  Fails when the tail vanishes on A1_RADII, when the ratio exceeds
-    1e3, or when it grows steadily in log-log as r -> 0.
+    ball, which a Levy spec collapses to its centre (its report reads like
+    its measure's).  Fails when the tail vanishes on A1_RADII, when the ratio
+    exceeds 1e3, or when it grows steadily in log-log as r -> 0.
     """
     r_col = A1_RADII[:, None]
     if isinstance(source, LevyMeasureModel):
@@ -300,7 +307,7 @@ def check_A1(source, x=0.0, ball_radius=None):
     else:
         z1 = _ball_states(source, x, ball_radius or 0.0)
         g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
-        where = " on the state ball"
+        where = "" if source.kind == "levy" else " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
         witness = np.max(t2 / (r_col**2 * g), axis=1)
     # a vanishing tail above the support is skipped; along the approach to 0
@@ -311,13 +318,8 @@ def check_A1(source, x=0.0, ball_radius=None):
         return ConditionReport("fails", np.inf, A1_RADII,
                                reason=f"tail vanishes at r={A1_RADII[late[0]]}{where}")
     first_live = dead[-1] + 1 if dead.size else 0
-    r_live, w_live = A1_RADII[first_live:], witness[first_live:]
-    label, est = tail_trend(r_live, w_live)
-    if label == "stable":
-        return ConditionReport("holds", est, A1_RADII)
-    if label == "diverging":
-        return ConditionReport("fails", est, A1_RADII, reason="ratio grows as r -> 0")
-    return ConditionReport("indeterminate", est, A1_RADII, reason="unstable ratio")
+    return _trend_report(A1_RADII[first_live:], witness[first_live:],
+                        "ratio grows as r -> 0", "unstable ratio", report_grid=A1_RADII)
 
 
 def check_A2(f: GrowthFunction, use_shortcut=True):
@@ -336,12 +338,7 @@ def check_A2(f: GrowthFunction, use_shortcut=True):
     if use_shortcut and _a2_shortcut(f):
         return ConditionReport("holds", witness.max(), A2_RADII, shortcut=True,
                                reason="f/t increases to infinity, f/t^a decreases")
-    label, est = tail_trend(A2_RADII, witness)
-    if label == "stable":
-        return ConditionReport("holds", est, A2_RADII)
-    if label == "diverging":
-        return ConditionReport("fails", est, A2_RADII, reason="witness grows as r -> 0")
-    return ConditionReport("indeterminate", est, A2_RADII, reason="unstable witness")
+    return _trend_report(A2_RADII, witness, "witness grows as r -> 0", "unstable witness")
 
 
 def _a2_direct_witness(f, r_grid):
@@ -701,8 +698,7 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
     ft = np.asarray(f(T_GRID), float)
 
     def witness(R, C_loc):
-        radius = 0.0 if spec.kind == "levy" else R * ft
-        return T_GRID * symbol_extremum(spec, x, radius, 1.0 / (C_loc * ft),
+        return T_GRID * symbol_extremum(spec, x, R * ft, 1.0 / (C_loc * ft),
                                         "inf_sup_re")
 
     blowup_all = True
@@ -747,12 +743,10 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
     if v_tail.diverges:
         route = "tail"
     else:
-        a1p = check_A1(spec, x=x, ball_radius=float(f(1.0))) \
-            if spec.kind != "levy" else check_A1(spec.levy.measure)
+        a1p = check_A1(spec, x=x, ball_radius=float(f(1.0)))
         evidence["A1'"] = a1p
         if a1p.holds:
-            v_sym = symbol_integral_criterion(spec, x, f, eps=1.0,
-                                              ball_mode=None if spec.kind == "levy" else "inf",
+            v_sym = symbol_integral_criterion(spec, x, f, eps=1.0, ball_mode="inf",
                                               ball_scale=C, n_max=n_max)
             evidence["inf_symbol_integral"] = v_sym
             if v_sym.diverges:
@@ -774,14 +768,12 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
 
 def ball_tail_intensity(spec: ProcessSpec, x, r):
     """G(x, r) = inf over the state ball B(x, r) of nu(z, {|y| > r})."""
-    if spec.kind == "levy":
-        return float(spec.levy.measure.tail(r))
     return float(np.min(spec.tail_at(_ball_states(spec, x, r), r)))
 
 
 def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
     """All closed exit-time bound factors at (t, r); see ExitBounds."""
-    if t < 0 or r <= 0:
+    if not (t >= 0 and r > 0):  # NaN fails both
         raise ValueError("need t >= 0 and r > 0")
     if not 0 <= c_lower <= 1:
         raise ValueError("c_lower must lie in [0, 1]")

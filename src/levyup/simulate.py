@@ -676,6 +676,8 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     """
     if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
+    if not 0 <= c_lower <= 1:  # NaN fails too
+        raise ValueError("c_lower must lie in [0, 1]")
     for t, r in grid:
         if not (float(t) >= 0 and float(r) > 0):
             raise ValueError(f"grid entry (t={t}, r={r}) needs t >= 0 and r > 0")

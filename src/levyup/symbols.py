@@ -482,6 +482,18 @@ def tail_trend(grid, values, blowup=1e3):
     return "indeterminate", hi
 
 
+def _trend_report(grid, values, diverging_reason, unstable_reason, report_grid=None):
+    """``tail_trend`` as a ``ConditionReport`` on ``report_grid`` (default
+    ``grid``): stable holds, diverging fails, anything else is indeterminate."""
+    label, est = tail_trend(grid, values)
+    grid = grid if report_grid is None else report_grid
+    if label == "stable":
+        return ConditionReport("holds", est, grid)
+    if label == "diverging":
+        return ConditionReport("fails", est, grid, reason=diverging_reason)
+    return ConditionReport("indeterminate", est, grid, reason=unstable_reason)
+
+
 SECTOR_RADII = np.logspace(-2, 6, 49)  # frequency radii of sector_check
 SECTOR_RADII.flags.writeable = False
 SECTOR_BALL_POINTS = 9  # ball_grid points of sector_check's state ball
@@ -511,12 +523,7 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(re > 0, im / re, 0.0)
     ratio_by_level = ratios.max(axis=(0, 2))
-    label, est = tail_trend(SECTOR_RADII, ratio_by_level)
-    if label == "stable":
-        return ConditionReport("holds", est, SECTOR_RADII)
-    if label == "diverging":
-        return ConditionReport("fails", est, SECTOR_RADII, reason="ratio diverges")
-    return ConditionReport("indeterminate", est, SECTOR_RADII, reason="unstable ratio")
+    return _trend_report(SECTOR_RADII, ratio_by_level, "ratio diverges", "unstable ratio")
 
 
 DOUBLING_SLACK = 1e-12  # absolute slack of validate_symbol's doubling bound

@@ -14,6 +14,7 @@ from levyup.criteria import (
     T_GRID,
     IntegralVerdict,
     _a2_direct_witness,
+    ball_tail_intensity,
     bg_index,
     check_A1,
     check_A2,
@@ -29,7 +30,7 @@ from levyup.criteria import (
     symbol_integral_criterion,
     tail_integral_criterion,
 )
-from levyup.errors import EvaluationFailure, InverseFailure
+from levyup.errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from levyup.symbols import ConditionReport, symbol_extremum, tail_trend
 from test_symbols import EQUIV_SPECS, EQUIV_X
 
@@ -92,7 +93,7 @@ class TestDyadicIntegral:
         assert vs[0].value == pytest.approx(2.0, abs=1e-6)
         assert vs[2].value == pytest.approx(3.0, rel=1e-12)
         one = dyadic_integral(lambda t: t**-0.5)
-        np.testing.assert_allclose(vs[0].block_sums, one.block_sums, rtol=1e-12)
+        assert np.array_equal(vs[0].block_sums, one.block_sums)
 
     @pytest.mark.parametrize("rows, g", [
         (2, lambda t: t),                          # rows declared, none given
@@ -180,6 +181,23 @@ class TestSymbolIntegralCriterion:
     def test_cauchy_divergent(self):
         v = symbol_integral_criterion(pr.cauchy_process(), 0.0, gr.power(1.2))
         assert v.diverges
+
+    @pytest.mark.parametrize("name, kw", [("stable_levy", {}),
+                                          ("variable_order", {"ball_mode": "sup"})])
+    def test_eps_inconsistency_is_indeterminate(self, monkeypatch, name, kw):
+        # the eps/2 row forced to the opposite definite verdict
+        real = criteria.dyadic_integral
+
+        def flipped(g, n_max=60, nodes=16, rows=None):
+            v, check = real(g, n_max, nodes, rows)
+            state = "diverges" if v.converges else "converges"
+            return [v, IntegralVerdict(state, None, check.block_sums, check.n_max)]
+
+        monkeypatch.setattr(criteria, "dyadic_integral", flipped)
+        spec, x = scan_spec(name)
+        v = symbol_integral_criterion(spec, x, gr.power(0.5), **kw)
+        assert (v.state, v.value) == ("indeterminate", None)
+        assert v.note == "eps-inconsistency: converges at 1.0, diverges at 0.5"
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.1, 2.0])
     def test_eps_insensitivity_on_stable_family(self, kappa):
@@ -307,6 +325,20 @@ class TestBgIndex:
         with pytest.raises(ValueError):
             bg_index(pr.cauchy_process().levy.measure, tol=0.5)
 
+    def test_indeterminate_midpoint_is_nudged(self, monkeypatch):
+        # the first bisection point a = 1 reads indeterminate; the nudge to
+        # a = 1.25 converges and the bisection goes on from there
+        calls = force_states(monkeypatch, ["indeterminate"])
+        m = pr.stable_process(1.3).levy.measure
+        assert bg_index(m) == 1.314453125
+        assert len(calls) == 8
+
+    def test_indeterminate_nudge_raises(self, monkeypatch):
+        force_states(monkeypatch, ["indeterminate", "indeterminate"])
+        with pytest.raises(BracketIndeterminate,
+                           match=r"^moment test indeterminate at a=1.0 and a=1.25$"):
+            bg_index(pr.stable_process(1.3).levy.measure)
+
 
 class TestClassifyLevy:
     def test_cauchy_zero(self):
@@ -326,6 +358,16 @@ class TestClassifyLevy:
     def test_constant_growth_is_upper(self):
         res = classify_levy(pr.cauchy_process(), gr.constant(0.5))
         assert res.outcome == "zero"
+
+    def test_mixed_integral_evidence(self, monkeypatch):
+        # kappa alpha = 1.3: every c diverges but the first, forced indeterminate
+        force_states(monkeypatch, ["indeterminate"])
+        res = classify_levy(pr.stable_process(1.3), gr.power(1.0))
+        assert (res.outcome, res.reason) == ("indeterminate", "mixed integral evidence")
+        assert res.assumptions_used == ["A1", "Sector"]
+        assert list(res.evidence) == ["sector", "A1", "tail_integrals"]
+        states = [v.state for v in res.evidence["tail_integrals"].values()]
+        assert states == ["indeterminate"] + ["diverges"] * (len(C_EXPONENTS) - 1)
 
     def test_gaussian_part_rejected(self):
         import levyup.measures as ms
@@ -357,6 +399,20 @@ class TestClassifyPower:
     def test_at_half_without_balance(self):
         res = classify_power(pr.slow_variation_process(), 0.5)
         assert res.outcome == "indeterminate"
+
+    @pytest.mark.parametrize("kappa, outcome, reason, used", [
+        (0.6, "zero", "", ["Sector"]),
+        (0.77, "indeterminate", "kappa in the critical band around 1/beta", []),
+        (0.9, "infinity", "", ["Sector"]),
+    ])
+    def test_activity_index_fallback(self, monkeypatch, kappa, outcome, reason, used):
+        # an indeterminate moment integral falls back to bg_index: 1/beta is
+        # 0.7665 on stable(1.3), and BAND_TOL = 0.02 around it is indeterminate
+        force_states(monkeypatch, ["indeterminate"])
+        res = classify_power(pr.stable_process(1.3), kappa)
+        assert (res.outcome, res.reason, res.assumptions_used) == (outcome, reason, used)
+        assert res.evidence["bg_index"] == 1.3046875
+        assert list(res.evidence) == ["A1", "sector", "moment_integral", "bg_index"]
 
     def test_moment_route(self):
         spec = pr.raw_stable_process(1.5)
@@ -617,6 +673,76 @@ def test_eps_pair_pass_matches_two_passes(name, kw, kappa):
         assert_same_verdict(v, first)
 
 
+def assert_bitwise_same(v, ref):
+    assert (v.state, v.value, v.note) == (ref.state, ref.value, ref.note)
+    assert np.array_equal(v.block_sums, ref.block_sums)
+
+
+def record_passes(monkeypatch):
+    """Record what every dyadic pass of the criteria module returns."""
+    real, passes = criteria.dyadic_integral, []
+
+    def recording(*args, **kwargs):
+        passes.append(real(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(criteria, "dyadic_integral", recording)
+    return passes
+
+
+@pytest.mark.parametrize("kappa", [0.7, 1.0])
+@pytest.mark.parametrize("name", ["stable_levy"] + sorted(STATE_SPECS))
+def test_rows_equal_one_row_calls_to_the_bit(monkeypatch, name, kappa):
+    # a pass reduces each row of its blocks x rows x nodes table as a one-row
+    # call reduces its own: the c-scan and eps-pair rows match to the bit
+    spec, x = scan_spec(name)
+    kw = {} if x is None else {"ball_mode": "sup"}
+    f = gr.power(kappa)
+    for c, v in zip(C_SCAN, tail_integral_criterion(spec, x, f, C_SCAN, **kw)):
+        assert_bitwise_same(v, tail_integral_criterion(spec, x, f, float(c), **kw))
+    singles = [symbol_integral_criterion(spec, x, f, eps=eps, verify_eps=False, **kw)
+               for eps in (1.0, 0.5)]
+    passes = record_passes(monkeypatch)
+    symbol_integral_criterion(spec, x, f, **kw)
+    assert len(passes) == 1 and len(passes[0]) == 2
+    for v, ref in zip(passes[0], singles):
+        assert_bitwise_same(v, ref)
+
+
+LEVY_BALL_SPECS = {
+    "cauchy": pr.cauchy_process,
+    "one_sided_stable": lambda: pr.one_sided_stable_process(1.4),
+    "atom": pr.atom_process,
+    "log_smooth": pr.log_smooth_process,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVY_BALL_SPECS))
+def test_levy_state_ball_collapses_to_the_measure(name):
+    # a Levy process is state-free: its state ball collapses to the centre,
+    # so the ball forms of A1, G(x, r) and the lower route read its measure
+    spec = LEVY_BALL_SPECS[name]()
+    measure = spec.levy.measure
+    ref = check_A1(measure)
+    for x, r in ((0.0, 0.5), (0.3, 2.0)):
+        rep = check_A1(spec, x=x, ball_radius=r)
+        assert (rep.verdict, rep.witness, rep.reason) == (ref.verdict, ref.witness,
+                                                         ref.reason)
+        assert np.array_equal(rep.grid, ref.grid)
+        assert ball_tail_intensity(spec, x, r) == float(measure.tail(r))
+    f = gr.power(0.7)
+    res = classify_ltp_lower(spec, 0.3, f)
+    assert (res.outcome, res.reason, res.assumptions_used) == (
+        "indeterminate", "no divergent inf-ball integral", ["C1"])
+    a1p = res.evidence["A1'"]
+    assert (a1p.verdict, a1p.witness, a1p.reason) == (ref.verdict, ref.witness, ref.reason)
+    # the inf-ball symbol integral runs where A1' holds, and equals the plain one
+    assert ("inf_symbol_integral" in res.evidence) == ref.holds
+    if ref.holds:
+        assert_bitwise_same(res.evidence["inf_symbol_integral"],
+                            symbol_integral_criterion(spec, 0.3, f))
+
+
 @pytest.mark.parametrize("name", sorted(STATE_SPECS))
 def test_lower_blowup_witness_matches_one_cap_call(name):
     spec, x = scan_spec(name)
@@ -672,16 +798,26 @@ def decline_symbol_route(monkeypatch):
     monkeypatch.setattr(criteria, "symbol_integral_criterion", declining)
 
 
+def force_states(monkeypatch, states):
+    """Make the criteria module's first one-row dyadic passes report
+    ``states`` in call order; later passes run as they are.  Returns the
+    ``rows`` of every pass made."""
+    real, calls = criteria.dyadic_integral, []
+
+    def forced(g, n_max=60, nodes=16, rows=None):
+        v = real(g, n_max, nodes, rows)
+        if len(calls) < len(states):
+            v = IntegralVerdict(states[len(calls)], None, v.block_sums, v.n_max)
+        calls.append(rows)
+        return v
+
+    monkeypatch.setattr(criteria, "dyadic_integral", forced)
+    return calls
+
+
 def count_passes(monkeypatch):
     """Record the ``rows`` of every dyadic pass the criteria module makes."""
-    real, passes = criteria.dyadic_integral, []
-
-    def counting(*args, **kwargs):
-        passes.append(kwargs.get("rows"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(criteria, "dyadic_integral", counting)
-    return passes
+    return force_states(monkeypatch, [])
 
 
 @pytest.mark.parametrize("route", ["tail_integrals", "fixed_ball_tail"])

@@ -8,12 +8,16 @@ outputs and check_A1 reports, recorded before the estimators moved onto
 streams are independent of how paths are grouped, so every digest must stay
 bit-identical; check_A1 witnesses are compared at rtol 1e-14 and their
 verdicts and reasons exactly.  Regenerate (only for a documented change of
-the streams or the estimators) with ``python tests/test_estimator_pins.py``.
+the streams or the estimators) with ``python tests/test_estimator_pins.py``;
+``python tests/test_estimator_pins.py KEY ...`` re-records only the named
+pins (keys of any group, e.g. ``exit_survival-cauchy``, ``atom`` or
+``SqrtTLaw``) and leaves every other byte of the file as it was.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -165,12 +169,32 @@ def _a1_report(case):
             "reason": rep.reason}
 
 
-def compute_pins():
-    return {
-        "estimators": {name: fn() for name, fn in sorted(ESTIMATOR_CASES.items())},
-        "check_A1": {name: _a1_report(name) for name in sorted(A1_CASES)},
-        "examples": {name: _example(name) for name in sorted(EXAMPLE_NAMES)},
-    }
+PIN_GROUPS = {
+    "estimators": (ESTIMATOR_CASES, lambda name: ESTIMATOR_CASES[name]()),
+    "check_A1": (A1_CASES, _a1_report),
+    "examples": (EXAMPLE_NAMES, _example),
+}
+
+
+def compute_pins(keys=None):
+    """Every pin by group, or only those named in ``keys``."""
+    return {group: {name: pin(name) for name in sorted(names)
+                    if keys is None or name in keys}
+            for group, (names, pin) in PIN_GROUPS.items()}
+
+
+def rerecord(keys=()):
+    """Rewrite the pins named in ``keys`` in ``PINS``, or all of them."""
+    known = {name for names, _ in PIN_GROUPS.values() for name in names}
+    if set(keys) - known:
+        raise SystemExit(f"unknown pin keys: {sorted(set(keys) - known)}")
+    if not keys:
+        pins = compute_pins()
+    else:
+        pins = json.loads(PINS.read_text())
+        for group, fresh in compute_pins(set(keys)).items():
+            pins[group].update(fresh)
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -196,5 +220,20 @@ def test_example_digest(pins, name):
     assert _example(name) == pins["examples"][name]
 
 
+def test_rerecord_by_name_rewrites_only_the_named_keys(tmp_path, monkeypatch):
+    # two pins are spoiled in a copy; re-recording them restores every byte
+    text = PINS.read_text()
+    spoiled = json.loads(text)
+    spoiled["check_A1"]["atom"]["witness"] = 123.0
+    spoiled["estimators"]["event-abs-sde"] = "0" * 64
+    copy = tmp_path / "pins.json"
+    copy.write_text(json.dumps(spoiled, indent=1, sort_keys=True) + "\n")
+    monkeypatch.setattr(sys.modules[__name__], "PINS", copy)
+    rerecord(["atom", "event-abs-sde"])
+    assert copy.read_text() == text
+    with pytest.raises(SystemExit, match="unknown pin keys"):
+        rerecord(["no-such-pin"])
+
+
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(compute_pins(), indent=1, sort_keys=True) + "\n")
+    rerecord(sys.argv[1:])

@@ -11,6 +11,7 @@ from scipy import stats
 from levyup import measures as ms
 from levyup import processes as pr
 from levyup import simulate
+from levyup.criteria import exit_bounds
 from levyup.errors import RateOverflow
 from levyup.growth import power
 from levyup.limsup import dyadic_limsup_stats, dyadic_time_grid
@@ -544,6 +545,23 @@ class TestBoundTables:
         with pytest.raises(ValueError, match="grid entry"):
             verify_bound_table(pr.raw_stable_process(1.0), 0.0, kind,
                                [(0.02, 0.25), entry], SimConfig(n_paths=50))
+
+    @pytest.mark.parametrize("kind", ["exit_survival", "expected_exit",
+                                      "lower_max", "max_ineq"])
+    @pytest.mark.parametrize("c_lower", [-0.1, 1.5, float("nan")])
+    def test_bad_c_lower_raises_before_simulating(self, no_simulation, kind,
+                                                  c_lower):
+        # c_lower = 1.5 once wrote lower_max rows with a negative bound
+        with pytest.raises(ValueError, match="c_lower must lie in"):
+            verify_bound_table(pr.raw_stable_process(1.0), 0.0, kind, self.GRID,
+                               SimConfig(n_paths=50), c_lower=c_lower)
+
+    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
+                                      (-0.1, 0.5), (0.1, 0.0)])
+    def test_exit_bounds_reject_bad_t_or_r(self, no_simulation, t, r):
+        # NaN once passed the range check and gave NaN factors
+        with pytest.raises(ValueError, match="need t >= 0 and r > 0"):
+            exit_bounds(pr.raw_stable_process(1.0), 0.0, t, r)
 
     def test_exit_survival_zero_violations(self):
         rows = verify_bound_table(pr.raw_stable_process(1.0), 0.0,
