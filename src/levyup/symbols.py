@@ -16,6 +16,7 @@ few oscillation periods, Filon panels on the oscillatory shells above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -325,13 +326,28 @@ def _directions(dim, n=32):
 XI_DECADES = 4.0  # decades of frequency radii below the cap in xi_grid
 
 
+def _radii_below(cap, n):
+    """n radii over XI_DECADES decades up to each cap, with np.logspace's arithmetic."""
+    top = np.log10(cap)
+    start = top - XI_DECADES
+    y = np.arange(n) * ((top - start) / (n - 1))[..., None] + start[..., None]
+    y[..., -1] = top
+    return 10.0 ** y
+
+
 def xi_grid(radius, dim, n_radii=64, n_dirs=32):
     """Deterministic frequency grid filling the ball |xi| <= radius; a 1-d
     array of radii gives one grid per radius (leading axis)."""
-    radii = np.logspace(np.log10(radius) - XI_DECADES, np.log10(radius), n_radii).T
+    radii = _radii_below(radius, n_radii)
     dirs = _directions(dim, n_dirs)
     grid = (radii[..., None, None] * dirs).reshape(radii.shape[:-1] + (-1, dim))
     return grid, radii, dirs
+
+
+@cache
+def _unit_offsets(n):
+    """ball_grid's 1-d offsets linspace(-1, 1, n), made once per n (a read-only view)."""
+    return np.broadcast_to(np.linspace(-1.0, 1.0, n), (n,))
 
 
 def ball_grid(center, radius, dim, n=17):
@@ -342,7 +358,7 @@ def ball_grid(center, radius, dim, n=17):
     if radius.ndim == 0 and radius == 0:
         return center[None, :]
     if dim == 1:
-        return (center[0] + radius[..., None] * np.linspace(-1.0, 1.0, n))[..., None]
+        return (center[0] + radius[..., None] * _unit_offsets(n))[..., None]
     dirs = _directions(dim, max(8, n // 2))
     radii = np.linspace(0.0, radius, 5, axis=-1)[..., 1:]
     pts = (radii[..., None, None] * dirs).reshape(radius.shape + (-1, dim)) + center
@@ -352,8 +368,8 @@ def ball_grid(center, radius, dim, n=17):
 
 def psi_star(spec: ProcessSpec, x, r):
     """sup of Re q(x, .) over the ball |xi| <= r, on a refined log grid."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError("r must be positive and finite")
     grid, radii, dirs = xi_grid(r, spec.dim)
     vals = np.real(spec.q(x, grid)).reshape(len(radii), len(dirs))
     best = float(vals.max(initial=0.0))
@@ -383,7 +399,7 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
     inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
     used by the symbol-based exit bound).  For a Levy process the z-extremum
     collapses.  States are the 17 points of ``ball_grid``, frequencies the
-    ``xi_grid`` of ``EXTREMUM_RADII`` radii below each cap.
+    ``xi_grid`` of ``EXTREMUM_RADII`` radii below each cap (in 1-d its +1 half).
 
     ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
     ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
@@ -393,17 +409,17 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
                                        np.asarray(xi_radius, float))
     shape = ball_r.shape
     ball_r, xi_r = ball_r.ravel(), xi_r.ravel()
-    if (xi_r <= 0).any():
-        raise ValueError("xi_radius must be positive")
-    if (ball_r < 0).any():
-        raise ValueError("ball_radius must be non-negative")
+    if not ((xi_r > 0) & (xi_r < np.inf)).all():
+        raise ValueError("xi_radius must be positive and finite")
+    if not ((ball_r >= 0) & (ball_r < np.inf)).all():
+        raise ValueError("ball_radius must be finite and non-negative")
     try:
         z_kind, val_kind = _EXTREMUM_MODES[mode]
     except KeyError:
         raise ValueError(f"unknown extremum mode {mode!r}") from None
-    xi, _, _ = xi_grid(xi_r, spec.dim, EXTREMUM_RADII)
-    if spec.dim == 1:  # directions (+1, -1); Hermitian q has even |q| and Re q
-        xi = xi[:, ::2]
+    # in 1-d the +1 direction alone: a Hermitian q has even |q| and Re q
+    xi = (_radii_below(xi_r, EXTREMUM_RADII)[..., None] if spec.dim == 1
+          else xi_grid(xi_r, spec.dim, EXTREMUM_RADII)[0])
     if spec.kind == "levy" or not ball_r.any():
         q = spec.q(x, xi.reshape(-1, spec.dim)).reshape(xi_r.size, 1, -1)
     else:
@@ -412,9 +428,8 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
     table = np.abs(q) if val_kind == "abs" else np.real(q)
     if z_kind == "swap":
         out = table.min(axis=1).max(axis=-1, initial=0.0)
-    else:
-        per_z = table.max(axis=-1)
-        out = per_z.max(axis=-1) if z_kind == "sup" else per_z.min(axis=-1)
+    else:  # sup over states and frequencies is one reduction
+        out = table.max(axis=(-2, -1)) if z_kind == "sup" else table.max(-1).min(-1)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -15,17 +16,23 @@ from scipy import integrate
 from levyup import growth as gr
 from levyup import measures as ms
 from levyup import processes as pr
+from levyup import symbols as sy
 from levyup.criteria import classify_levy
 from levyup.errors import DegenerateSymbol, QuadratureFailure
 from levyup.measures import LevyMeasureModel
 from levyup.symbols import (
+    EXTREMUM_RADII,
+    XI_DECADES,
     LevyTriplet,
+    ProcessSpec,
+    ball_grid,
     eval_exponent,
     psi_star,
     psi_star_h_constant,
     sector_check,
     symbol_extremum,
     validate_symbol,
+    xi_grid,
 )
 
 
@@ -465,6 +472,86 @@ def test_extremum_rejects_bad_radii_in_arrays():
         symbol_extremum(vo, 0.0, np.array([0.1, -0.1]), 4.0)
     with pytest.raises(ValueError):
         symbol_extremum(vo, 0.0, 0.1, np.array([4.0, 0.0]))
+    # non-finite radii raise a ValueError, not numpy's RuntimeWarning, and a
+    # Levy spec does not skip the ball radius it collapses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, bad in itertools.product([vo, pr.cauchy_process()], [np.nan, np.inf]):
+            for ball, cap, name in [(np.array([0.1, bad]), 4.0, "ball_radius"),
+                                    (bad, 4.0, "ball_radius"),
+                                    (0.1, np.array([4.0, bad]), "xi_radius"),
+                                    (0.0, bad, "xi_radius")]:
+                with pytest.raises(ValueError, match=name):
+                    symbol_extremum(spec, 0.0, ball, cap)
+            with pytest.raises(ValueError, match="finite"):
+                psi_star(spec, 0.0, bad)
+
+
+@pytest.mark.parametrize("n", [12, 48, 64])
+def test_radii_below_match_logspace_to_the_bit(n):
+    # 10^5 log-uniform caps in [1e-3, 1e19], in chunks to keep the tables small
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        caps = 10.0 ** rng.uniform(-3.0, 19.0, 10**4)
+        want = np.logspace(np.log10(caps) - XI_DECADES, np.log10(caps), n).T
+        assert sy._radii_below(caps, n).tobytes() == want.tobytes()
+    for cap in (1e-3, 0.5, 7.0, 1e19):  # scalar caps, as validate_symbol passes
+        want = np.logspace(np.log10(cap) - XI_DECADES, np.log10(cap), n)
+        np.testing.assert_array_equal(sy._radii_below(cap, n), want)
+        np.testing.assert_array_equal(xi_grid(cap, 1, n)[1], want)
+
+
+def reference_extremum(spec, x, ball_radius, xi_radius, mode):
+    """symbol_extremum spelled out on ``xi_grid`` and ``ball_grid``: both
+    directions in 1-d, of which the +1 half is kept, and a sup over
+    frequencies before the extremum over states."""
+    ball_r, xi_r = (a.ravel() for a in np.broadcast_arrays(ball_radius, xi_radius))
+    xi = xi_grid(xi_r, spec.dim, EXTREMUM_RADII)[0]
+    if spec.dim == 1:
+        xi = xi[:, ::2]
+    if spec.kind == "levy" or not ball_r.any():
+        q = spec.q(x, xi.reshape(-1, spec.dim)).reshape(xi_r.size, 1, -1)
+    else:
+        z = ball_grid(x, ball_r, spec.dim)
+        q = spec.q(z[:, :, None, :], xi[:, None, :, :])
+    table = np.real(q) if mode.endswith("_re") else np.abs(q)
+    if mode == "sup_inf_re":
+        out = table.min(axis=1).max(axis=-1, initial=0.0)
+    else:
+        per_z = table.max(axis=-1)
+        out = per_z.max(axis=-1) if mode == "sup_sup" else per_z.min(axis=-1)
+    return out.reshape(np.broadcast_shapes(np.shape(ball_radius), np.shape(xi_radius)))
+
+
+def _order_2d(x, xi):
+    return np.linalg.norm(xi, axis=-1) ** pr.default_order_fn(x[..., 0]) + 0j
+
+
+D2_SPECS = {
+    "d2_variable_order": lambda: ProcessSpec(kind="state_dependent", dim=2,
+                                             symbol=_order_2d, name="d2_variable_order"),
+    "d2_sde_stable": lambda: pr.sde_process(pr.levy_process_from_measure(
+        ms.stable_measure(1.3, dim=2),
+        symbol=lambda x, xi: np.linalg.norm(xi, axis=-1) ** 1.3 + 0j)),
+}
+EXTREMUM_SHAPES = {"caps_2x16": (2, 16), "caps_26": (26,)}
+
+
+@pytest.mark.parametrize("shape", sorted(EXTREMUM_SHAPES))
+@pytest.mark.parametrize("mode", EXTREMUM_MODES)
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS) + sorted(D2_SPECS))
+def test_extremum_matches_its_grids_to_the_bit(name, mode, shape):
+    spec = {**EQUIV_SPECS, **D2_SPECS}[name]()
+    rng = np.random.default_rng(len(name) + 7 * EXTREMUM_MODES.index(mode))
+    shape = EXTREMUM_SHAPES[shape]
+    caps = 10.0 ** rng.uniform(-3.0, 18.0, shape)
+    balls = rng.uniform(0.0, 0.4, shape[-1:])
+    balls[0] = 0.0
+    x = np.full(spec.dim, EQUIV_X)
+    for ball in (balls, 0.0):
+        got = symbol_extremum(spec, x, ball, caps, mode)
+        want = reference_extremum(spec, x, ball, caps, mode)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
