@@ -120,10 +120,11 @@ def _validate(cfg: RunConfig):
             raise ValidationError(f"process kind {kind!r} requires alpha")
         if not 0 < alpha < 2:
             raise ValidationError("alpha must lie in (0,2)")
-    if cfg.process.get("radius", 1.0) <= 0:
-        raise ValidationError("radius must be positive")
-    if cfg.process.get("mass", 1.0) <= 0:
-        raise ValidationError("mass must be positive")
+    if not np.isfinite(cfg.process.get("x", 0.0)):
+        raise ValidationError("x must be finite")
+    for key in ("radius", "mass"):  # NaN fails the range test
+        if not 0 < cfg.process.get(key, 1.0) < np.inf:
+            raise ValidationError(f"{key} must be positive and finite")
 
     form = cfg.growth.get("form", "power")
     if form not in _GROWTH_FORMS:

@@ -21,6 +21,7 @@ from .measures import LevyMeasureModel
 from .symbols import (
     ConditionReport,
     ProcessSpec,
+    _check_ball,
     _trend_report,
     ball_grid,
     sector_check,
@@ -211,6 +212,9 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
         raise ValueError("c must be positive")
     if (ball_mode is None) != (spec.kind == "levy"):
         raise ValueError("ball_mode must be None exactly for Levy processes")
+    _check_ball(spec, x, ball_scale, "ball_scale")
+    if fixed_ball_radius is not None:
+        _check_ball(spec, x, fixed_ball_radius, "fixed_ball_radius")
 
     if ball_mode is None:
         measure = spec.levy.measure
@@ -248,8 +252,9 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
     recomputed at eps/2 (square-root subadditivity makes it scale-free); a
     disagreement is reported as Indeterminate.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    _check_ball(spec, x, ball_scale, "ball_scale")
     try:
         mode = _SYMBOL_MODES[ball_mode, value_kind]
     except KeyError:
@@ -305,6 +310,7 @@ def check_A1(source, x=0.0, ball_radius=None):
         t2 = np.asarray(source.trunc2(A1_RADII), float)[:, None]
         where = ""
     else:
+        _check_ball(source, x, ball_radius or 0.0)
         z1 = _ball_states(source, x, ball_radius or 0.0)
         g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
         where = "" if source.kind == "levy" else " on the state ball"
@@ -506,8 +512,8 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
     to the radial moment int_{|y|<1} |y|^{1/kappa} nu(dy), with the activity
     index as fallback and an Indeterminate band around kappa = 1/beta.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError("kappa must be positive and finite")
     if spec.kind != "levy":
         raise ValueError("classify_power expects a Levy process")
     _require_pure_jump(spec)
@@ -547,6 +553,7 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
 
 def majorization_holds(spec: ProcessSpec, x, ball_radius):
     """Spot-check: some state in each ball dominates the symbol sup in |q|."""
+    _check_ball(spec, x, ball_radius)
     xi = np.logspace(0, 4, 9)
     xi_pts = xi[:, None] if spec.dim == 1 else np.pad(xi[:, None],
                                                       ((0, 0), (0, spec.dim - 1)))
@@ -595,6 +602,7 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
     """
     if spec.kind == "levy":
         raise ValueError("use classify_levy for Levy processes")
+    _check_ball(spec, x, ball_radius)
     _require_pure_jump(spec)
     evidence = {}
 
@@ -690,8 +698,9 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
     1/(C f(t)); square-root subadditivity makes its divergence C-free, so one
     level plus a halved spot check suffices.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
+    _check_ball(spec, x)
     _require_pure_jump(spec)
     evidence = {}
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
@@ -775,6 +784,7 @@ def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
     """All closed exit-time bound factors at (t, r); see ExitBounds."""
     if not (t >= 0 and r > 0):  # NaN fails both
         raise ValueError("need t >= 0 and r > 0")
+    _check_ball(spec, x, r, "r")
     if not 0 <= c_lower <= 1:
         raise ValueError("c_lower must lie in [0, 1]")
     g2r = ball_tail_intensity(spec, x, 2 * r)

@@ -306,6 +306,10 @@ def slow_variation_measure():
 
 def atom_measure(radius=2.0, mass=1.0):
     """Finite measure: symmetric point masses at |y| = radius."""
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
+    if not 0 <= mass < np.inf:
+        raise ValueError("mass must be finite and non-negative")
 
     def tail(r):
         return np.where(np.asarray(r, float) < radius, mass, 0.0)

@@ -31,19 +31,15 @@ def _as_levy(measure, b=0.0, Q=None, symbol=None, stable_family=None, name=""):
 
 
 def _power_symbol(alpha, scale=1.0, drift=0.0):
-    """Vectorized symbol xi -> (scale*|xi|)^alpha - i*drift*xi."""
+    """Vectorized symbol xi -> (scale*|xi|)^alpha - i*drift*xi: float
+    without a drift, complex with one."""
 
     def symbol(x, xi):
-        # fill the real part of the complex output in place: a float table
-        # beside it would add half the output's memory again
-        out = np.zeros(xi.shape[:-1], complex)
-        np.abs(xi[..., 0], out=out.real)
+        out = np.abs(xi[..., 0])
         if scale != 1.0:
-            out.real *= scale
-        out.real **= alpha
-        if drift:
-            out += -1j * drift * xi[..., 0]
-        return out
+            out *= scale
+        out **= alpha
+        return out + -1j * drift * xi[..., 0] if drift else out
 
     return symbol
 
@@ -123,7 +119,7 @@ def atom_process(radius=2.0, mass=1.0):
     m = ms.atom_measure(radius, mass)
 
     def symbol(x, xi):
-        return mass * (1.0 - np.cos(radius * xi[..., 0])) + 0j
+        return mass * (1.0 - np.cos(radius * xi[..., 0]))
 
     return _as_levy(m, symbol=symbol, name=f"atom({radius:g})")
 
@@ -151,7 +147,7 @@ def _interpolated_symbol(measure, hi=1e10):
         core = np.where(lv < log_g[0], log_v[0] + slope_lo * (lv - log_g[0]), core)
         core = np.where(lv > log_g[-1], log_v[-1] + slope_hi * (lv - log_g[-1]), core)
         out[pos] = np.exp(core)
-        return out + 0j
+        return out
 
     return symbol
 
@@ -187,7 +183,7 @@ def zero_process(dim=1):
     m = ms.null_measure(dim)
 
     def symbol(x, xi):
-        return np.zeros(xi.shape[:-1], complex)
+        return np.zeros(xi.shape[:-1])
 
     return _as_levy(m, symbol=symbol, name="zero")
 
@@ -211,10 +207,7 @@ def variable_order_process(order_fn=None):
     order = order_fn or default_order_fn
 
     def symbol(x, xi):
-        a = order(x[..., 0])  # real part in place, as in _power_symbol
-        out = np.zeros(np.broadcast_shapes(np.shape(a), xi.shape[:-1]), complex)
-        np.power(np.abs(xi[..., 0]), a, out=out.real)
-        return out
+        return np.power(np.abs(xi[..., 0]), order(x[..., 0]))
 
     def tail(z, r):
         a = order(np.asarray(z, float))
@@ -262,10 +255,7 @@ def stable_type_process(alpha, intensity_fn=None):
     c = ms.stable_normalization(alpha)
 
     def symbol(x, xi):
-        k = kap(x[..., 0])  # real part in place, as in _power_symbol
-        out = np.zeros(np.broadcast_shapes(np.shape(k), xi.shape[:-1]), complex)
-        np.multiply(k, np.abs(xi[..., 0]) ** alpha, out=out.real)
-        return out
+        return np.multiply(kap(x[..., 0]), np.abs(xi[..., 0]) ** alpha)
 
     def tail(z, r):
         k = np.asarray(kap(np.asarray(z, float)), float)

@@ -5,9 +5,10 @@ state-dependent family x -> (b(x), 0, nu(x, .)), or by an SDE driven by a
 Levy process through a bounded coefficient sigma.  In every case it carries
 a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
 x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
-complex values of the broadcast shape (q(x (d,), xi (m, d)) -> (m,) is the
-single-state case); ``tail_at`` / ``trunc2_at`` broadcast states against radii
-alike, so a block of nodes x ball states x frequencies costs one call.
+values of the broadcast shape, float64 where the symbol is real (q(x (d,),
+xi (m, d)) -> (m,) is the single-state case); ``tail_at`` / ``trunc2_at``
+broadcast states against radii alike, so a block of nodes x ball states x
+frequencies costs one call.
 ``eval_exponent`` takes arrays of frequencies and runs every integral for all
 of them at once on fixed panels: Gauss-Legendre panels in log radius below a
 few oscillation periods, Filon panels on the oscillatory shells above.
@@ -15,6 +16,7 @@ few oscillation periods, Filon panels on the oscillatory shells above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -73,8 +75,8 @@ class StateFamily:
 class ProcessSpec:
     kind: str  # "levy" | "state_dependent" | "sde"
     dim: int
-    # (x (..., d), xi (..., d)) -> complex of the broadcast leading shape;
-    # e.g. states (k, 1, d) against frequencies (m, d) give (k, m)
+    # (x (..., d), xi (..., d)) -> float (real symbol) or complex values of the
+    # broadcast leading shape; states (k, 1, d) against xi (m, d) give (k, m)
     symbol: Callable
     levy: LevyTriplet | None = None
     family: StateFamily | None = None
@@ -86,16 +88,21 @@ class ProcessSpec:
     def q(self, x, xi):
         """Symbol at states x (..., d) and frequencies xi (..., d).
 
-        Leading axes broadcast; the result is complex of the broadcast shape.
-        A 1-d xi is a stack of frequencies in dimension 1, else one frequency.
+        Leading axes broadcast to the result's shape; it is complex where the
+        symbol is, else float64 (never a real result cast to complex).  A 1-d
+        xi is a stack of frequencies in dimension 1, else one frequency; a
+        last axis other than ``dim`` raises ``ValueError``.
         """
         x = np.atleast_1d(np.asarray(x, float))
         xi = np.asarray(xi, float)
         if xi.ndim == 1:
             xi = xi[:, None] if self.dim == 1 else xi[None, :]
+        if x.shape[-1] != self.dim or xi.shape[-1:] != (self.dim,):
+            raise ValueError(f"x and xi must have a last axis of length {self.dim}")
         shape = (xi.shape[:-1] if x.ndim == 1
                  else np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
-        out = np.asarray(self.symbol(x, xi), complex)
+        out = np.asarray(self.symbol(x, xi))
+        out = np.asarray(out, complex if np.iscomplexobj(out) else float)
         if out.shape != shape and self.kind != "levy":
             raise ValueError(f"symbol must broadcast to {shape}, got {out.shape}")
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
@@ -366,10 +373,24 @@ def ball_grid(center, radius, dim, n=17):
     return np.concatenate([middle, pts], axis=-2)
 
 
+def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
+    """ValueError unless every coordinate of the state x is finite (a Levy
+    process ignores x, which may be None) and the ball radius is finite and
+    non-negative: the check of the public entries, made before any integral.
+    A float x skips numpy, because ``symbol_extremum`` runs this per block."""
+    if spec.kind != "levy" and not (
+            math.isfinite(x) if isinstance(x, float)
+            else np.isfinite(np.asarray(x, float)).all()):
+        raise ValueError("x must be finite")
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
 def psi_star(spec: ProcessSpec, x, r):
     """sup of Re q(x, .) over the ball |xi| <= r, on a refined log grid."""
     if not 0 < r < np.inf:
         raise ValueError("r must be positive and finite")
+    _check_ball(spec, x)
     grid, radii, dirs = xi_grid(r, spec.dim)
     vals = np.real(spec.q(x, grid)).reshape(len(radii), len(dirs))
     best = float(vals.max(initial=0.0))
@@ -403,8 +424,11 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
 
     ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
     ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
-    the result is an array of the broadcast shape (a float for scalars).
+    the result is an array of the broadcast shape (a float for scalars).  A
+    real symbol's table stays float, so |q| is fabs, not hypot.  A non-finite
+    state or radius raises ``ValueError`` before ``q`` is called.
     """
+    _check_ball(spec, x)
     ball_r, xi_r = np.broadcast_arrays(np.asarray(ball_radius, float),
                                        np.asarray(xi_radius, float))
     shape = ball_r.shape
@@ -523,6 +547,7 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     is ``SECTOR_RADII`` times 32 directions on ``SECTOR_BALL_POINTS`` states.
     """
     center, radius = x_ball
+    _check_ball(spec, center, radius)
     dirs = _directions(spec.dim)
     z_points = ball_grid(center, radius, spec.dim, SECTOR_BALL_POINTS)
     grid = (SECTOR_RADII[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)

@@ -267,6 +267,26 @@ class TestMain:
         assert record["error"] == "ValidationError"
         assert "alpha" in record["message"]
 
+    def test_conditions_reject_a_nan_state(self, tmp_path, capsys):
+        # x = nan once wrote `sector,holds,0.0` and exited 2
+        cfg_file = tmp_path / "vo.cfg"
+        cfg_file.write_text("[process]\nkind = variable_order\nx = nan\n")
+        code = main(["conditions", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert not (tmp_path / "o" / "conditions.csv").exists()
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record == {"error": "ValidationError", "message": "x must be finite"}
+
+    @pytest.mark.parametrize("key, value", [("x", "inf"), ("x", "-inf"),
+                                            ("radius", "nan"), ("radius", "inf"),
+                                            ("mass", "nan"), ("mass", "inf"),
+                                            ("mass", "-1")])
+    def test_non_finite_process_values_rejected(self, key, value):
+        # the `<= 0` checks let NaN through
+        with pytest.raises(ValidationError, match=f"{key} must be"):
+            parse_config(f"[process]\nkind = atom\n{key} = {value}\n")
+
     def test_main_overrides(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(MINIMAL + "\n[run]\npaths = 5000\n")

@@ -27,11 +27,18 @@ from levyup.criteria import (
     dyadic_integral,
     exit_bounds,
     fit_symbol_growth,
+    majorization_holds,
     symbol_integral_criterion,
     tail_integral_criterion,
 )
 from levyup.errors import BracketIndeterminate, EvaluationFailure, InverseFailure
-from levyup.symbols import ConditionReport, symbol_extremum, tail_trend
+from levyup.symbols import (
+    ConditionReport,
+    psi_star,
+    sector_check,
+    symbol_extremum,
+    tail_trend,
+)
 from test_symbols import EQUIV_SPECS, EQUIV_X
 
 
@@ -940,3 +947,74 @@ def test_schilling_factor_non_increasing_in_r(name, alpha, r, grow):
     spec = LEVY_POWER_BUILDERS[name](alpha)
     base = exit_bounds(spec, 0.0, 0.1, r).schilling_factor
     assert exit_bounds(spec, 0.0, 0.1, r * grow).schilling_factor <= base
+
+
+# ---------------------------------------------------------------------------
+# non-finite states, ball radii and parameters raise before any integral
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_integral(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an integral ran before the argument check")
+
+    monkeypatch.setattr(criteria, "dyadic_integral", forbidden)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.array([np.nan])])
+def test_non_finite_state_rejected_at_every_entry(no_integral, x):
+    vo, f = pr.variable_order_process(), gr.power(0.8)
+    entries = [
+        lambda: sector_check(vo, x_ball=(x, 0.5)),   # NaN once read `holds`
+        lambda: exit_bounds(vo, x, 0.1, 0.1),        # NaN once gave NaN bounds
+        lambda: symbol_extremum(vo, x, 0.1, 4.0),    # NaN once returned nan
+        lambda: psi_star(vo, x, 10.0),
+        lambda: check_A1(vo, x=x, ball_radius=0.5),
+        lambda: majorization_holds(vo, x, 0.5),
+        lambda: classify_ltp_upper(vo, x, f),
+        lambda: classify_ltp_lower(vo, x, f),
+        lambda: symbol_integral_criterion(vo, x, f, ball_mode="sup"),
+        lambda: tail_integral_criterion(vo, x, f, 1.0, ball_mode="sup"),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="x must be finite"):
+            entry()
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+def test_bad_ball_radius_rejected_before_any_integral(no_integral, radius):
+    vo, f = pr.variable_order_process(), gr.power(0.8)
+    cases = [
+        # ball_radius = -1 once read `zero` through the symbol route
+        (lambda: classify_ltp_upper(vo, 0.0, f, ball_radius=radius), "ball_radius"),
+        (lambda: sector_check(vo, x_ball=(0.0, radius)), "ball_radius"),
+        (lambda: check_A1(vo, x=0.0, ball_radius=radius), "ball_radius"),
+        (lambda: majorization_holds(vo, 0.0, radius), "ball_radius"),
+        (lambda: symbol_integral_criterion(vo, 0.0, f, ball_mode="sup",
+                                           ball_scale=radius), "ball_scale"),
+        (lambda: tail_integral_criterion(vo, 0.0, f, 1.0, ball_mode="sup",
+                                         fixed_ball_radius=radius),
+         "fixed_ball_radius"),
+    ]
+    for entry, name in cases:
+        with pytest.raises(ValueError, match=name):
+            entry()
+
+
+def test_levy_entries_ignore_the_state():
+    # a Levy process has no state: x may be None, as classify_levy passes it
+    cauchy, f = pr.cauchy_process(), gr.power(0.8)
+    assert symbol_extremum(cauchy, None, 0.3, 4.0) == symbol_extremum(cauchy, 0.0, 0.3, 4.0)
+    assert tail_integral_criterion(cauchy, None, f, 1.0).converges
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_nan_parameters_name_their_argument(no_integral, bad):
+    with pytest.raises(ValueError, match="kappa"):  # NaN once failed in block 0
+        classify_power(pr.stable_process(1.5), bad)
+    with pytest.raises(ValueError, match="C must"):  # NaN once blamed xi_radius
+        classify_ltp_lower(pr.variable_order_process(), 0.0, gr.power(0.8), C=bad)
+    with pytest.raises(ValueError, match="eps must"):
+        symbol_integral_criterion(pr.variable_order_process(), 0.0, gr.power(0.8),
+                                  ball_mode="sup", eps=bad)

@@ -103,6 +103,16 @@ class TestAtomAndLogSmooth:
         assert float(m.trunc2(1.0)) == 0.0
         assert float(m.trunc2(3.0)) == 4.0
 
+    @pytest.mark.parametrize("radius, mass, name", [
+        (-2.0, 1.0, "radius"), (0.0, 1.0, "radius"), (np.nan, 1.0, "radius"),
+        (np.inf, 1.0, "radius"), (2.0, -1.0, "mass"), (2.0, np.nan, "mass"),
+        (2.0, np.inf, "mass")])
+    def test_atom_rejects_bad_radius_and_mass(self, radius, mass, name):
+        # atom_process(-2.0) once had tail 0 beside a non-zero symbol, which
+        # classify_levy read as `zero`
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ms.atom_measure(radius=radius, mass=mass)
+
     def test_log_smooth_tail_closed_form(self):
         m = ms.log_smooth_measure()
         for r in (0.1, 0.01):

@@ -501,10 +501,12 @@ def test_radii_below_match_logspace_to_the_bit(n):
         np.testing.assert_array_equal(xi_grid(cap, 1, n)[1], want)
 
 
-def reference_extremum(spec, x, ball_radius, xi_radius, mode):
+def reference_extremum(spec, x, ball_radius, xi_radius, mode, as_complex=False):
     """symbol_extremum spelled out on ``xi_grid`` and ``ball_grid``: both
     directions in 1-d, of which the +1 half is kept, and a sup over
-    frequencies before the extremum over states."""
+    frequencies before the extremum over states.  ``as_complex`` casts the
+    symbol's table to complex first, so |q| is a hypot, as it was before real
+    symbols stayed float."""
     ball_r, xi_r = (a.ravel() for a in np.broadcast_arrays(ball_radius, xi_radius))
     xi = xi_grid(xi_r, spec.dim, EXTREMUM_RADII)[0]
     if spec.dim == 1:
@@ -514,6 +516,8 @@ def reference_extremum(spec, x, ball_radius, xi_radius, mode):
     else:
         z = ball_grid(x, ball_r, spec.dim)
         q = spec.q(z[:, :, None, :], xi[:, None, :, :])
+    if as_complex:
+        q = q.astype(complex)
     table = np.real(q) if mode.endswith("_re") else np.abs(q)
     if mode == "sup_inf_re":
         out = table.min(axis=1).max(axis=-1, initial=0.0)
@@ -548,9 +552,9 @@ def test_extremum_matches_its_grids_to_the_bit(name, mode, shape):
     balls = rng.uniform(0.0, 0.4, shape[-1:])
     balls[0] = 0.0
     x = np.full(spec.dim, EQUIV_X)
-    for ball in (balls, 0.0):
+    for ball, as_complex in itertools.product((balls, 0.0), (False, True)):
         got = symbol_extremum(spec, x, ball, caps, mode)
-        want = reference_extremum(spec, x, ball, caps, mode)
+        want = reference_extremum(spec, x, ball, caps, mode, as_complex)
         assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
@@ -592,6 +596,42 @@ def test_tail_and_trunc2_broadcast_states_against_radii(name, z, r):
         table = method(states, r[:, None])
         assert table.shape == (r.size, states.size)
         np.testing.assert_array_equal(table, [method(states, ri) for ri in r])
+
+
+# the symmetric built-ins are real and stay float; the skewed ones are complex
+COMPLEX_BUILTINS = {"one_sided_stable", "drift_half_stable"}
+
+
+@pytest.mark.parametrize("name", sorted(pr.BUILTIN_PROCESSES))
+def test_q_keeps_the_symbol_kind(name):
+    spec = builtin(name)
+    want = np.complex128 if name in COMPLEX_BUILTINS else np.float64
+    xi = np.array([[-3.0], [0.0], [0.5], [1e4]])
+    assert spec.q(0.2, xi).dtype == want
+    assert spec.q(np.array([[[0.2]], [[-0.7]]]), xi).dtype == want
+
+
+def test_q_casts_ints_to_float_and_keeps_complex():
+    vo = pr.variable_order_process()
+    counts = dataclasses.replace(vo, symbol=lambda x, xi: np.ones(
+        np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]), int))
+    assert counts.q(0.0, np.ones((4, 1))).dtype == np.float64
+    single = dataclasses.replace(vo, symbol=lambda x, xi: np.ones(
+        np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]), np.complex64))
+    assert single.q(0.0, np.ones((4, 1))).dtype == np.complex128
+
+
+def test_q_rejects_a_wrong_trailing_axis():
+    # q once read xi[..., 0] of three 2-d frequencies in dimension 1
+    with pytest.raises(ValueError, match="last axis of length 1"):
+        pr.stable_process(1.5).q(0.0, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="last axis of length 1"):
+        pr.variable_order_process().q(np.zeros((3, 2)), np.ones((4, 1)))
+    d2 = D2_SPECS["d2_variable_order"]()
+    with pytest.raises(ValueError, match="last axis of length 2"):
+        d2.q(np.zeros(2), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="last axis of length 2"):
+        d2.q(np.zeros(1), np.ones((4, 2)))
 
 
 def test_q_rejects_symbol_that_ignores_state_axes():
