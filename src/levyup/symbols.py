@@ -16,7 +16,6 @@ few oscillation periods, Filon panels on the oscillatory shells above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -91,13 +90,15 @@ class ProcessSpec:
         Leading axes broadcast to the result's shape; it is complex where the
         symbol is, else float64 (never a real result cast to complex).  A 1-d
         xi is a stack of frequencies in dimension 1, else one frequency; a
-        last axis other than ``dim`` raises ``ValueError``.
+        last axis other than ``dim`` raises ``ValueError`` (a Levy symbol
+        never reads x, so there only xi's is checked).
         """
         x = np.atleast_1d(np.asarray(x, float))
         xi = np.asarray(xi, float)
         if xi.ndim == 1:
             xi = xi[:, None] if self.dim == 1 else xi[None, :]
-        if x.shape[-1] != self.dim or xi.shape[-1:] != (self.dim,):
+        if xi.shape[-1:] != (self.dim,) or (
+                self.kind != "levy" and x.shape[-1] != self.dim):
             raise ValueError(f"x and xi must have a last axis of length {self.dim}")
         shape = (xi.shape[:-1] if x.ndim == 1
                  else np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
@@ -376,11 +377,8 @@ def ball_grid(center, radius, dim, n=17):
 def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
     """ValueError unless every coordinate of the state x is finite (a Levy
     process ignores x, which may be None) and the ball radius is finite and
-    non-negative: the check of the public entries, made before any integral.
-    A float x skips numpy, because ``symbol_extremum`` runs this per block."""
-    if spec.kind != "levy" and not (
-            math.isfinite(x) if isinstance(x, float)
-            else np.isfinite(np.asarray(x, float)).all()):
+    non-negative: the check of the public entries, made before any integral."""
+    if spec.kind != "levy" and not np.isfinite(np.asarray(x, float)).all():
         raise ValueError("x must be finite")
     if not 0 <= radius < np.inf:
         raise ValueError(f"{name} must be finite and non-negative")

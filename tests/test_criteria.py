@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from levyup import criteria
 from levyup import growth as gr
+from levyup import measures as ms
 from levyup import processes as pr
 from levyup.criteria import (
     C_EXPONENTS,
@@ -241,8 +242,6 @@ class TestConditionA1:
         assert rep.holds
 
     def test_vanishing_tail_fails_with_reason(self):
-        import levyup.measures as ms
-
         rep = check_A1(ms.null_measure())
         assert rep.fails and "vanishes" in rep.reason
 
@@ -377,7 +376,6 @@ class TestClassifyLevy:
         assert states == ["indeterminate"] + ["diverges"] * (len(C_EXPONENTS) - 1)
 
     def test_gaussian_part_rejected(self):
-        import levyup.measures as ms
         from levyup.symbols import LevyTriplet, ProcessSpec
 
         tri = LevyTriplet(b=np.zeros(1), Q=np.array([[1.0]]),
@@ -1007,6 +1005,12 @@ def test_levy_entries_ignore_the_state():
     cauchy, f = pr.cauchy_process(), gr.power(0.8)
     assert symbol_extremum(cauchy, None, 0.3, 4.0) == symbol_extremum(cauchy, 0.0, 0.3, 4.0)
     assert tail_integral_criterion(cauchy, None, f, 1.0).converges
+    # in d = 2 too: a scalar or None state once failed q's trailing-axis check
+    plane = pr.levy_process_from_measure(ms.stable_measure(1.3, dim=2))
+    peak = symbol_extremum(plane, np.zeros(2), 0.3, 4.0)
+    assert symbol_extremum(plane, 0.0, 0.3, 4.0) == peak
+    assert symbol_extremum(plane, None, 0.3, 4.0) == peak
+    assert exit_bounds(plane, 0.0, 0.1, 0.1) == exit_bounds(plane, np.zeros(2), 0.1, 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])

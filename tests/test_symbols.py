@@ -632,6 +632,12 @@ def test_q_rejects_a_wrong_trailing_axis():
         d2.q(np.zeros(2), np.ones((4, 3)))
     with pytest.raises(ValueError, match="last axis of length 2"):
         d2.q(np.zeros(1), np.ones((4, 2)))
+    # a Levy symbol never reads x: only xi's axis is checked there
+    plane = pr.levy_process_from_measure(ms.stable_measure(1.3, dim=2))
+    assert plane.q(0.0, np.ones((4, 2))).shape == (4,)
+    assert plane.q(None, np.ones((4, 2))).shape == (4,)
+    with pytest.raises(ValueError, match="last axis of length 2"):
+        plane.q(0.0, np.ones((4, 3)))
 
 
 def test_q_rejects_symbol_that_ignores_state_axes():
