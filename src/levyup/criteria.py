@@ -19,9 +19,12 @@ from .errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from .growth import GrowthFunction
 from .measures import LevyMeasureModel
 from .symbols import (
+    EXTREMUM_RADII,
+    XI_DECADES,
     ConditionReport,
     ProcessSpec,
     _check_ball,
+    _directions,
     _trend_report,
     ball_grid,
     sector_check,
@@ -103,6 +106,14 @@ RATIO_MAX = 0.9925  # geometric evidence threshold for the last-half block ratio
 FLOOR = 1e-6        # divergence floor for the last-half block sums
 
 
+def _block_nodes(n_max, nodes):
+    """Gauss-Legendre nodes of the blocks (blocks x nodes) and their half widths."""
+    if n_max < 8:
+        raise ValueError("n_max must be at least 8")
+    h = np.ldexp(1.0, -2 - np.arange(n_max + 1))
+    return h[:, None] * _gl_nodes(nodes)[0] + 3.0 * h[:, None], h  # midpoints 3h
+
+
 def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     """Classify int_0^1 g(t) dt from block sums over [2^{-(n+1)}, 2^{-n}].
 
@@ -115,30 +126,31 @@ def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     With ``rows=k`` the integrand carries a leading parameter axis: it maps
     the (nodes,) array to (k, nodes) values, and the result is a list of k
     verdicts, row i equal to a one-row call on g(t)[i] to the bit.  Each
-    block still costs one call of ``g``; the blocks x rows x nodes table is
-    reduced row by row once all blocks are in.
+    block costs one call of ``g``, or ``g`` is the blocks x rows x nodes table
+    on ``_block_nodes`` itself (the symbol integrals'); it is reduced row by row.
     """
-    if n_max < 8:
-        raise ValueError("n_max must be at least 8")
-    x_ref, w_ref = _gl_nodes(nodes)
-    shape = (nodes,) if rows is None else (rows, nodes)
-    table = np.empty((n_max + 1,) + shape)  # blocks x rows x nodes
-    half_widths = np.ldexp(1.0, -2 - np.arange(n_max + 1))
-    for n, h in enumerate(half_widths):
-        t = h * x_ref + 3.0 * h  # the nodes of [2^{-(n+1)}, 2^{-n}], midpoint 3h
-        try:
-            vals = np.asarray(g(t), float)
-        except Exception as exc:
-            raise EvaluationFailure(f"integrand failed on block {n}: {exc}") from exc
-        if vals.shape != shape:
-            raise EvaluationFailure(
-                f"integrand returned shape {vals.shape} on block {n}; "
-                f"it must map the {t.shape} node array to values of shape {shape}")
-        if np.any(~np.isfinite(vals)):
-            raise EvaluationFailure(f"integrand not finite on block {n}")
-        table[n] = vals
+    t, half_widths = _block_nodes(n_max, nodes)
+    shape = (n_max + 1,) + ((nodes,) if rows is None else (rows, nodes))
+    if callable(g):
+        table = np.empty(shape)  # blocks x rows x nodes
+        for n, tn in enumerate(t):
+            try:
+                vals = np.asarray(g(tn), float)
+            except Exception as exc:
+                raise EvaluationFailure(f"integrand failed on block {n}: {exc}") from exc
+            if vals.shape != shape[1:]:
+                raise EvaluationFailure(
+                    f"integrand returned shape {vals.shape} on block {n}; it must "
+                    f"map the {tn.shape} node array to values of shape {shape[1:]}")
+            if np.any(~np.isfinite(vals)):
+                raise EvaluationFailure(f"integrand not finite on block {n}")
+            table[n] = vals
+    elif (table := np.asarray(g, float)).shape != shape:
+        raise EvaluationFailure(f"integrand table has shape {table.shape}, not {shape}")
+    elif (bad := ~np.isfinite(table).reshape(len(table), -1).all(axis=1)).any():
+        raise EvaluationFailure(f"integrand not finite on block {np.argmax(bad)}")
     # einsum sums row by row; a BLAS product's order varies with the row count
-    sums = np.einsum("n...j,j->n...", table, w_ref).T * half_widths  # rows x blocks
+    sums = np.einsum("n...j,j->n...", table, _gl_nodes(nodes)[1]).T * half_widths
     if rows is None:
         return _classify_blocks(sums)
     return [_classify_blocks(row) for row in sums]
@@ -237,9 +249,30 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     return dyadic_integral(g, n_max, rows=rows)
 
 
-# (ball_mode, value_kind) -> symbol_extremum mode; Re q only under the inf-ball
-_SYMBOL_MODES = {(None, "abs"): "sup_sup", ("sup", "abs"): "sup_sup",
-                 ("inf", "abs"): "inf_sup", ("inf", "re"): "inf_sup_re"}
+# (ball_mode, value_kind) -> (state extremum, value of q); Re q only under the inf-ball
+_SYMBOL_MODES = {(None, "abs"): (np.max, np.abs), ("sup", "abs"): (np.max, np.abs),
+                 ("inf", "abs"): (np.min, np.abs), ("inf", "re"): (np.min, np.real)}
+SYMBOL_CHUNK = 16  # dyadic blocks per symbol table of symbol_integral_criterion
+
+
+def _symbol_table(spec, x, ft, eps_col, ball_scale, extremum, value):
+    """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes, one ``q`` call:
+    each block's largest ball, each (block, eps) row's exact caps merged with
+    ``EXTREMUM_RADII`` radii from its lowest cap / 10^XI_DECADES, a running max read
+    at each cap.  Balls round only up: harder for a sup-ball zero and an inf-ball bound."""
+    caps = 1.0 / (eps_col * ft[:, None, :])
+    if not ((caps > 0) & (caps < np.inf)).all():
+        raise EvaluationFailure("frequency caps must be positive and finite")
+    lo, hi = np.log10(caps.min(axis=-1)) - XI_DECADES, np.log10(caps.max(axis=-1))
+    radii = np.sort(np.concatenate(
+        [10.0 ** np.linspace(lo, hi, EXTREMUM_RADII, axis=-1), caps], -1))
+    at_cap = (radii[..., None, :] < caps[..., None]).sum(axis=-1)  # caps' sorted places
+    dirs = np.ones((1, 1)) if spec.dim == 1 else _directions(spec.dim)
+    z = ball_grid(x, 0.0 if spec.kind == "levy" else ball_scale * ft.max(axis=-1), spec.dim)
+    q = value(spec.q(z[..., None, :, None, None, :],
+                     radii[..., None, :, None, None] * dirs)).max(axis=-1)
+    running = np.maximum.accumulate(q, axis=-1)  # blocks x eps x states x radii
+    return extremum(np.take_along_axis(running, at_cap[:, :, None], -1), axis=2)
 
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
@@ -250,28 +283,26 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
     For state-dependent processes the state ball has radius ball_scale * f(t)
     and ``ball_mode`` picks sup or inf over it.  The verdict must agree when
     recomputed at eps/2 (square-root subadditivity makes it scale-free); a
-    disagreement is reported as Indeterminate.
+    disagreement is reported as Indeterminate.  The integrand is one
+    ``_symbol_table`` per ``SYMBOL_CHUNK`` blocks, eps and eps/2 together.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     _check_ball(spec, x, ball_scale, "ball_scale")
     try:
-        mode = _SYMBOL_MODES[ball_mode, value_kind]
+        extremum, value = _SYMBOL_MODES[ball_mode, value_kind]
     except KeyError:
         raise ValueError(f"unsupported ball_mode {ball_mode!r} with value_kind "
                          f"{value_kind!r}") from None
 
-    # eps and, to verify, eps/2 as the rows of one pass
-    eps_col = np.array([[eps], [eps / 2.0]]) if verify_eps else eps
-
-    def g(t):
-        ft = np.asarray(f(t), float)
-        return symbol_extremum(spec, x, ball_scale * ft, 1.0 / (eps_col * ft), mode)
-
-    verdicts = dyadic_integral(g, n_max, rows=2 if verify_eps else None)
+    eps_col = np.array([[eps], [eps / 2.0]] if verify_eps else [[eps]])
+    ft = np.asarray(f(_block_nodes(n_max, 16)[0]), float)
+    table = np.concatenate([_symbol_table(spec, x, ft[i:i + SYMBOL_CHUNK], eps_col,
+                                          ball_scale, extremum, value)
+                            for i in range(0, n_max + 1, SYMBOL_CHUNK)])
     if not verify_eps:
-        return verdicts
-    verdict, check = verdicts
+        return dyadic_integral(table[:, 0], n_max)
+    verdict, check = dyadic_integral(table, n_max, rows=2)
     if check.state != verdict.state and "indeterminate" not in (
         check.state, verdict.state
     ):
@@ -706,17 +737,14 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
     ft = np.asarray(f(T_GRID), float)
 
-    def witness(R, C_loc):
-        return T_GRID * symbol_extremum(spec, x, R * ft, 1.0 / (C_loc * ft),
-                                        "inf_sup_re")
+    C_col = np.array([[C], [C / 2.0]])  # the caps 1/(C f(t)) and 1/(C f(t) / 2)
 
     blowup_all = True
     for R in R_set:
-        w1 = witness(R, C)
-        w2 = witness(R, C / 2.0)
-        ok = _limsup_diverges(w1) and _limsup_diverges(w2)
+        w1, w2 = T_GRID * symbol_extremum(spec, x, R * ft, 1.0 / (C_col * ft),
+                                          "inf_sup_re")
         evidence[f"blowup_witness_R={R:g}"] = w1
-        if not ok:
+        if not (_limsup_diverges(w1) and _limsup_diverges(w2)):
             blowup_all = False
             break
     if blowup_all:

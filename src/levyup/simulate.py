@@ -548,8 +548,9 @@ def _prepare(spec, x, times, config):
     kind, build = _SCHEMES[scheme]
     if spec.kind != kind:
         raise ValueError(f"{scheme} needs a process of kind {kind!r}")
+    if not np.isfinite(x0 := float(np.atleast_1d(np.asarray(x, float))[0])):
+        raise ValueError("x must be finite")  # a Levy path starts at x too
     dts = np.diff(times)
-    x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     return *build(spec, dts, config), x0, dts
 
 

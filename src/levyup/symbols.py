@@ -7,8 +7,9 @@ a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
 x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
 values of the broadcast shape, float64 where the symbol is real (q(x (d,),
 xi (m, d)) -> (m,) is the single-state case); ``tail_at`` / ``trunc2_at``
-broadcast states against radii alike, so a block of nodes x ball states x
-frequencies costs one call.
+broadcast states against radii alike.  The symbol integrals take one call per
+chunk of dyadic blocks; ``symbol_extremum``'s per-cap grid serves the exit
+bounds, condition C1, the growth fit and the blow-up witness.
 ``eval_exponent`` takes arrays of frequencies and runs every integral for all
 of them at once on fixed panels: Gauss-Legendre panels in log radius below a
 few oscillation periods, Filon panels on the oscillatory shells above.

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from levyup.criteria import (
 from levyup.errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from levyup.symbols import (
     ConditionReport,
+    ProcessSpec,
     psi_star,
     sector_check,
     symbol_extremum,
@@ -102,6 +104,25 @@ class TestDyadicIntegral:
         assert vs[2].value == pytest.approx(3.0, rel=1e-12)
         one = dyadic_integral(lambda t: t**-0.5)
         assert np.array_equal(vs[0].block_sums, one.block_sums)
+
+    def test_table_reduces_like_its_integrand(self):
+        # a finished blocks x [rows x] nodes table on the engine's nodes gives
+        # the callable's verdicts to the bit; a non-finite value names its block
+        t = criteria._block_nodes(60, 16)[0]
+
+        def g(t):
+            return np.stack([t**-0.5, 1.0 / t])
+
+        for v, ref in zip(dyadic_integral(g(t).swapaxes(0, 1), rows=2),
+                          dyadic_integral(g, rows=2)):
+            assert_bitwise_same(v, ref)
+        assert_bitwise_same(dyadic_integral(t**-0.5), dyadic_integral(lambda t: t**-0.5))
+        bad = t**-0.5
+        bad[7, 3] = np.nan
+        with pytest.raises(EvaluationFailure, match="not finite on block 7"):
+            dyadic_integral(bad)
+        with pytest.raises(EvaluationFailure, match="table has shape"):
+            dyadic_integral(t[:-1])
 
     @pytest.mark.parametrize("rows, g", [
         (2, lambda t: t),                          # rows declared, none given
@@ -714,6 +735,84 @@ def test_rows_equal_one_row_calls_to_the_bit(monkeypatch, name, kappa):
         assert_bitwise_same(v, ref)
 
 
+# ---------------------------------------------------------------------------
+# the symbol integrand: one table per chunk of blocks
+# ---------------------------------------------------------------------------
+
+# (ball_mode, value_kind) -> the symbol_extremum mode of the per-node grid
+TABLE_MODES = {("sup", "abs"): "sup_sup", ("inf", "abs"): "inf_sup",
+               ("inf", "re"): "inf_sup_re"}
+READ_LEVEL = 29  # _classify_blocks reads the block ratios from level 29 on
+
+
+def symbol_table(spec, x, f, **kw):
+    """The blocks x eps x nodes table symbol_integral_criterion hands to the
+    dyadic engine."""
+    real, tables = criteria.dyadic_integral, []
+
+    def recording(g, *args, **kwargs):
+        tables.append(np.array(g))
+        return real(g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "dyadic_integral", recording)
+        symbol_integral_criterion(spec, x, f, **kw)
+    assert len(tables) == 1
+    return tables[0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(STATE_SPECS)), x=st.floats(-0.6, 0.9),
+       kappa=st.floats(0.5, 1.3), mode=st.sampled_from(sorted(TABLE_MODES)),
+       ball_scale=st.sampled_from([1.0, 2.0]))
+def test_symbol_table_errs_on_the_safe_side(name, x, kappa, mode, ball_scale):
+    # on every level the verdict reads, the table is at least the per-node
+    # grid's value in sup mode (which can yield zero) and at most it in the
+    # inf modes (which can yield a lower bound): each block's ball is rounded
+    # up and each cap is read exactly
+    spec, f = STATE_SPECS[name](), gr.power(kappa)
+    ball_mode, value_kind = mode
+    table = symbol_table(spec, x, f, ball_mode=ball_mode, value_kind=value_kind,
+                         ball_scale=ball_scale)[READ_LEVEL:]
+    ft = f(criteria._block_nodes(60, 16)[0][READ_LEVEL:])[:, None, :]
+    eps = np.array([[1.0], [0.5]])
+    ref = symbol_extremum(spec, x, ball_scale * ft, 1.0 / (eps * ft), TABLE_MODES[mode])
+    slack = 1e-12 * np.abs(ref)
+    if ball_mode == "sup":
+        assert np.all(table >= ref - slack)
+    else:
+        assert np.all(table <= ref + slack)
+
+
+@pytest.mark.parametrize("name", ["stable_levy"] + sorted(STATE_SPECS))
+def test_symbol_integral_cost_and_memory(monkeypatch, name):
+    # one q call per chunk of blocks (the sde's symbol calls its driver's q
+    # inside, not counted), and the chunk's arrays stay small (a table over
+    # all 61 blocks at once would take ~25 MB)
+    spec, x = scan_spec(name)
+    kw = {} if x is None else {"ball_mode": "inf", "ball_scale": 2.0}
+    real_q, calls = ProcessSpec.q, []
+
+    def counting(self, *args):
+        if self is spec:
+            calls.append(args)
+        return real_q(self, *args)
+
+    monkeypatch.setattr(ProcessSpec, "q", counting)
+    f = gr.power(0.8)
+    symbol_integral_criterion(spec, x, f, **kw)
+    assert 0 < len(calls) <= -(-61 // 16)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        symbol_integral_criterion(spec, x, f, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 LEVY_BALL_SPECS = {
     "cauchy": pr.cauchy_process,
     "one_sided_stable": lambda: pr.one_sided_stable_process(1.4),
@@ -750,14 +849,19 @@ def test_levy_state_ball_collapses_to_the_measure(name):
 
 @pytest.mark.parametrize("name", sorted(STATE_SPECS))
 def test_lower_blowup_witness_matches_one_cap_call(name):
+    # the witnesses at both caps come from one stacked call; every ball
+    # scale's evidence equals a one-cap call's to the bit (f is not
+    # regularly varying, so R runs over 1, 2 and 4)
     spec, x = scan_spec(name)
-    f = gr.power(0.9)
+    f = gr.from_callable(lambda t: t**1.2)
     res = classify_ltp_lower(spec, x, f, C=2.0)
-    t_grid = T_GRID
-    ft = f(t_grid)
-    w1 = t_grid * symbol_extremum(spec, x, ft, 1.0 / (2.0 * ft), "inf_sup_re")
-    np.testing.assert_allclose(res.evidence["blowup_witness_R=1"], w1,
-                               rtol=1e-12, atol=0)
+    ft = f(T_GRID)
+    keys = [k for k in res.evidence if k.startswith("blowup_witness_R=")]
+    assert keys == ["blowup_witness_R=1", "blowup_witness_R=2", "blowup_witness_R=4"]
+    for key in keys:
+        R = float(key.split("=")[1])
+        want = T_GRID * symbol_extremum(spec, x, R * ft, 1.0 / (2.0 * ft), "inf_sup_re")
+        assert np.array_equal(res.evidence[key], want)
 
 
 # 1/alpha = 0.77, 1.0 and 0.71: kappa in (0.3, 1.5) lies on both sides
@@ -854,22 +958,25 @@ def test_c_scan_stops_at_a_converging_first_c(monkeypatch, name, kappa, n_c, rou
 @pytest.mark.parametrize("failing", [None, "C", "C/2"])
 @pytest.mark.parametrize("name", sorted(STATE_SPECS))
 def test_lower_blowup_needs_both_witnesses(monkeypatch, name, failing):
-    # the blow-up decision reads the witness at cap 1/(C f) and at 1/((C/2) f);
-    # a witness forced flat must stop it whichever of the two it is
+    # the blow-up decision reads the witness at cap 1/(C f) and at 1/((C/2) f),
+    # the two rows of one call; a witness forced flat must stop it whichever
+    # of the two it is
     spec, x = scan_spec(name)
     f, C = gr.power(1.2), 3.0
     t_grid = T_GRID
     ft = f(t_grid)
-    real, caps = criteria.symbol_extremum, []
+    real, caps, rows = criteria.symbol_extremum, [], []
+    level = {"C": 1.0 / C, "C/2": 2.0 / C}
 
     def forced(spec_, x_, radius, xi_radius, mode, **kw):
         out = real(spec_, x_, radius, xi_radius, mode, **kw)
         if mode != "inf_sup_re":
             return out
-        level = {"C": 1.0 / C, "C/2": 2.0 / C}
-        cap = [k for k, v in level.items() if np.allclose(xi_radius * ft, v)]
-        caps.append(cap)
-        return out * 0.0 if cap == [failing] else out
+        keys = [[k for k, v in level.items() if np.allclose(row * ft, v)]
+                for row in np.atleast_2d(xi_radius)]
+        caps.append(keys)
+        rows.append(out)
+        return np.where([[key == [failing]] for key in keys], 0.0, out)
 
     def reference_blows_up():
         for R in (1.0,):  # a power f is regularly varying: one ball scale
@@ -883,7 +990,9 @@ def test_lower_blowup_needs_both_witnesses(monkeypatch, name, failing):
 
     monkeypatch.setattr(criteria, "symbol_extremum", forced)
     res = classify_ltp_lower(spec, x, f, C=C)
-    assert caps[:2] == [["C"], ["C/2"]]
+    assert caps[0] == [["C"], ["C/2"]]
+    for row, C_loc in zip(rows[0], (C, C / 2.0)):
+        assert np.array_equal(row, real(spec, x, ft, 1.0 / (C_loc * ft), "inf_sup_re"))
     assert (res.outcome == "infinity") == reference_blows_up()
     assert (res.outcome == "infinity") == (failing is None)
 

@@ -563,6 +563,23 @@ class TestBoundTables:
         with pytest.raises(ValueError, match="need t >= 0 and r > 0"):
             exit_bounds(pr.raw_stable_process(1.0), 0.0, t, r)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["variable_order", "raw_stable"])
+    def test_non_finite_start_raises_before_simulating(self, no_simulation, name, x):
+        # x = nan once gave exit_survival rows with bound=nan, violated=False
+        spec = {"variable_order": pr.variable_order_process,
+                "raw_stable": lambda: pr.raw_stable_process(1.5)}[name]()
+        cfg, times = SimConfig(n_paths=50), np.linspace(0.0, 0.1, 11)
+        entries = [lambda kind=kind: verify_bound_table(spec, x, kind, [(0.05, 0.1)], cfg)
+                   for kind in ("exit_survival", "expected_exit", "lower_max", "max_ineq")]
+        entries += [lambda: dyadic_limsup_stats(spec, x, power(0.8), 4, 8, cfg),
+                    lambda: simulate_batch(spec, x, times, cfg),
+                    lambda: simulate.first_exit_times(spec, x, times, 0.1, cfg),
+                    lambda: simulate._paths_at(spec, x, times, [0.05], cfg)]
+        for entry in entries:
+            with pytest.raises(ValueError, match="x must be finite"):
+                entry()
+
     def test_exit_survival_zero_violations(self):
         rows = verify_bound_table(pr.raw_stable_process(1.0), 0.0,
                                   "exit_survival", self.GRID,
