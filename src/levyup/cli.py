@@ -151,8 +151,8 @@ def _validate(cfg: RunConfig):
         raise ValidationError("c_lower must lie in [0, 1]")
     for key in ("t_grid", "r_grid"):
         for v in _parse_grid(run[key]):
-            if v <= 0:
-                raise ValidationError(f"{key} entries must be positive")
+            if not 0 < v < np.inf:
+                raise ValidationError(f"{key} entries must be positive and finite")
     cfg.run = run
 
 

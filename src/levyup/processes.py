@@ -195,7 +195,7 @@ def zero_process(dim=1):
 
 def default_order_fn(z):
     """alpha(z) = 1.5 - 0.4 clamp(z, -1, 1); continuous, range [1.1, 1.9]."""
-    return 1.5 - 0.4 * np.clip(np.asarray(z, float), -1.0, 1.0)
+    return 1.5 - 0.4 * np.minimum(np.maximum(np.asarray(z, float), -1.0), 1.0)
 
 
 def variable_order_process(order_fn=None):
@@ -220,8 +220,7 @@ def variable_order_process(order_fn=None):
         return 2.0 * c * np.asarray(r, float) ** (2.0 - a) / (2.0 - a)
 
     def stable_params(z):
-        a = order(np.asarray(z, float).reshape(-1))
-        return a, np.ones_like(a)
+        return order(np.asarray(z, float).reshape(-1)), 1.0
 
     fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
     return ProcessSpec(
@@ -267,7 +266,7 @@ def stable_type_process(alpha, intensity_fn=None):
 
     def stable_params(z):
         k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
-        return np.full_like(k, alpha), k ** (1.0 / alpha)
+        return alpha, k ** (1.0 / alpha)  # the index does not depend on z
 
     fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
     return ProcessSpec(

@@ -27,22 +27,24 @@ O(BLOCK + steps), plus the jump words of one block.
 - simulate_batch keeps everything: its one whole-horizon window's rows are
   its two outputs, values and runmax, the only n_paths x steps arrays.
 - The estimators keep columns: each path's value and running maximum at
-  the last grid time <= t for each t they read (_paths_at), from one
-  whole-horizon window whose Levy blocks are finished in scratch rows.
-- State-dependent schemes (euler_sde, freeze_symbol) still park n_paths x m
-  noise, which waits for a time loop that advances every path at once and
-  overwrites it step by step: in a whole-horizon window, n_paths x steps
-  twice.
+  the last grid time <= t for each t they read (_paths_at).  A Levy scheme
+  takes one whole-horizon window whose blocks are finished in scratch rows.
+  A state-dependent scheme (euler_sde, freeze_symbol) parks n_paths x m
+  noise, twice, for a time loop that advances every path at once and
+  overwrites it step by step; when its draws resume mid-path (see below)
+  it takes windows of COLUMN_WINDOW steps, so it holds two n_paths x
+  COLUMN_WINDOW arrays, not two n_paths x steps ones.
 - first_exit_times, behind verify_bound_table's expected_exit, keeps each
   path's first exit time and a censored flag, and retires a path at its
   exit.  Its windows start at EXIT_WINDOW steps and double, and the run
-  stops when no path is left.  Only _park_cms draws (exact_stable,
-  freeze_symbol, and euler_sde with a stable driver) can resume mid-path:
-  a path of k steps draws k uniforms, one word each, then k exponentials,
-  so it keeps two cursors on its stream, the uniforms at word j and the
-  exponentials from word k on (see _Streams).  Draws of a variable number
-  of words (the normals and Poisson counts of compound_poisson_gauss and of
-  euler_sde with a non-stable driver) keep one whole-horizon window.
+  stops when no path is left.
+- Only _park_cms draws (exact_stable, freeze_symbol, and euler_sde with a
+  stable driver) can resume mid-path: a path of k steps draws k uniforms,
+  one word each, then k exponentials, so it keeps two cursors on its
+  stream, the uniforms at word j and the exponentials from word k on (see
+  _Streams).  Draws of a variable number of words (the normals and Poisson
+  counts of compound_poisson_gauss and of euler_sde with a non-stable
+  driver) keep one whole-horizon window, in every reducer.
 
 A path's draws, values, running maximum and exit time do not depend on the
 windows or the blocks, to the bit.
@@ -181,16 +183,24 @@ def _cms_symmetric(u, w, alpha):
 
 
 def _park_cms(rng, a, b, exp_rng=None):
-    """Draw the (uniform, exponential) pairs of _cms_symmetric into a and b;
-    the exponentials come from exp_rng when one is given."""
-    a[:] = rng.uniform(-np.pi / 2, np.pi / 2, len(a))
+    """Draw the uniforms on [0, 1) and the exponentials of _cms_symmetric
+    into a and b; the exponentials come from exp_rng when one is given."""
+    rng.random(out=a)
     (rng if exp_rng is None else exp_rng).standard_exponential(out=b)
+
+
+def _angles(u):
+    """Map parked uniforms onto (-pi/2, pi/2) in place, a block at a time:
+    the bytes of rng.uniform(-pi/2, pi/2), which computes low + range * u."""
+    u *= np.pi
+    u -= np.pi / 2
+    return u
 
 
 def stable_draws(rng, alpha, size, sigma=1.0):
     u, w = np.empty(size), np.empty(size)
     _park_cms(rng, u, w)
-    return sigma * _cms_symmetric(u, w, alpha)
+    return sigma * _cms_symmetric(_angles(u), w, alpha)
 
 
 # A sampler (draw, finish) on the steps dts: draw(rng, a, b) parks one path's
@@ -206,7 +216,7 @@ def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
     scale, drift = dts ** (1.0 / alpha), float(triplet.b[0]) * dts
 
     def finish(a, b, parked, steps):
-        a[...] = sigma * _cms_symmetric(a, b, alpha) * scale[steps] + drift[steps]
+        a[...] = sigma * _cms_symmetric(_angles(a), b, alpha) * scale[steps] + drift[steps]
         return False
 
     return _park_cms, finish
@@ -293,7 +303,7 @@ def _euler_sde(spec, dts, config):
     else:
         sampler = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
 
-    def advance(state, cont, jumps, dt):
+    def advance(state, cont, jumps, j):
         s = np.asarray(spec.sigma(state), float)
         pre = state + s * cont
         return (None, pre) if jumps is None else (pre, pre + s * jumps)
@@ -308,16 +318,38 @@ def _freeze_symbol(spec, dts, config):
             f"freeze_symbol simulates only families with stable_params; "
             f"{spec.name or 'this family'} has none")
 
-    def advance(state, u, w, dt):
-        alpha, sigma = params(state)
-        return None, state + sigma * _cms_symmetric(u, w, alpha) * dt ** (1.0 / alpha)
+    alpha = params(np.empty(0))[0]  # a float when it does not depend on the state
+    if np.ndim(alpha) == 0:
+        # one index for every state: a block's draws become stable draws at
+        # once, as _stable_sampler's do.  The index and dt^(1/alpha) stay
+        # arrays, as a per-state index was: numpy's scalar power differs from
+        # its array power, and takes 2 and 0.5 as square and sqrt
+        index = np.full(len(dts), float(alpha))
+        scale = dts ** (1.0 / index)
 
-    return (_park_cms, lambda a, b, parked, steps: True), advance
+        def finish(a, b, parked, steps):
+            a[...] = _cms_symmetric(_angles(a), b, index[steps])
+            return False
+
+        def advance(state, draws, _, j):
+            return None, state + params(state)[1] * draws * scale[j]
+
+        return (_park_cms, finish), advance
+
+    def finish(a, b, parked, steps):
+        _angles(a)
+        return True
+
+    def advance(state, u, w, j):
+        alpha, sigma = params(state)
+        return None, state + sigma * _cms_symmetric(u, w, alpha) * dts[j] ** (1.0 / alpha)
+
+    return (_park_cms, finish), advance
 
 
 # scheme -> (process kind, build(spec, dts, config) -> (sampler, advance)); an
-# advance(state, first, second, dt) -> (pre-jump or None, post) marks a
-# state-dependent scheme, None a Levy scheme of independent increments
+# advance(state, first, second, j) -> (pre-jump or None, post) of step j
+# marks a state-dependent scheme, None a Levy scheme of independent increments
 _SCHEMES = {
     "exact_stable": ("levy", _exact_stable),
     "compound_poisson_gauss": ("levy", _compound_poisson_gauss),
@@ -338,6 +370,7 @@ def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
 
 BLOCK = 4096  # path-steps per block: a block holds max(1, BLOCK // steps) paths
 EXIT_WINDOW = 64  # steps in a first-exit run's first window; each next one doubles
+COLUMN_WINDOW = 192  # steps per window of an estimator's state-dependent time loop
 
 
 class _Streams:
@@ -351,22 +384,16 @@ class _Streams:
     from j0 on start at word j0, and its exponentials go on at the word
     where its last window left them (word k before its first).  Philox is
     counter-based, so a generator re-keyed to a path and set to a word gives
-    the same bytes as one that drew its way there.
+    the same bytes as one that drew its way there.  The uniforms come from
+    one generator, re-keyed for each path and window; the exponentials,
+    whose words per draw vary, from a generator of the path's own, made at
+    word k for its first window, which keeps its place between windows.
     """
 
     def __init__(self, config, draw, k):
         self.draw, self.k = draw, k
         self.seed, self.offset = config.seed, config.path_offset
-        self.rngs, self.u = config.path_rngs(), None
-        self.exp_word = np.full(config.n_paths, k, np.int64)
-
-    def _seek(self, rng, p, word):
-        """Re-key rng to path p of the run, at word ``word`` of its stream."""
-        state = self.fresh
-        state["state"]["key"] = np.array([self.offset + p, self.seed], np.uint64)
-        state["state"]["counter"] = np.array([word // 4, 0, 0, 0], np.uint64)
-        rng.bit_generator.state = state
-        rng.bit_generator.random_raw(word % 4)
+        self.rngs, self.u, self.exp = config.path_rngs(), None, {}
 
     def park(self, paths, j0, a, b):
         """Park the draws of the given paths' steps j0, j0 + 1, ... in their
@@ -374,16 +401,32 @@ class _Streams:
         if a.shape[1] == self.k:
             return [self.draw(next(self.rngs), a[i], b[i]) for i in range(len(a))]
         if self.u is None:
-            self.u, self.e = path_rng(self.seed, 0), path_rng(self.seed, 0)
+            self.u = path_rng(self.seed, 0)
             self.fresh = self.u.bit_generator.state  # counter 0, empty buffer
-        for i, p in enumerate(map(int, paths)):
-            self._seek(self.u, p, j0)
-            self._seek(self.e, p, int(self.exp_word[p]))
-            _park_cms(self.u, a[i], b[i], self.e)
-            state = self.e.bit_generator.state  # 4 words per counter step
-            counter = int(state["state"]["counter"][0])
-            self.exp_word[p] = 4 * counter - 4 + state["buffer_pos"]
+        u, state, counter = self.u, self.fresh, (j0 // 4, 0, 0, 0)
+        for i, p in enumerate(paths.tolist()):
+            if j0 == 0:  # 4 words per counter step
+                self.exp[p] = rng = path_rng(self.seed, self.offset + p)
+                rng.bit_generator.advance(self.k // 4)
+                rng.bit_generator.random_raw(self.k % 4)
+            state["state"] = {"counter": counter, "key": (self.offset + p, self.seed)}
+            u.bit_generator.state = state
+            if j0 % 4:
+                u.bit_generator.random_raw(j0 % 4)
+            _park_cms(u, a[i], b[i], self.exp[p])
         return [None] * len(a)
+
+
+def _running_max(post, pre, x0, run, out):
+    """Running maximum along each row of |post - x0| and, unless pre is
+    None, |pre - x0|, going on from run; written to out, whose last column
+    is returned.  out may be pre."""
+    dev = np.abs(post - x0)
+    if pre is not None:
+        np.maximum(dev, np.abs(pre - x0), out=dev)
+    dev[:, 0] = np.maximum(dev[:, 0], run)
+    np.maximum.accumulate(dev, axis=1, out=out)
+    return out[:, -1]
 
 
 def _sum_levy(a, b, second, x0, total, run, resume):
@@ -402,14 +445,9 @@ def _sum_levy(a, b, second, x0, total, run, resume):
     post = x0 + csum
     if second:
         post += np.cumsum(b, axis=1)
-        dev = np.maximum(np.abs(post - x0), np.abs(post - b - x0))
-    else:
-        dev = np.abs(post - x0)
-    if resume:
-        dev[:, 0] = np.maximum(dev[:, 0], run)
+    pre = post - b if second else None
     a[...] = post
-    np.maximum.accumulate(dev, axis=1, out=b)
-    return csum[:, -1], b[:, -1]
+    return csum[:, -1], _running_max(post, pre, x0, run, b)
 
 
 def _step(sampler, advance, x0, dts, config, reducer):
@@ -428,8 +466,10 @@ def _step(sampler, advance, x0, dts, config, reducer):
     block (advance is None) is summed and its running maximum taken in
     place, and is reduced at once.  A state-dependent window leaves its noise
     parked; one time loop then advances every path still alive, step j
-    reading column j before it overwrites that column with the state and the
-    running maximum.  The paths still alive are compacted once per window.
+    reading column j before it overwrites that column with the state (and a
+    runmax column with a pre-jump state).  The window's running maxima are
+    then taken a block at a time, in place.  The paths still alive are
+    compacted once per window.
     """
     draw, finish = sampler
     n, k = config.n_paths, len(dts)
@@ -454,12 +494,16 @@ def _step(sampler, advance, x0, dts, config, reducer):
                 second = finish(a, b, streams.park(alive[lo:lo + per], j0, a, b), steps)
             for j in range(m):
                 pre, state = advance(state, values[:, j],
-                                     runmax[:, j] if second else None, dts[j0 + j])
+                                     runmax[:, j] if second else None, j0 + j)
+                values[:, j] = state
                 if pre is not None:
-                    run = np.maximum(run, np.abs(pre - x0))
-                run = np.maximum(run, np.abs(state - x0))
-                values[:, j], runmax[:, j] = state, run
+                    runmax[:, j] = pre
+            for lo in range(0, len(alive), per):
+                blk = slice(lo, lo + per)
+                run[blk] = _running_max(values[blk], runmax[blk] if pre is not None else None,
+                                        x0, run[blk], runmax[blk])
             keep = reducer.take(alive, values, runmax, j0)
+            del values, runmax, a, b  # free the rows before the next window's
         alive, total, run, state = alive[keep], total[keep], run[keep], state[keep]
         if not alive.size:
             break
@@ -494,19 +538,25 @@ class _KeepAll:
 
 class _Columns:
     """Reducer that keeps each path's value and running maximum at the grid
-    columns ``cols`` (0 is the start, c > 0 is window column c - 1): one
-    whole-horizon window, finished a block of paths at a time in scratch rows."""
+    columns ``cols`` (0 is the start, c > 0 is step c - 1's column), from
+    windows of ``window`` steps, finished a block of paths at a time in
+    scratch rows."""
 
-    def __init__(self, cols, n, x0):
+    def __init__(self, cols, n, x0, window):
         self.values, self.runmax = np.full((n, len(cols)), x0), np.zeros((n, len(cols)))
-        self.after, self.at = cols > 0, cols[cols > 0] - 1
+        self.out = np.flatnonzero(cols > 0)
+        self.at, self.window = cols[self.out] - 1, window
 
-    windows, rows = staticmethod(_KeepAll.windows), staticmethod(_scratch_rows)
+    def windows(self, k):
+        return [(j0, min(j0 + self.window, k)) for j0 in range(0, k, self.window)]
+
+    rows = staticmethod(_scratch_rows)
 
     def take(self, paths, values, runmax, j0):
-        rows = slice(paths[0], paths[-1] + 1)  # consecutive: no path retires
-        self.values[rows, self.after] = values[:, self.at]
-        self.runmax[rows, self.after] = runmax[:, self.at]
+        here = (self.at >= j0) & (self.at < j0 + values.shape[1])
+        rows, out, at = slice(paths[0], paths[-1] + 1), self.out[here], self.at[here] - j0
+        self.values[rows, out] = values[:, at]  # consecutive rows: no path retires
+        self.runmax[rows, out] = runmax[:, at]
         return np.ones(len(paths), bool)
 
 
@@ -538,8 +588,8 @@ class _FirstExit:
 
 def _prepare(spec, x, times, config):
     """Validate a run on the grid times; returns (sampler, advance, x0, dts)."""
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must start at 0 and be strictly increasing")
+    if times[0] != 0.0 or not np.isfinite(times[-1]) or not np.all(np.diff(times) > 0):
+        raise ValueError("times must be finite, start at 0 and increase strictly")
     if spec.dim != 1:
         raise NotImplementedError("path simulation is implemented in dimension 1")
     scheme = _resolve_scheme(spec, config)
@@ -574,6 +624,8 @@ def first_exit_times(spec: ProcessSpec, x, times, r, config: SimConfig):
     simulate_batch's runmax, but a path stops at its exit: see the module's
     Memory note for which schemes stop early.
     """
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError("r must be positive and finite")
     times = np.asarray(times, float)
     sampler, advance, x0, dts = _prepare(spec, x, times, config)
     first = _FirstExit(times, r, config.n_paths)
@@ -588,7 +640,8 @@ def _paths_at(spec: ProcessSpec, x, times, t, config: SimConfig):
     times = np.asarray(times, float)
     cols = np.searchsorted(times, np.asarray(t, float) * (1 + 1e-12), side="right") - 1
     sampler, advance, x0, dts = _prepare(spec, x, times, config)
-    keep = _Columns(cols, config.n_paths, x0)
+    # a Levy block is finished in scratch rows: only a time loop needs windows
+    keep = _Columns(cols, config.n_paths, x0, len(dts) if advance is None else COLUMN_WINDOW)
     _step(sampler, advance, x0, dts, config, keep)
     return keep.values, keep.runmax
 
@@ -620,10 +673,10 @@ def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
     sup_{s < t} |X_s - x| < r on the simulation grid.
     """
     t_grid = np.asarray(t_grid, float)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if not (t_grid >= 0).all():
-        raise ValueError("t_grid entries must be non-negative")
+    if not 0 < r < np.inf:
+        raise ValueError("r must be positive and finite")
+    if not ((t_grid >= 0) & (t_grid < np.inf)).all():
+        raise ValueError("t_grid entries must be non-negative and finite")
     runmax = _paths_at(spec, x, _grid_to(float(t_grid.max()), config.dt), t_grid, config)[1]
     return [McEstimate(1.0, 0.0, config.n_paths) if t == 0.0
             else proportion_estimate(np.sum(col < r), config.n_paths)
@@ -637,8 +690,8 @@ def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
     kind, t, r = event
     if kind not in ("runmax_at_least", "abs_at_least"):
         raise ValueError(f"unknown event kind {kind!r}")
-    if not (t > 0 and r > 0):
-        raise ValueError("event parameters must be positive")
+    if not (0 < t < np.inf and 0 < r < np.inf):
+        raise ValueError("event parameters must be positive and finite")
     values, runmax = _paths_at(spec, x, _grid_to(float(t), config.dt), [t], config)
     x0 = float(np.atleast_1d(np.asarray(x, float))[0])
     dev = runmax if kind == "runmax_at_least" else np.abs(values - x0)
@@ -658,7 +711,7 @@ class BoundRow:
 def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig,
                        c_lower=0.5):
     """Empirical check of one exit-time bound over a (t, r) grid of entries
-    with t >= 0 and r > 0.
+    with a finite t >= 0 and 0 < r < inf.
 
     bound_kind: "exit_survival" (P(tau_r >= t) <= 1/(1 + t G(x,2r))),
     "expected_exit" (E tau_r <= 1/G(x,2r); the t column is unused and a
@@ -680,8 +733,8 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     if not 0 <= c_lower <= 1:  # NaN fails too
         raise ValueError("c_lower must lie in [0, 1]")
     for t, r in grid:
-        if not (float(t) >= 0 and float(r) > 0):
-            raise ValueError(f"grid entry (t={t}, r={r}) needs t >= 0 and r > 0")
+        if not (0 <= float(t) < np.inf and 0 < float(r) < np.inf):
+            raise ValueError(f"grid entry (t={t}, r={r}) needs a finite t >= 0 and 0 < r < inf")
     r_vals = sorted({float(r) for _, r in grid})
     g2r = {r: ball_tail_intensity(spec, x, 2 * r) for r in r_vals}
     rows = []

@@ -67,7 +67,9 @@ class StateFamily:
     tail: Callable
     trunc2: Callable
     # z array -> (alpha(z), sigma(z)) of the symmetric stable law frozen at
-    # z; the Monte Carlo freeze_symbol scheme needs it
+    # z; the Monte Carlo freeze_symbol scheme needs it.  Either may be a
+    # float where it does not depend on z; a float alpha lets freeze_symbol
+    # turn a whole window's draws into stable draws at once
     stable_params: Callable | None = None
 
 

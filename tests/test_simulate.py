@@ -260,16 +260,37 @@ class TestPaths:
     @pytest.mark.parametrize("grid", sorted(COLUMN_CASES))
     def test_columns_match_simulate_batch(self, monkeypatch, case, n, per_block, grid):
         # the estimators' reads equal simulate_batch's columns at the grid
-        # times they stand for, with one or three paths per block
+        # times they stand for, with one or three paths per block, and with
+        # a state-dependent time loop in windows of 1, 3 or the default
+        # number of steps (a Levy scheme takes one window whatever the size)
         build, scheme = BLOCK_CASES[case]
         spec, (times, ts) = build(), COLUMN_CASES[grid]
         cfg = SimConfig(n_paths=n, seed=17, path_offset=5, scheme=scheme)
         values, runmax = simulate_batch(spec, 0.25, times, cfg)
         cols = [int(np.flatnonzero(times == t).item()) for t in ts]
         monkeypatch.setattr(simulate, "BLOCK", per_block * (len(times) - 1))
-        got_values, got_runmax = simulate._paths_at(spec, 0.25, times, ts, cfg)
-        assert np.array_equal(got_values, values[:, cols])
-        assert np.array_equal(got_runmax, runmax[:, cols])
+        for window in (1, 3, simulate.COLUMN_WINDOW):
+            monkeypatch.setattr(simulate, "COLUMN_WINDOW", window)
+            got_values, got_runmax = simulate._paths_at(spec, 0.25, times, ts, cfg)
+            assert np.array_equal(got_values, values[:, cols]), window
+            assert np.array_equal(got_runmax, runmax[:, cols]), window
+
+    @pytest.mark.parametrize("steps", [41, 42, 43])
+    def test_windows_resume_exponentials_at_any_word(self, monkeypatch, steps):
+        # a path's exponentials start at word k, part way into a counter
+        # step unless 4 divides k; windows of 3 steps resume mid-step too
+        times, cfg = np.linspace(0.0, 0.1, steps + 1), SimConfig(n_paths=5, seed=3)
+        monkeypatch.setattr(simulate, "COLUMN_WINDOW", 3)
+        monkeypatch.setattr(simulate, "EXIT_WINDOW", 3)
+        vo = pr.variable_order_process()
+        values, runmax = simulate_batch(vo, 0.25, times, cfg)
+        got_values, got_runmax = simulate._paths_at(vo, 0.25, times, times, cfg)
+        assert np.array_equal(got_values, values) and np.array_equal(got_runmax, runmax)
+        runmax = simulate_batch(pr.stable_process(1.5), 0.25, times, cfg)[1]
+        exceed = runmax >= 0.1
+        tau = first_exit_times(pr.stable_process(1.5), 0.25, times, 0.1, cfg)[0]
+        assert np.array_equal(tau, np.where(exceed.any(axis=1), times[exceed.argmax(axis=1)],
+                                            times[-1]))
 
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"path_offset": -1},
@@ -420,7 +441,9 @@ class TestEstimators:
     @pytest.mark.parametrize("t_grid, r", [([-0.1, 0.05], 0.5),
                                            ([0.02, float("nan")], 0.5),
                                            ([0.02, 0.05], float("nan")),
-                                           ([0.02, 0.05], 0.0)])
+                                           ([0.02, 0.05], 0.0),
+                                           ([0.02, float("inf")], 0.5),
+                                           ([0.02, 0.05], float("inf"))])
     def test_survival_rejects_bad_input_before_simulating(self, no_simulation,
                                                          t_grid, r):
         with pytest.raises(ValueError, match="t_grid|r must"):
@@ -428,11 +451,29 @@ class TestEstimators:
                                    SimConfig(n_paths=200))
 
     @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
-                                      (-0.1, 0.5)])
+                                      (-0.1, 0.5), (float("inf"), 0.5),
+                                      (0.1, float("inf"))])
     def test_event_rejects_nan_before_simulating(self, no_simulation, t, r):
+        # t = inf once raised OverflowError from the grid
         with pytest.raises(ValueError, match="positive"):
             mc_event_probability(pr.cauchy_process(), 0.0,
                                  ("runmax_at_least", t, r), SimConfig(n_paths=200))
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_first_exit_rejects_bad_r_before_simulating(self, no_simulation, r):
+        # r = nan or inf once censored every path, r <= 0 exited every path
+        # at the first step
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            first_exit_times(pr.cauchy_process(), 0.0, GRID_01, r, SimConfig(n_paths=20))
+
+    @pytest.mark.parametrize("last", [float("nan"), float("inf")])
+    def test_engine_rejects_non_finite_times_before_simulating(self, no_simulation, last):
+        times = np.append(GRID_01, last)
+        for entry in (lambda cfg: simulate_batch(pr.cauchy_process(), 0.0, times, cfg),
+                      lambda cfg: first_exit_times(pr.cauchy_process(), 0.0, times, 0.5, cfg),
+                      lambda cfg: simulate._paths_at(pr.cauchy_process(), 0.0, times, [0.05], cfg)):
+            with pytest.raises(ValueError, match="times must be finite"):
+                entry(SimConfig(n_paths=20))
 
     def test_wilson_fallback_for_rare_events(self):
         est = proportion_estimate(1, 50)
@@ -459,6 +500,10 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# the state-dependent schemes whose estimators run their time loop in windows
+STATE_CASES = ["freeze-variable_order", "freeze-stable_type_1.3", "euler_sde-cauchy"]
 
 
 class TestMemory:
@@ -495,12 +540,15 @@ class TestMemory:
         assert peaks[1] < 0.1 * cfg.n_paths * steps[1] * 8
 
     @pytest.mark.parametrize("build", [lambda: pr.stable_process(1.5),
-                                       lambda: pr.one_sided_stable_process(1.4)],
-                             ids=["exact_stable", "compound_poisson_gauss"])
+                                       lambda: pr.one_sided_stable_process(1.4),
+                                       *(SCHEME_CASES[case][0] for case in STATE_CASES)],
+                             ids=["exact_stable", "compound_poisson_gauss", *STATE_CASES])
     def test_limsup_stats_keep_columns_only(self, build):
         # the column reducer keeps paths x levels values and finishes each
-        # block of paths in scratch rows: the peak stays under a fifth of
-        # one paths x steps array (these runs need 0.05)
+        # block of paths in scratch rows, and a state-dependent time loop
+        # runs in windows of COLUMN_WINDOW steps: the peak stays under a
+        # fifth of one paths x steps array (the Levy runs need 0.05, the
+        # state-dependent ones 0.86, most of it two paths x window arrays)
         spec, f = build(), power(0.5)
         dyadic_limsup_stats(spec, 0.0, f, 4, 16, SimConfig(n_paths=2))
         cfg = SimConfig(n_paths=300, seed=1)
@@ -539,9 +587,12 @@ class TestBoundTables:
     @pytest.mark.parametrize("kind", ["exit_survival", "expected_exit",
                                       "lower_max", "max_ineq"])
     @pytest.mark.parametrize("entry", [(-0.1, 0.5), (0.1, 0.0),
-                                       (float("nan"), 0.5)])
+                                       (float("nan"), 0.5), (float("inf"), 0.5),
+                                       (0.1, float("inf"))])
     def test_bad_grid_entry_raises_before_simulating(self, no_simulation,
                                                      kind, entry):
+        # t = inf once raised OverflowError from the grid, and r = inf gave
+        # rows that could not be violated (bounds 1, 0 and inf)
         with pytest.raises(ValueError, match="grid entry"):
             verify_bound_table(pr.raw_stable_process(1.0), 0.0, kind,
                                [(0.02, 0.25), entry], SimConfig(n_paths=50))
