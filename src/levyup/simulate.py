@@ -384,16 +384,28 @@ class _Streams:
     from j0 on start at word j0, and its exponentials go on at the word
     where its last window left them (word k before its first).  Philox is
     counter-based, so a generator re-keyed to a path and set to a word gives
-    the same bytes as one that drew its way there.  The uniforms come from
-    one generator, re-keyed for each path and window; the exponentials,
-    whose words per draw vary, from a generator of the path's own, made at
-    word k for its first window, which keeps its place between windows.
+    the same bytes as one that drew its way there (_seek).  The uniforms
+    come from one generator, sought for each path and window.  So do a
+    path's first exponentials, after which their word is read back; a path
+    that lives on to a second window gets a generator of its own there,
+    which keeps its place from then on (exponentials take a varying number
+    of words, and reading a generator's place costs as much as seeking).
     """
 
     def __init__(self, config, draw, k):
         self.draw, self.k = draw, k
         self.seed, self.offset = config.seed, config.path_offset
         self.rngs, self.u, self.exp = config.path_rngs(), None, {}
+        self.exp_word = np.full(config.n_paths, k, np.int64)
+
+    def _seek(self, rng, p, word):
+        """Re-key rng to path p of the run, at word ``word`` of its stream."""
+        self.fresh["state"] = {"counter": (word // 4, 0, 0, 0),
+                               "key": (self.offset + p, self.seed)}
+        rng.bit_generator.state = self.fresh
+        if word % 4:
+            rng.bit_generator.random_raw(word % 4)
+        return rng
 
     def park(self, paths, j0, a, b):
         """Park the draws of the given paths' steps j0, j0 + 1, ... in their
@@ -401,19 +413,19 @@ class _Streams:
         if a.shape[1] == self.k:
             return [self.draw(next(self.rngs), a[i], b[i]) for i in range(len(a))]
         if self.u is None:
-            self.u = path_rng(self.seed, 0)
+            self.u, self.e = path_rng(self.seed, 0), path_rng(self.seed, 0)
             self.fresh = self.u.bit_generator.state  # counter 0, empty buffer
-        u, state, counter = self.u, self.fresh, (j0 // 4, 0, 0, 0)
         for i, p in enumerate(paths.tolist()):
-            if j0 == 0:  # 4 words per counter step
-                self.exp[p] = rng = path_rng(self.seed, self.offset + p)
-                rng.bit_generator.advance(self.k // 4)
-                rng.bit_generator.random_raw(self.k % 4)
-            state["state"] = {"counter": counter, "key": (self.offset + p, self.seed)}
-            u.bit_generator.state = state
-            if j0 % 4:
-                u.bit_generator.random_raw(j0 % 4)
-            _park_cms(u, a[i], b[i], self.exp[p])
+            if j0 == 0:
+                e = self._seek(self.e, p, self.k)
+            elif p not in self.exp:
+                e = self.exp[p] = self._seek(path_rng(self.seed, 0), p, int(self.exp_word[p]))
+            else:
+                e = self.exp[p]
+            _park_cms(self._seek(self.u, p, j0), a[i], b[i], e)
+            if j0 == 0:
+                state = e.bit_generator.state  # 4 words per counter step
+                self.exp_word[p] = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
         return [None] * len(a)
 
 
