@@ -445,11 +445,11 @@ def _sum_levy(a, b, second, x0, total, run, resume):
     """Turn a finished Levy block's increments into paths (in a) and running
     maxima (in b), in place.
 
-    With ``resume`` the rows go on from each path's sum of continuous
-    increments (total) and running maximum (run) before the block's first
-    step, which gives the bytes of one cumulative sum over the whole row;
-    only _park_cms draws resume, and those have no jump part.  Returns both
-    at the block's last step.
+    The running maxima go on from run (zeros before a path's first step).
+    With ``resume`` the paths go on from each path's sum of continuous
+    increments (total) before the block's first step, which gives the bytes
+    of one cumulative sum over the whole row; only _park_cms draws resume,
+    and those have no jump part.  Returns both at the block's last step.
     """
     if resume:
         a[:, 0] += total
