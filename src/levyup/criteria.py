@@ -19,12 +19,12 @@ from .errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from .growth import GrowthFunction
 from .measures import LevyMeasureModel
 from .symbols import (
-    EXTREMUM_RADII,
-    XI_DECADES,
+    _EXTREMUM_MODES,
     ConditionReport,
     ProcessSpec,
+    _ball_states,
+    _capped_extremum,
     _check_ball,
-    _directions,
     _trend_report,
     ball_grid,
     sector_check,
@@ -189,12 +189,9 @@ def _classify_blocks(sums):
 # ---------------------------------------------------------------------------
 
 
-def _ball_states(spec, x, radius):
-    """States of B(x, radius) in the layout ``ProcessSpec.tail_at`` takes; a
-    Levy process is the state-free case, whose ball collapses to its centre."""
-    if spec.kind == "levy":
-        radius = 0.0
-    z = ball_grid(x, radius, spec.dim)
+def _tail_states(spec, x, radius):
+    """``symbols._ball_states`` in the layout ``ProcessSpec.tail_at`` takes."""
+    z = _ball_states(spec, x, radius)
     return z[..., 0] if spec.dim == 1 else z
 
 
@@ -243,36 +240,27 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
             ft = np.asarray(f(t), float)
             radius = ball_scale * ft if fixed_ball_radius is None \
                 else fixed_ball_radius
-            z = _ball_states(spec, x, radius)
+            z = _tail_states(spec, x, radius)
             return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
 
     return dyadic_integral(g, n_max, rows=rows)
 
 
-# (ball_mode, value_kind) -> (state extremum, value of q); Re q only under the inf-ball
-_SYMBOL_MODES = {(None, "abs"): (np.max, np.abs), ("sup", "abs"): (np.max, np.abs),
-                 ("inf", "abs"): (np.min, np.abs), ("inf", "re"): (np.min, np.real)}
 SYMBOL_CHUNK = 16  # dyadic blocks per symbol table of symbol_integral_criterion
 
 
-def _symbol_table(spec, x, ft, eps_col, ball_scale, extremum, value):
-    """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes, one ``q`` call:
-    each block's largest ball, each (block, eps) row's exact caps merged with
-    ``EXTREMUM_RADII`` radii from its lowest cap / 10^XI_DECADES, a running max read
-    at each cap.  Balls round only up: harder for a sup-ball zero and an inf-ball bound."""
-    caps = 1.0 / (eps_col * ft[:, None, :])
+def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
+    """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes, one
+    ``symbols._capped_extremum`` call per ``SYMBOL_CHUNK`` blocks: a row per
+    (block, eps) read at its exact caps, on the block's largest ball.  Balls
+    round only up: harder for a sup-ball zero and an inf-ball bound."""
+    caps, balls = 1.0 / (eps_col * ft[:, None, :]), ball_scale * ft.max(axis=-1)
     if not ((caps > 0) & (caps < np.inf)).all():
         raise EvaluationFailure("frequency caps must be positive and finite")
-    lo, hi = np.log10(caps.min(axis=-1)) - XI_DECADES, np.log10(caps.max(axis=-1))
-    radii = np.sort(np.concatenate(
-        [10.0 ** np.linspace(lo, hi, EXTREMUM_RADII, axis=-1), caps], -1))
-    at_cap = (radii[..., None, :] < caps[..., None]).sum(axis=-1)  # caps' sorted places
-    dirs = np.ones((1, 1)) if spec.dim == 1 else _directions(spec.dim)
-    z = ball_grid(x, 0.0 if spec.kind == "levy" else ball_scale * ft.max(axis=-1), spec.dim)
-    q = value(spec.q(z[..., None, :, None, None, :],
-                     radii[..., None, :, None, None] * dirs)).max(axis=-1)
-    running = np.maximum.accumulate(q, axis=-1)  # blocks x eps x states x radii
-    return extremum(np.take_along_axis(running, at_cap[:, :, None], -1), axis=2)
+    return np.concatenate([
+        _capped_extremum(spec, _ball_states(spec, x, balls[i:i + SYMBOL_CHUNK])[:, None],
+                         caps[i:i + SYMBOL_CHUNK], mode)
+        for i in range(0, len(ft), SYMBOL_CHUNK)])
 
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
@@ -284,22 +272,21 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
     and ``ball_mode`` picks sup or inf over it.  The verdict must agree when
     recomputed at eps/2 (square-root subadditivity makes it scale-free); a
     disagreement is reported as Indeterminate.  The integrand is one
-    ``_symbol_table`` per ``SYMBOL_CHUNK`` blocks, eps and eps/2 together.
+    ``_symbol_table``, eps and eps/2 together, in the ``symbol_extremum``
+    mode sup_sup (ball_mode None or "sup"), inf_sup or inf_sup_re.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     _check_ball(spec, x, ball_scale, "ball_scale")
-    try:
-        extremum, value = _SYMBOL_MODES[ball_mode, value_kind]
-    except KeyError:
+    suffix = {"abs": "", "re": "_re"}.get(value_kind)
+    mode = f"{'sup' if ball_mode is None else ball_mode}_sup{suffix}"
+    if suffix is None or mode not in _EXTREMUM_MODES:
         raise ValueError(f"unsupported ball_mode {ball_mode!r} with value_kind "
-                         f"{value_kind!r}") from None
+                         f"{value_kind!r}")
 
     eps_col = np.array([[eps], [eps / 2.0]] if verify_eps else [[eps]])
     ft = np.asarray(f(_block_nodes(n_max, 16)[0]), float)
-    table = np.concatenate([_symbol_table(spec, x, ft[i:i + SYMBOL_CHUNK], eps_col,
-                                          ball_scale, extremum, value)
-                            for i in range(0, n_max + 1, SYMBOL_CHUNK)])
+    table = _symbol_table(spec, x, ft, eps_col, ball_scale, mode)
     if not verify_eps:
         return dyadic_integral(table[:, 0], n_max)
     verdict, check = dyadic_integral(table, n_max, rows=2)
@@ -342,7 +329,7 @@ def check_A1(source, x=0.0, ball_radius=None):
         where = ""
     else:
         _check_ball(source, x, ball_radius or 0.0)
-        z1 = _ball_states(source, x, ball_radius or 0.0)
+        z1 = _tail_states(source, x, ball_radius or 0.0)
         g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
         where = "" if source.kind == "levy" else " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -805,13 +792,13 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
 
 def ball_tail_intensity(spec: ProcessSpec, x, r):
     """G(x, r) = inf over the state ball B(x, r) of nu(z, {|y| > r})."""
-    return float(np.min(spec.tail_at(_ball_states(spec, x, r), r)))
+    return float(np.min(spec.tail_at(_tail_states(spec, x, r), r)))
 
 
 def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
     """All closed exit-time bound factors at (t, r); see ExitBounds."""
-    if not (t >= 0 and r > 0):  # NaN fails both
-        raise ValueError("need t >= 0 and r > 0")
+    if not (0 <= t < np.inf and r > 0):  # NaN fails both
+        raise ValueError("need t >= 0 and r > 0, t finite")
     _check_ball(spec, x, r, "r")
     if not 0 <= c_lower <= 1:
         raise ValueError("c_lower must lie in [0, 1]")

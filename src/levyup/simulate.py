@@ -94,17 +94,6 @@ class SimConfig:
         [1e-4, 1e-1]."""
         return float(np.clip(np.sqrt(dt), 1e-4, 1e-1))
 
-    def path_rngs(self):
-        """Yield path_rng(seed, path_offset + p) for p < n_paths: one Philox
-        re-keyed through its state (same key words, counter 0, empty buffer),
-        so each generator is valid only until the next is drawn."""
-        rng = path_rng(self.seed, self.path_offset)
-        state = rng.bit_generator.state
-        for p in range(self.n_paths):
-            state["state"]["key"] = np.array([self.path_offset + p, self.seed], np.uint64)
-            rng.bit_generator.state = state
-            yield rng
-
 
 @dataclass
 class PathSample:
@@ -377,8 +366,8 @@ class _Streams:
     """Each path's draws on its own Philox stream, one window of steps at a
     time.
 
-    A whole-horizon window draws with ``config.path_rngs()``, path by path
-    in order.  A shorter one exists only for _park_cms draws: on its stream a
+    A whole-horizon window draws each path from word 0 of its stream.  A
+    shorter one exists only for _park_cms draws: on its stream a
     path of k steps draws k uniforms, one word each, and then k
     exponentials.  So a path has two cursors: its uniforms for the steps
     from j0 on start at word j0, and its exponentials go on at the word
@@ -395,7 +384,8 @@ class _Streams:
     def __init__(self, config, draw, k):
         self.draw, self.k = draw, k
         self.seed, self.offset = config.seed, config.path_offset
-        self.rngs, self.u, self.exp = config.path_rngs(), None, {}
+        self.u, self.e, self.exp = path_rng(self.seed, 0), path_rng(self.seed, 0), {}
+        self.fresh = self.u.bit_generator.state  # counter 0, empty buffer
         self.exp_word = np.full(config.n_paths, k, np.int64)
 
     def _seek(self, rng, p, word):
@@ -411,10 +401,8 @@ class _Streams:
         """Park the draws of the given paths' steps j0, j0 + 1, ... in their
         rows of a and b; returns what draw returned for each path."""
         if a.shape[1] == self.k:
-            return [self.draw(next(self.rngs), a[i], b[i]) for i in range(len(a))]
-        if self.u is None:
-            self.u, self.e = path_rng(self.seed, 0), path_rng(self.seed, 0)
-            self.fresh = self.u.bit_generator.state  # counter 0, empty buffer
+            return [self.draw(self._seek(self.u, p, 0), a[i], b[i])
+                    for i, p in enumerate(paths.tolist())]
         for i, p in enumerate(paths.tolist()):
             if j0 == 0:
                 e = self._seek(self.e, p, self.k)
@@ -744,6 +732,8 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     if not 0 <= c_lower <= 1:  # NaN fails too
         raise ValueError("c_lower must lie in [0, 1]")
+    if len(grid) == 0:
+        raise ValueError("grid must hold at least one (t, r) entry")
     for t, r in grid:
         if not (0 <= float(t) < np.inf and 0 < float(r) < np.inf):
             raise ValueError(f"grid entry (t={t}, r={r}) needs a finite t >= 0 and 0 < r < inf")

@@ -7,9 +7,9 @@ a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
 x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
 values of the broadcast shape, float64 where the symbol is real (q(x (d,),
 xi (m, d)) -> (m,) is the single-state case); ``tail_at`` / ``trunc2_at``
-broadcast states against radii alike.  The symbol integrals take one call per
-chunk of dyadic blocks; ``symbol_extremum``'s per-cap grid serves the exit
-bounds, condition C1, the growth fit and the blow-up witness.
+broadcast states against radii alike.  One kernel, ``_capped_extremum``,
+evaluates every capped symbol, for the symbol integrals and ``symbol_extremum``
+alike, and one helper, ``_ball_states``, collapses a Levy state ball.
 ``eval_exponent`` takes arrays of frequencies and runs every integral for all
 of them at once on fixed panels: Gauss-Legendre panels in log radius below a
 few oscillation periods, Filon panels on the oscillatory shells above.
@@ -334,13 +334,14 @@ def _directions(dim, n=32):
     return extra / np.linalg.norm(extra, axis=1, keepdims=True)
 
 
-XI_DECADES = 4.0  # decades of frequency radii below the cap in xi_grid
+XI_DECADES = 4.0  # decades of frequency radii below a row's smallest cap
 
 
-def _radii_below(cap, n):
-    """n radii over XI_DECADES decades up to each cap, with np.logspace's arithmetic."""
-    top = np.log10(cap)
-    start = top - XI_DECADES
+def _cap_radii(caps, n):
+    """n radii per row of caps (..., C), from XI_DECADES decades below the
+    row's smallest cap up to its largest, with np.logspace's arithmetic."""
+    top = np.log10(caps.max(axis=-1))
+    start = np.log10(caps.min(axis=-1)) - XI_DECADES
     y = np.arange(n) * ((top - start) / (n - 1))[..., None] + start[..., None]
     y[..., -1] = top
     return 10.0 ** y
@@ -349,7 +350,7 @@ def _radii_below(cap, n):
 def xi_grid(radius, dim, n_radii=64, n_dirs=32):
     """Deterministic frequency grid filling the ball |xi| <= radius; a 1-d
     array of radii gives one grid per radius (leading axis)."""
-    radii = _radii_below(radius, n_radii)
+    radii = _cap_radii(np.asarray(radius, float)[..., None], n_radii)
     dirs = _directions(dim, n_dirs)
     grid = (radii[..., None, None] * dirs).reshape(radii.shape[:-1] + (-1, dim))
     return grid, radii, dirs
@@ -375,6 +376,13 @@ def ball_grid(center, radius, dim, n=17):
     pts = (radii[..., None, None] * dirs).reshape(radius.shape + (-1, dim)) + center
     middle = np.broadcast_to(center, radius.shape + (1, dim))
     return np.concatenate([middle, pts], axis=-2)
+
+
+def _ball_states(spec: ProcessSpec, x, radius, n=17):
+    """``ball_grid``'s states of B(x, radius), (..., n, d); the centre alone, (1, d),
+    for a Levy process (state-free) or where every radius is zero."""
+    radius = np.asarray(radius, float)
+    return ball_grid(x, radius if spec.kind != "levy" and radius.any() else 0.0, spec.dim, n)
 
 
 def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
@@ -405,13 +413,42 @@ def psi_star(spec: ProcessSpec, x, r):
     return max(best, 0.0)
 
 
+# mode -> (extremum over the states, value of q); "swap": the state min first
 _EXTREMUM_MODES = {
     "sup_sup": ("sup", "abs"),
     "inf_sup": ("inf", "abs"),
     "inf_sup_re": ("inf", "re"),
     "sup_inf_re": ("swap", "re"),
 }
-EXTREMUM_RADII = 48  # frequency radii per cap in symbol_extremum (32 directions each)
+EXTREMUM_RADII = 48  # frequency radii per row of caps (32 directions each)
+
+
+def _capped_extremum(spec: ProcessSpec, states, caps, mode):
+    """Extremum in ``mode`` of the symbol over states (..., S, d) x {|xi| <= cap}
+    at each cap of caps (..., C), one row per leading index: the one ``q``
+    call of every capped symbol.  A row's frequencies are its ``_cap_radii``
+    times ``_directions`` (in 1-d +1 alone: a Hermitian q has even |q| and
+    Re q).  A row of several caps merges them into its radii and reads a
+    running max at each; a one-cap row reads its top radius, 10**log10(cap).
+    """
+    z_kind, val_kind = _EXTREMUM_MODES[mode]
+    radii, merged = _cap_radii(caps, EXTREMUM_RADII), caps.shape[-1] > 1
+    if merged:
+        radii = np.sort(np.concatenate([radii, caps], axis=-1))
+    dirs = np.ones((1, 1)) if spec.dim == 1 else _directions(spec.dim)
+    # one large table alive at a time: ... x states x radii x dirs, then x radii
+    table = spec.q(states[..., None, None, :], radii[..., None, :, None, None] * dirs)
+    table = np.abs(table) if val_kind == "abs" else np.real(table)
+    if z_kind == "swap":
+        table = table.min(axis=-3, keepdims=True)
+    table = table.max(axis=-1) if spec.dim > 1 else table[..., 0]  # 1-d: one direction
+    if not merged:  # one cap, for which the top radius stands
+        return (table.max(axis=-1).min(axis=-1) if z_kind == "inf"
+                else table.max(axis=(-2, -1), initial=0.0))[..., None]
+    np.maximum.accumulate(table, axis=-1, out=table)  # read at each cap's sorted place
+    at = np.take_along_axis(table, (radii[..., None, :] < caps[..., None]).sum(axis=-1)[..., None, :],
+                            axis=-1)  # ... x states x caps
+    return at.min(axis=-2) if z_kind == "inf" else at.max(axis=-2, initial=0.0)
 
 
 def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"):
@@ -419,9 +456,10 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
 
     Modes: sup_sup (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|),
     inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
-    used by the symbol-based exit bound).  For a Levy process the z-extremum
-    collapses.  States are the 17 points of ``ball_grid``, frequencies the
-    ``xi_grid`` of ``EXTREMUM_RADII`` radii below each cap (in 1-d its +1 half).
+    used by the symbol-based exit bound).  States are the 17 points of
+    ``ball_grid`` (``_ball_states``: a Levy ball collapses to its centre),
+    and each cap is a one-cap row of ``_capped_extremum``: ``EXTREMUM_RADII``
+    radii over ``XI_DECADES`` decades up to it.
 
     ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
     ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
@@ -432,30 +470,14 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
     _check_ball(spec, x)
     ball_r, xi_r = np.broadcast_arrays(np.asarray(ball_radius, float),
                                        np.asarray(xi_radius, float))
-    shape = ball_r.shape
-    ball_r, xi_r = ball_r.ravel(), xi_r.ravel()
     if not ((xi_r > 0) & (xi_r < np.inf)).all():
         raise ValueError("xi_radius must be positive and finite")
     if not ((ball_r >= 0) & (ball_r < np.inf)).all():
         raise ValueError("ball_radius must be finite and non-negative")
-    try:
-        z_kind, val_kind = _EXTREMUM_MODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown extremum mode {mode!r}") from None
-    # in 1-d the +1 direction alone: a Hermitian q has even |q| and Re q
-    xi = (_radii_below(xi_r, EXTREMUM_RADII)[..., None] if spec.dim == 1
-          else xi_grid(xi_r, spec.dim, EXTREMUM_RADII)[0])
-    if spec.kind == "levy" or not ball_r.any():
-        q = spec.q(x, xi.reshape(-1, spec.dim)).reshape(xi_r.size, 1, -1)
-    else:
-        z = ball_grid(x, ball_r, spec.dim)
-        q = spec.q(z[:, :, None, :], xi[:, None, :, :])
-    table = np.abs(q) if val_kind == "abs" else np.real(q)
-    if z_kind == "swap":
-        out = table.min(axis=1).max(axis=-1, initial=0.0)
-    else:  # sup over states and frequencies is one reduction
-        out = table.max(axis=(-2, -1)) if z_kind == "sup" else table.max(-1).min(-1)
-    return float(out[0]) if shape == () else out.reshape(shape)
+    if mode not in _EXTREMUM_MODES:
+        raise ValueError(f"unknown extremum mode {mode!r}")
+    out = _capped_extremum(spec, _ball_states(spec, x, ball_r), xi_r[..., None], mode)[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +572,9 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     center, radius = x_ball
     _check_ball(spec, center, radius)
     dirs = _directions(spec.dim)
-    z_points = ball_grid(center, radius, spec.dim, SECTOR_BALL_POINTS)
+    z = _ball_states(spec, center, radius, SECTOR_BALL_POINTS)
     grid = (SECTOR_RADII[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
-    states = z_points[0] if spec.kind == "levy" else z_points[:, None, :]
-    q = spec.q(states, grid).reshape(-1, len(SECTOR_RADII), len(dirs))
+    q = spec.q(z[:, None, :], grid).reshape(-1, len(SECTOR_RADII), len(dirs))
     re, im = np.real(q), np.abs(np.imag(q))
     if not ((re > 0) | (im > 0)).any():
         raise DegenerateSymbol("symbol vanishes on the whole grid")

@@ -42,7 +42,7 @@ from levyup.symbols import (
     symbol_extremum,
     tail_trend,
 )
-from test_symbols import EQUIV_SPECS, EQUIV_X
+from test_symbols import D2_SPECS, EQUIV_SPECS, EQUIV_X
 
 
 class TestDyadicIntegral:
@@ -784,6 +784,26 @@ def test_symbol_table_errs_on_the_safe_side(name, x, kappa, mode, ball_scale):
         assert np.all(table <= ref + slack)
 
 
+@pytest.mark.parametrize("mode", ["sup_sup", "inf_sup", "inf_sup_re"])
+@pytest.mark.parametrize("name", ["stable_levy"] + sorted(STATE_SPECS) + sorted(D2_SPECS))
+def test_one_cap_table_row_is_symbol_extremum(name, mode):
+    # the symbol table and symbol_extremum share one grid: a row of one cap
+    # gives symbol_extremum's value at that cap to the bit, in every mode of
+    # the symbol integrals; the caps 20, 40, 3e4 and 6e4 differ from
+    # 10**log10(cap), so a cap merged into its own row would move them
+    if name in D2_SPECS:
+        spec, x = D2_SPECS[name](), np.full(2, EQUIV_X)
+    else:
+        spec, x = scan_spec(name)
+    ft = np.concatenate([[1 / 20, 1 / 3e4],
+                         10.0 ** np.random.default_rng(3).uniform(-9.0, 0.0, 30)])[:, None]
+    eps = np.array([[1.0], [0.5]])
+    table = criteria._symbol_table(spec, x, ft, eps, 2.0, mode)
+    want = symbol_extremum(spec, x, 2.0 * ft[:, None, :], 1.0 / (eps * ft[:, None, :]), mode)
+    assert table.shape == want.shape == (32, 2, 1)
+    assert table.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["stable_levy"] + sorted(STATE_SPECS))
 def test_symbol_integral_cost_and_memory(monkeypatch, name):
     # one q call per chunk of blocks (the sde's symbol calls its driver's q
@@ -824,16 +844,24 @@ LEVY_BALL_SPECS = {
 @pytest.mark.parametrize("name", sorted(LEVY_BALL_SPECS))
 def test_levy_state_ball_collapses_to_the_measure(name):
     # a Levy process is state-free: its state ball collapses to the centre,
-    # so the ball forms of A1, G(x, r) and the lower route read its measure
+    # so the ball forms of A1, G(x, r) and the lower route read its measure,
+    # and a ball's symbol extrema and sector check give radius 0's bits
     spec = LEVY_BALL_SPECS[name]()
     measure = spec.levy.measure
     ref = check_A1(measure)
+    caps = np.array([0.5, 20.0, 3e4])
     for x, r in ((0.0, 0.5), (0.3, 2.0)):
         rep = check_A1(spec, x=x, ball_radius=r)
         assert (rep.verdict, rep.witness, rep.reason) == (ref.verdict, ref.witness,
                                                          ref.reason)
         assert np.array_equal(rep.grid, ref.grid)
         assert ball_tail_intensity(spec, x, r) == float(measure.tail(r))
+        for mode in ("sup_sup", "inf_sup", "inf_sup_re", "sup_inf_re"):
+            assert (symbol_extremum(spec, x, r, caps, mode).tobytes()
+                    == symbol_extremum(spec, x, 0.0, caps, mode).tobytes())
+        sec, sec0 = sector_check(spec, (x, r)), sector_check(spec, (x, 0.0))
+        assert (sec.verdict, sec.reason) == (sec0.verdict, sec0.reason)
+        assert np.float64(sec.witness).tobytes() == np.float64(sec0.witness).tobytes()
     f = gr.power(0.7)
     res = classify_ltp_lower(spec, 0.3, f)
     assert (res.outcome, res.reason, res.assumptions_used) == (

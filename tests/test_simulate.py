@@ -312,7 +312,9 @@ class TestPaths:
         # path indices stop at 2^64 - 1: a larger one would share its key
         # with a path of the next seed
         cfg = SimConfig(n_paths=min(4, 2**64 - offset), seed=seed, path_offset=offset)
-        for p, rng in enumerate(cfg.path_rngs()):
+        streams = simulate._Streams(cfg, None, 1)
+        for p in range(cfg.n_paths):
+            rng = streams._seek(streams.u, p, 0)  # the whole-horizon re-key
             ref = path_rng(seed, offset + p)
             # normal draws leave a buffered word that the next key must clear
             assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
@@ -599,6 +601,15 @@ class TestBoundTables:
 
     @pytest.mark.parametrize("kind", ["exit_survival", "expected_exit",
                                       "lower_max", "max_ineq"])
+    def test_empty_grid_raises_before_simulating(self, no_simulation, kind):
+        # an empty grid once raised "max() arg is an empty sequence", and
+        # expected_exit returned no rows
+        with pytest.raises(ValueError, match="grid must hold"):
+            verify_bound_table(pr.raw_stable_process(1.0), 0.0, kind, [],
+                               SimConfig(n_paths=50))
+
+    @pytest.mark.parametrize("kind", ["exit_survival", "expected_exit",
+                                      "lower_max", "max_ineq"])
     @pytest.mark.parametrize("c_lower", [-0.1, 1.5, float("nan")])
     def test_bad_c_lower_raises_before_simulating(self, no_simulation, kind,
                                                   c_lower):
@@ -608,9 +619,10 @@ class TestBoundTables:
                                SimConfig(n_paths=50), c_lower=c_lower)
 
     @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
-                                      (-0.1, 0.5), (0.1, 0.0)])
+                                      (-0.1, 0.5), (0.1, 0.0), (float("inf"), 0.5)])
     def test_exit_bounds_reject_bad_t_or_r(self, no_simulation, t, r):
-        # NaN once passed the range check and gave NaN factors
+        # NaN once passed the range check and gave NaN factors, and t = inf
+        # gave NaN survival, shape and lower factors
         with pytest.raises(ValueError, match="need t >= 0 and r > 0"):
             exit_bounds(pr.raw_stable_process(1.0), 0.0, t, r)
 
