@@ -125,9 +125,9 @@ def dyadic_integral(g, n_max=60, nodes=16, rows=None):
 
     With ``rows=k`` the integrand carries a leading parameter axis: it maps
     the (nodes,) array to (k, nodes) values, and the result is a list of k
-    verdicts, row i equal to a one-row call on g(t)[i] to the bit.  Each
-    block costs one call of ``g``, or ``g`` is the blocks x rows x nodes table
-    on ``_block_nodes`` itself (the symbol integrals'); it is reduced row by row.
+    verdicts, row i equal to a one-row call on g(t)[i] to the bit.  Each block
+    costs one call of ``g``, or ``g`` is the blocks x rows x nodes table on
+    ``_block_nodes`` (the symbol and state-ball tail integrals'), reduced row by row.
     """
     t, half_widths = _block_nodes(n_max, nodes)
     shape = (n_max + 1,) + ((nodes,) if rows is None else (rows, nodes))
@@ -200,25 +200,25 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
                             fixed_ball_radius=None, n_max=60):
     """Dyadic verdict for the jump-tail integral int_0^1 nu(., |y| >= c f(t)) dt.
 
-    ``ball_mode`` None evaluates the plain tail (Levy case); "sup"/"inf" take
-    the extremum over the state ball of radius ``ball_scale * f(t)`` (or a
-    fixed radius when ``fixed_ball_radius`` is given).
+    ``ball_mode`` None evaluates the plain tail (Levy case) block by block;
+    "sup"/"inf" take the extremum over the state ball of radius ``ball_scale *
+    f(t)`` (or ``fixed_ball_radius``), in ``tail_at`` calls of ``SYMBOL_CHUNK`` blocks.
 
-    A float ``c`` gives one ``IntegralVerdict``.  A 1-d array of c gives a
-    list of verdicts, one per entry in its order, from one dyadic pass whose
-    blocks evaluate every c at once (``dyadic_integral``'s ``rows``).
+    A float ``c`` gives one ``IntegralVerdict``, a 1-d array of c a list of
+    verdicts in its order from one dyadic pass whose blocks evaluate every c
+    at once (``dyadic_integral``'s ``rows``); every c is positive and finite.
     """
     # a plain number takes the one-row path without np.ndim's call overhead
     if isinstance(c, (float, int)) or np.ndim(c) == 0:
         c = scale = float(c)
-        rows, positive = None, c > 0
+        rows, positive = None, 0 < c < np.inf
     else:
         c = np.asarray(c, float)
         if c.ndim != 1:
             raise ValueError("c must be a float or a 1-d array")
-        scale, rows, positive = c[:, None], c.size, np.all(c > 0)
+        scale, rows, positive = c[:, None], c.size, np.all((c > 0) & (c < np.inf))
     if not positive:
-        raise ValueError("c must be positive")
+        raise ValueError("c must be positive and finite")
     if (ball_mode is None) != (spec.kind == "levy"):
         raise ValueError("ball_mode must be None exactly for Levy processes")
     _check_ball(spec, x, ball_scale, "ball_scale")
@@ -226,27 +226,34 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
         _check_ball(spec, x, fixed_ball_radius, "fixed_ball_radius")
 
     if ball_mode is None:
-        measure = spec.levy.measure
+        tail = spec.levy.measure.tail
+        return dyadic_integral(lambda t: np.asarray(tail(scale * f(t)), float), n_max, rows=rows)
+    if ball_mode not in ("sup", "inf"):
+        raise ValueError(f"unknown ball_mode {ball_mode!r}")
+    extremum = np.max if ball_mode == "sup" else np.min
+    ft = np.asarray(f(_block_nodes(n_max, 16)[0]), float)[:, None, :]  # blocks x 1 x nodes
 
-        def g(t):
-            return np.asarray(measure.tail(scale * f(t)), float)
+    def chunk(blocks):  # blocks x rows x nodes from one tail_at call on the nodes' balls
+        z = _tail_states(spec, x, ball_scale * ft[blocks] if fixed_ball_radius is None
+                         else fixed_ball_radius)
+        return extremum(spec.tail_at(z, (scale * ft[blocks])[..., None]), axis=-1)
 
-    else:
-        if ball_mode not in ("sup", "inf"):
-            raise ValueError(f"unknown ball_mode {ball_mode!r}")
-        extremum = np.max if ball_mode == "sup" else np.min
-
-        def g(t):
-            ft = np.asarray(f(t), float)
-            radius = ball_scale * ft if fixed_ball_radius is None \
-                else fixed_ball_radius
-            z = _tail_states(spec, x, radius)
-            return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
-
-    return dyadic_integral(g, n_max, rows=rows)
+    table = _by_chunk(len(ft), chunk)
+    return dyadic_integral(table[:, 0] if rows is None else table, n_max, rows=rows)
 
 
-SYMBOL_CHUNK = 16  # dyadic blocks per symbol table of symbol_integral_criterion
+SYMBOL_CHUNK = 16  # dyadic blocks per table chunk of the symbol and state-ball tail integrands
+
+
+def _by_chunk(n_blocks, chunk):
+    """``chunk`` per slice of ``SYMBOL_CHUNK`` blocks, concatenated; a failure names its blocks."""
+    parts = []
+    for i in range(0, n_blocks, SYMBOL_CHUNK):
+        try:
+            parts.append(chunk(slice(i, i + SYMBOL_CHUNK)))
+        except Exception as exc:
+            raise EvaluationFailure(f"integrand failed on blocks from {i}: {exc}") from exc
+    return np.concatenate(parts)
 
 
 def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
@@ -257,10 +264,8 @@ def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
     caps, balls = 1.0 / (eps_col * ft[:, None, :]), ball_scale * ft.max(axis=-1)
     if not ((caps > 0) & (caps < np.inf)).all():
         raise EvaluationFailure("frequency caps must be positive and finite")
-    return np.concatenate([
-        _capped_extremum(spec, _ball_states(spec, x, balls[i:i + SYMBOL_CHUNK])[:, None],
-                         caps[i:i + SYMBOL_CHUNK], mode)
-        for i in range(0, len(ft), SYMBOL_CHUNK)])
+    return _by_chunk(len(ft), lambda blocks: _capped_extremum(
+        spec, _ball_states(spec, x, balls[blocks])[:, None], caps[blocks], mode))
 
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -670,6 +671,21 @@ def test_batched_c_scan_matches_one_call_per_c(name, kw, kappa):
         assert_same_verdict(v, tail_integral_criterion(spec, x, f, float(c), **kw))
 
 
+@pytest.mark.parametrize("c", [np.inf, np.array([1.0, np.inf])])
+@pytest.mark.parametrize("name", ["stable", "variable_order"])
+def test_infinite_c_rejected_before_any_integrand(no_integral, name, c):
+    # c = inf once read a vacuous `converges` with value 0 (all blocks vanish)
+    spec, x, kw = {"stable": (pr.stable_process(1.5), None, {}),
+                   "variable_order": (pr.variable_order_process(), 0.0,
+                                      {"ball_mode": "sup"})}[name]
+    calls = []
+    f = gr.from_callable(lambda t: calls.append(t) or t**0.9)
+    calls.clear()  # the calls of the growth function's own checks
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        tail_integral_criterion(spec, x, f, c, **kw)
+    assert not calls
+
+
 def test_tail_criterion_c_contract():
     spec = pr.variable_order_process()
     f = gr.power(0.8)
@@ -831,6 +847,108 @@ def test_symbol_integral_cost_and_memory(monkeypatch, name):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the state-ball tail integrand: one table per chunk of blocks
+# ---------------------------------------------------------------------------
+
+BALL_TAIL_SPECS = {
+    "variable_order": pr.variable_order_process,
+    "stable_type": lambda: pr.stable_type_process(1.5),
+    "sde_process": pr.sde_process,
+}
+
+
+def per_block_ball_tail(spec, x, f, c, ball_mode, ball_scale=1.0, fixed_ball_radius=None):
+    """The state-ball tail integral as a per-block closure through the
+    engine's callable path: one f call, one ball and one tail_at call per
+    block of nodes."""
+    scale, rows = (c, None) if np.ndim(c) == 0 else (c[:, None], c.size)
+    extremum = np.max if ball_mode == "sup" else np.min
+
+    def g(t):
+        ft = np.asarray(f(t), float)
+        radius = ball_scale * ft if fixed_ball_radius is None else fixed_ball_radius
+        z = criteria._tail_states(spec, x, radius)
+        return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
+
+    return dyadic_integral(g, rows=rows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BALL_TAIL_SPECS)), ball_mode=st.sampled_from(["sup", "inf"]),
+       c=st.one_of(st.floats(2.0**-4, 2.0**8), st.just(C_SCAN)),
+       ball_scale=st.floats(0.0, 2.0),
+       fixed=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+       x=st.floats(-1.0, 1.0), kappa=st.floats(0.3, 1.2))
+def test_ball_tail_table_matches_per_block_closure(name, ball_mode, c, ball_scale,
+                                                   fixed, x, kappa):
+    # the chunked table gives the per-block closure's verdicts to the bit,
+    # for a float c and for a c-scan's rows
+    spec, f = BALL_TAIL_SPECS[name](), gr.power(kappa)
+    kw = {"ball_mode": ball_mode, "ball_scale": ball_scale, "fixed_ball_radius": fixed}
+    got = tail_integral_criterion(spec, x, f, c, **kw)
+    want = per_block_ball_tail(spec, x, f, c, **kw)
+    if np.ndim(c) == 0:
+        got, want = [got], [want]
+    assert len(got) == len(want) == np.size(c)
+    for v, ref in zip(got, want):
+        assert_bitwise_same(v, ref)
+
+
+@pytest.mark.parametrize("fixed", [None, 0.5])
+@pytest.mark.parametrize("name", sorted(BALL_TAIL_SPECS))
+def test_ball_tail_cost_and_memory(monkeypatch, name, fixed):
+    # a whole c-scan makes one tail_at call per chunk of blocks, and a chunk's
+    # arrays stay small (the sde's 13-row table over all 61 blocks at once
+    # would take ~7 MB)
+    spec, f = BALL_TAIL_SPECS[name](), gr.power(0.8)
+    kw = {"ball_mode": "sup", "fixed_ball_radius": fixed}
+    real_tail_at, calls = ProcessSpec.tail_at, []
+
+    def counting(self, *args):
+        calls.append(args)
+        return real_tail_at(self, *args)
+
+    monkeypatch.setattr(ProcessSpec, "tail_at", counting)
+    tail_integral_criterion(spec, EQUIV_X, f, C_SCAN, **kw)
+    assert len(calls) == -(-61 // criteria.SYMBOL_CHUNK)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tail_integral_criterion(spec, EQUIV_X, f, C_SCAN, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def with_tail(spec, tail):
+    return dataclasses.replace(spec, family=dataclasses.replace(spec.family, tail=tail))
+
+
+@pytest.mark.parametrize("ball_mode", ["sup", "inf"])
+def test_ball_tail_table_failures_map_to_evaluation_failure(ball_mode):
+    # a raising family tail is an EvaluationFailure naming its chunk, as the
+    # engine's per-block loop named its block; a tail that turns NaN below
+    # f(2^-20) names block 20, the first whose nodes all lie below 2^-20
+    vo, f = pr.variable_order_process(), gr.power(0.8)
+
+    def raising(z, r):
+        raise RuntimeError("boom")
+
+    with pytest.raises(EvaluationFailure, match="failed on blocks from 0: boom"):
+        tail_integral_criterion(with_tail(vo, raising), 0.0, f, 1.0, ball_mode=ball_mode)
+    r_nan = float(f(2.0**-20))
+
+    def nan_below(z, r):
+        return np.where(np.asarray(r) < r_nan, np.nan, vo.family.tail(z, r))
+
+    for c in (1.0, np.array([1.0, 1.0])):
+        with pytest.raises(EvaluationFailure, match="not finite on block 20$"):
+            tail_integral_criterion(with_tail(vo, nan_below), 0.0, f, c, ball_mode=ball_mode)
 
 
 LEVY_BALL_SPECS = {
