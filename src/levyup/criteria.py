@@ -114,6 +114,15 @@ def _block_nodes(n_max, nodes):
     return h[:, None] * _gl_nodes(nodes)[0] + 3.0 * h[:, None], h  # midpoints 3h
 
 
+def _growth_on_nodes(f, n_max):
+    """f on every block's 16 nodes, blocks x nodes; a failure is an ``EvaluationFailure``."""
+    t = _block_nodes(n_max, 16)[0]
+    try:
+        return np.asarray(f(t), float)
+    except Exception as exc:
+        raise EvaluationFailure(f"growth function failed on the dyadic nodes: {exc}") from exc
+
+
 def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     """Classify int_0^1 g(t) dt from block sums over [2^{-(n+1)}, 2^{-n}].
 
@@ -200,9 +209,9 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
                             fixed_ball_radius=None, n_max=60):
     """Dyadic verdict for the jump-tail integral int_0^1 nu(., |y| >= c f(t)) dt.
 
-    ``ball_mode`` None evaluates the plain tail (Levy case) block by block;
-    "sup"/"inf" take the extremum over the state ball of radius ``ball_scale *
-    f(t)`` (or ``fixed_ball_radius``), in ``tail_at`` calls of ``SYMBOL_CHUNK`` blocks.
+    ``ball_mode`` None evaluates the plain tail (Levy case) block by block; "sup"/"inf",
+    the extremum over the state ball of radius ``ball_scale * f(t)`` (or ``fixed_ball_radius``)
+    per ``SYMBOL_CHUNK`` blocks: one ``tail_at`` table, states on its leading (contiguous) axis.
 
     A float ``c`` gives one ``IntegralVerdict``, a 1-d array of c a list of
     verdicts in its order from one dyadic pass whose blocks evaluate every c
@@ -231,12 +240,13 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     if ball_mode not in ("sup", "inf"):
         raise ValueError(f"unknown ball_mode {ball_mode!r}")
     extremum = np.max if ball_mode == "sup" else np.min
-    ft = np.asarray(f(_block_nodes(n_max, 16)[0]), float)[:, None, :]  # blocks x 1 x nodes
+    ft = _growth_on_nodes(f, n_max)[:, None, :]  # blocks x 1 x nodes
 
-    def chunk(blocks):  # blocks x rows x nodes from one tail_at call on the nodes' balls
+    def chunk(blocks):  # one tail_at call over states x blocks x rows x nodes, states reduced
         z = _tail_states(spec, x, ball_scale * ft[blocks] if fixed_ball_radius is None
                          else fixed_ball_radius)
-        return extremum(spec.tail_at(z, (scale * ft[blocks])[..., None]), axis=-1)
+        z = np.expand_dims(z, (1, 2, 3)) if z.ndim < 4 else np.moveaxis(z, 3, 0)  # states first
+        return extremum(spec.tail_at(np.ascontiguousarray(z), scale * ft[blocks]), axis=0)
 
     table = _by_chunk(len(ft), chunk)
     return dyadic_integral(table[:, 0] if rows is None else table, n_max, rows=rows)
@@ -258,9 +268,9 @@ def _by_chunk(n_blocks, chunk):
 
 def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
     """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes, one
-    ``symbols._capped_extremum`` call per ``SYMBOL_CHUNK`` blocks: a row per
-    (block, eps) read at its exact caps, on the block's largest ball.  Balls
-    round only up: harder for a sup-ball zero and an inf-ball bound."""
+    ``symbols._capped_extremum`` call per ``SYMBOL_CHUNK`` blocks (sup: states reduced
+    first): a row per (block, eps) read at its exact caps, on the block's largest
+    ball.  Balls round only up: harder for a sup-ball zero and an inf-ball bound."""
     caps, balls = 1.0 / (eps_col * ft[:, None, :]), ball_scale * ft.max(axis=-1)
     if not ((caps > 0) & (caps < np.inf)).all():
         raise EvaluationFailure("frequency caps must be positive and finite")
@@ -290,7 +300,7 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
                          f"{value_kind!r}")
 
     eps_col = np.array([[eps], [eps / 2.0]] if verify_eps else [[eps]])
-    ft = np.asarray(f(_block_nodes(n_max, 16)[0]), float)
+    ft = _growth_on_nodes(f, n_max)
     table = _symbol_table(spec, x, ft, eps_col, ball_scale, mode)
     if not verify_eps:
         return dyadic_integral(table[:, 0], n_max)

@@ -121,22 +121,24 @@ class ProcessSpec:
         return self._at(z, r, "trunc2")
 
     def _at(self, z, r, attr):
+        """``tail_at``/``trunc2_at``, copying only a result short of the broadcast shape."""
         z = np.atleast_1d(np.asarray(z, float))
         r = np.asarray(r, float)
         shape = np.broadcast_shapes(z.shape if self.dim == 1 else z.shape[:-1],
                                     r.shape)
         if self.kind != "sde":
-            model = self.levy.measure if self.kind == "levy" else self.family
-            args = (r,) if self.kind == "levy" else (z, r)
-            return np.array(np.broadcast_to(getattr(model, attr)(*args), shape), float)
-        s = np.broadcast_to(np.abs(np.asarray(self.sigma(z), float)), shape)
-        r = np.broadcast_to(r, shape)
-        out = np.zeros(shape)
-        ok = s > 0
-        if np.any(ok):
+            model, args = ((self.levy.measure, (r,)) if self.kind == "levy"
+                           else (self.family, (z, r)))
+            out = np.asarray(getattr(model, attr)(*args), float)
+        elif ((s := np.abs(np.asarray(self.sigma(z), float))) > 0).all():  # no gathers
+            out = np.asarray(getattr(self.driver.measure, attr)(r / s), float)
+            out = out if attr == "tail" else s**2 * out
+        else:
+            s, r = np.broadcast_to(s, shape), np.broadcast_to(r, shape)
+            out, ok = np.zeros(shape), s > 0
             val = np.asarray(getattr(self.driver.measure, attr)(r[ok] / s[ok]), float)
             out[ok] = val if attr == "tail" else s[ok] ** 2 * val
-        return out
+        return out if out.shape == shape else np.array(np.broadcast_to(out, shape), float)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +432,7 @@ def _capped_extremum(spec: ProcessSpec, states, caps, mode):
     times ``_directions`` (in 1-d +1 alone: a Hermitian q has even |q| and
     Re q).  A row of several caps merges them into its radii and reads a
     running max at each; a one-cap row reads its top radius, 10**log10(cap).
+    Max is exact, so the sup modes reduce the states first and the inf modes last.
     """
     z_kind, val_kind = _EXTREMUM_MODES[mode]
     radii, merged = _cap_radii(caps, EXTREMUM_RADII), caps.shape[-1] > 1
@@ -442,13 +445,15 @@ def _capped_extremum(spec: ProcessSpec, states, caps, mode):
     if z_kind == "swap":
         table = table.min(axis=-3, keepdims=True)
     table = table.max(axis=-1) if spec.dim > 1 else table[..., 0]  # 1-d: one direction
+    if z_kind != "inf":  # ... x 1 x radii
+        table = table.max(axis=-2, keepdims=True, initial=0.0)
     if not merged:  # one cap, for which the top radius stands
-        return (table.max(axis=-1).min(axis=-1) if z_kind == "inf"
-                else table.max(axis=(-2, -1), initial=0.0))[..., None]
-    np.maximum.accumulate(table, axis=-1, out=table)  # read at each cap's sorted place
-    at = np.take_along_axis(table, (radii[..., None, :] < caps[..., None]).sum(axis=-1)[..., None, :],
-                            axis=-1)  # ... x states x caps
-    return at.min(axis=-2) if z_kind == "inf" else at.max(axis=-2, initial=0.0)
+        return table.max(axis=-1).min(axis=-1)[..., None]
+    at = (radii[..., None, :] < caps[..., None]).sum(axis=-1)  # each cap's sorted place
+    lo = at.min()  # >= 1 radii lie below every cap of every row: one max stands for them
+    table = np.concatenate([table[..., :lo].max(axis=-1, keepdims=True), table[..., lo:]], axis=-1)
+    np.maximum.accumulate(table, axis=-1, out=table)
+    return np.take_along_axis(table, at[..., None, :] - (lo - 1), axis=-1).min(axis=-2)
 
 
 def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"):

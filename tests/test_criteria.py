@@ -885,7 +885,9 @@ def per_block_ball_tail(spec, x, f, c, ball_mode, ball_scale=1.0, fixed_ball_rad
 def test_ball_tail_table_matches_per_block_closure(name, ball_mode, c, ball_scale,
                                                    fixed, x, kappa):
     # the chunked table gives the per-block closure's verdicts to the bit,
-    # for a float c and for a c-scan's rows
+    # for a float c and for a c-scan's rows: the closure reduces each block's
+    # rows x nodes x states table over its trailing states, the order the
+    # chunks used before their states moved to the leading axis
     spec, f = BALL_TAIL_SPECS[name](), gr.power(kappa)
     kw = {"ball_mode": ball_mode, "ball_scale": ball_scale, "fixed_ball_radius": fixed}
     got = tail_integral_criterion(spec, x, f, c, **kw)
@@ -949,6 +951,35 @@ def test_ball_tail_table_failures_map_to_evaluation_failure(ball_mode):
     for c in (1.0, np.array([1.0, 1.0])):
         with pytest.raises(EvaluationFailure, match="not finite on block 20$"):
             tail_integral_criterion(with_tail(vo, nan_below), 0.0, f, c, ball_mode=ball_mode)
+
+
+def growth_raising_below(t_min):
+    """t^0.8 through ``from_callable``, raising on any t below t_min once built
+    (its construction checks a grid down to 1e-12)."""
+    armed = []
+
+    def fn(t):
+        if armed and np.any(t < t_min):
+            raise ArithmeticError(f"t below {t_min}")
+        return t**0.8
+
+    f = gr.from_callable(fn)
+    armed.append(True)
+    return f
+
+
+def test_raising_growth_function_is_an_evaluation_failure_on_every_route():
+    # the Levy tail's per-block closure names the first block below 1e-10;
+    # the table integrands evaluate f once on every node and say so
+    f, vo = growth_raising_below(1e-10), pr.variable_order_process()
+    with pytest.raises(EvaluationFailure, match="failed on block 33: t below 1e-10"):
+        tail_integral_criterion(pr.stable_process(1.5), None, f, 1.0)
+    for ball_mode in ("sup", "inf"):
+        with pytest.raises(EvaluationFailure, match="growth function failed .*: t below 1e-10"):
+            tail_integral_criterion(vo, 0.0, f, 1.0, ball_mode=ball_mode)
+    for ball_mode in (None, "sup", "inf"):
+        with pytest.raises(EvaluationFailure, match="growth function failed .*: t below 1e-10"):
+            symbol_integral_criterion(vo, 0.0, f, ball_mode=ball_mode)
 
 
 LEVY_BALL_SPECS = {

@@ -558,6 +558,64 @@ def test_extremum_matches_its_grids_to_the_bit(name, mode, shape):
         assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
+def radii_then_states_extremum(spec, states, caps, mode):
+    """``symbols._capped_extremum`` reduced in the order it once used: a
+    running max along the radii per state, read at each cap, then the
+    extremum over the states, in every mode."""
+    z_kind, val_kind = sy._EXTREMUM_MODES[mode]
+    radii, merged = sy._cap_radii(caps, EXTREMUM_RADII), caps.shape[-1] > 1
+    if merged:
+        radii = np.sort(np.concatenate([radii, caps], axis=-1))
+    dirs = np.ones((1, 1)) if spec.dim == 1 else sy._directions(spec.dim)
+    table = spec.q(states[..., None, None, :], radii[..., None, :, None, None] * dirs)
+    table = np.abs(table) if val_kind == "abs" else np.real(table)
+    if z_kind == "swap":
+        table = table.min(axis=-3, keepdims=True)
+    table = table.max(axis=-1) if spec.dim > 1 else table[..., 0]
+    if not merged:
+        return (table.max(axis=-1).min(axis=-1) if z_kind == "inf"
+                else table.max(axis=(-2, -1), initial=0.0))[..., None]
+    table = np.maximum.accumulate(table, axis=-1)
+    at = np.take_along_axis(table, (radii[..., None, :] < caps[..., None]).sum(axis=-1)[..., None, :],
+                            axis=-1)
+    return at.min(axis=-2) if z_kind == "inf" else at.max(axis=-2, initial=0.0)
+
+
+def _wavy(x, xi):
+    """A state-dependent |q| that oscillates in log |xi| under a growing
+    envelope, so its running max along the radii moves from peak to peak."""
+    v = np.abs(xi[..., 0])
+    return np.sqrt(v) * (1.5 + np.sin(8.0 * np.log(v) + x[..., 0]))
+
+
+ORDER_SPECS = {**EQUIV_SPECS, **D2_SPECS, "atom": pr.atom_process,
+               "wavy": lambda: ProcessSpec(kind="state_dependent", dim=1, symbol=_wavy)}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(ORDER_SPECS)), mode=st.sampled_from(EXTREMUM_MODES),
+       n_caps=st.sampled_from([1, 2, 16]), eps_rows=st.booleans(), tie=st.booleans(),
+       blocks=st.integers(1, 5), x=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_capped_extremum_matches_radii_then_states_order(name, mode, n_caps, eps_rows, tie,
+                                                         blocks, x, seed):
+    # the states-first reduction of the sup modes and the running max per
+    # state of the inf modes give the old order's values, for merged and
+    # one-cap rows, 1-d and 2-d specs, and rows of (block, eps) pairs on a
+    # shared state ball as the symbol integrals build them
+    spec, rng = ORDER_SPECS[name](), np.random.default_rng(seed)
+    balls = rng.uniform(0.0, 0.5, blocks)
+    caps = 10.0 ** rng.uniform(-3.0, 12.0, (blocks,) + ((2,) if eps_rows else ()) + (n_caps,))
+    if tie:  # a zero ball (all of them for one block), and a cap repeated in its row
+        balls[0], caps[..., -1] = 0.0, caps[..., 0]
+    states = sy._ball_states(spec, np.full(spec.dim, x), balls)
+    if eps_rows:
+        states = states[:, None]
+    got = sy._capped_extremum(spec, states, caps, mode)
+    want = radii_then_states_extremum(spec, states, caps, mode)
+    assert got.shape == want.shape == caps.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # the broadcasting contract of ProcessSpec.q / tail_at / trunc2_at
 # ---------------------------------------------------------------------------
