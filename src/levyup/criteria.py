@@ -198,12 +198,6 @@ def _classify_blocks(sums):
 # ---------------------------------------------------------------------------
 
 
-def _tail_states(spec, x, radius):
-    """``symbols._ball_states`` in the layout ``ProcessSpec.tail_at`` takes."""
-    z = _ball_states(spec, x, radius)
-    return z[..., 0] if spec.dim == 1 else z
-
-
 def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
                             ball_mode=None, ball_scale=1.0,
                             fixed_ball_radius=None, n_max=60):
@@ -243,9 +237,9 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     ft = _growth_on_nodes(f, n_max)[:, None, :]  # blocks x 1 x nodes
 
     def chunk(blocks):  # one tail_at call over states x blocks x rows x nodes, states reduced
-        z = _tail_states(spec, x, ball_scale * ft[blocks] if fixed_ball_radius is None
-                         else fixed_ball_radius)
-        z = np.expand_dims(z, (1, 2, 3)) if z.ndim < 4 else np.moveaxis(z, 3, 0)  # states first
+        radius = (ball_scale * ft[blocks] if fixed_ball_radius is None
+                  else np.full((1, 1, 1), fixed_ball_radius))
+        z = np.moveaxis(_ball_states(spec, x, radius), -2, 0)  # states first
         return extremum(spec.tail_at(np.ascontiguousarray(z), scale * ft[blocks]), axis=0)
 
     table = _by_chunk(len(ft), chunk)
@@ -344,7 +338,7 @@ def check_A1(source, x=0.0, ball_radius=None):
         where = ""
     else:
         _check_ball(source, x, ball_radius or 0.0)
-        z1 = _tail_states(source, x, ball_radius or 0.0)
+        z1 = _ball_states(source, x, ball_radius or 0.0)
         g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
         where = "" if source.kind == "levy" else " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -588,8 +582,7 @@ def majorization_holds(spec: ProcessSpec, x, ball_radius):
     """Spot-check: some state in each ball dominates the symbol sup in |q|."""
     _check_ball(spec, x, ball_radius)
     xi = np.logspace(0, 4, 9)
-    xi_pts = xi[:, None] if spec.dim == 1 else np.pad(xi[:, None],
-                                                      ((0, 0), (0, spec.dim - 1)))
+    xi_pts = np.pad(xi[:, None], ((0, 0), (0, spec.dim - 1)))
     radii = np.linspace(ball_radius / 4, ball_radius, 4)
     z = ball_grid(x, radii, spec.dim)
     table = np.abs(spec.q(z[:, :, None, :], xi_pts))   # radius x state x xi
@@ -807,7 +800,7 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
 
 def ball_tail_intensity(spec: ProcessSpec, x, r):
     """G(x, r) = inf over the state ball B(x, r) of nu(z, {|y| > r})."""
-    return float(np.min(spec.tail_at(_tail_states(spec, x, r), r)))
+    return float(np.min(spec.tail_at(_ball_states(spec, x, r), r)))
 
 
 def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):

@@ -1,10 +1,10 @@
 """Built-in process library: closed-form models used throughout the examples
 and the verification suites.
 
-All one-dimensional.  "Normalized" stable processes have exponent exactly
-|xi|^alpha; "raw" ones use the unit-coefficient measure |y|^{-1-alpha} dy,
-whose tail is 2 r^{-alpha}/alpha (so the jump intensity above radius r is a
-round number at alpha = 1).
+One-dimensional but ``sde_process`` (its driver's d); state callables take z
+(..., d) and read z[..., 0].  "Normalized" stable processes have exponent
+exactly |xi|^alpha; "raw" ones use the measure |y|^{-1-alpha} dy, whose tail is
+2 r^{-alpha}/alpha (a round jump intensity above radius r at alpha = 1).
 """
 
 from __future__ import annotations
@@ -210,17 +210,17 @@ def variable_order_process(order_fn=None):
         return np.power(np.abs(xi[..., 0]), order(x[..., 0]))
 
     def tail(z, r):
-        a = order(np.asarray(z, float))
+        a = order(np.asarray(z, float)[..., 0])
         c = _stable_norm_vec(a)
         return 2.0 * c * np.asarray(r, float) ** (-a) / a
 
     def trunc2(z, r):
-        a = order(np.asarray(z, float))
+        a = order(np.asarray(z, float)[..., 0])
         c = _stable_norm_vec(a)
         return 2.0 * c * np.asarray(r, float) ** (2.0 - a) / (2.0 - a)
 
     def stable_params(z):
-        return order(np.asarray(z, float).reshape(-1)), 1.0
+        return order(np.asarray(z, float)[..., 0]), 1.0
 
     fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
     return ProcessSpec(
@@ -257,15 +257,15 @@ def stable_type_process(alpha, intensity_fn=None):
         return np.multiply(kap(x[..., 0]), np.abs(xi[..., 0]) ** alpha)
 
     def tail(z, r):
-        k = np.asarray(kap(np.asarray(z, float)), float)
+        k = np.asarray(kap(np.asarray(z, float)[..., 0]), float)
         return k * 2.0 * c * np.asarray(r, float) ** (-alpha) / alpha
 
     def trunc2(z, r):
-        k = np.asarray(kap(np.asarray(z, float)), float)
+        k = np.asarray(kap(np.asarray(z, float)[..., 0]), float)
         return k * 2.0 * c * np.asarray(r, float) ** (2.0 - alpha) / (2.0 - alpha)
 
     def stable_params(z):
-        k = np.asarray(kap(np.asarray(z, float).reshape(-1)), float)
+        k = np.asarray(kap(np.asarray(z, float)[..., 0]), float)
         return alpha, k ** (1.0 / alpha)  # the index does not depend on z
 
     fam = StateFamily(tail=tail, trunc2=trunc2, stable_params=stable_params)
@@ -281,14 +281,19 @@ def default_sde_coefficient(z):
 
 
 def sde_process(driver: ProcessSpec | None = None, coefficient=None):
-    """Solution of dX = sigma(X_-) dL with symbol psi(sigma(x) xi)."""
+    """Solution of dX = sigma(X_-) dL, symbol psi(sigma(x) xi) and tail G(r/|sigma(x)|),
+    with one scalar sigma(x) = coefficient(x[..., 0]) for a driver in any d (also
+    read by euler_sde).  Matrix coefficients Phi(x), psi(Phi(x)^T xi), are not supported."""
     driver = driver or cauchy_process()
     if driver.kind != "levy":
         raise ValueError("driver must be a Levy process")
     sig = coefficient or default_sde_coefficient
 
+    def sigma(z):
+        return np.asarray(sig(z[..., 0]), float)
+
     def symbol(x, xi):
-        s = np.broadcast_to(np.asarray(sig(x[..., 0]), float), x.shape[:-1])
+        s = np.broadcast_to(sigma(x), x.shape[:-1])
         return driver.q(np.zeros(driver.dim), s[..., None] * xi)
 
     return ProcessSpec(
@@ -296,7 +301,7 @@ def sde_process(driver: ProcessSpec | None = None, coefficient=None):
         dim=driver.dim,
         symbol=symbol,
         driver=driver.levy,
-        sigma=lambda z: np.asarray(sig(z), float),
+        sigma=sigma,
         stable_family=driver.stable_family,
         name=f"sde({driver.name})",
     )

@@ -293,7 +293,7 @@ def _euler_sde(spec, dts, config):
         sampler = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
 
     def advance(state, cont, jumps, j):
-        s = np.asarray(spec.sigma(state), float)
+        s = np.asarray(spec.sigma(state[:, None]), float)
         pre = state + s * cont
         return (None, pre) if jumps is None else (pre, pre + s * jumps)
 
@@ -307,7 +307,7 @@ def _freeze_symbol(spec, dts, config):
             f"freeze_symbol simulates only families with stable_params; "
             f"{spec.name or 'this family'} has none")
 
-    alpha = params(np.empty(0))[0]  # a float when it does not depend on the state
+    alpha = params(np.empty((0, 1)))[0]  # a float when it does not depend on the state
     if np.ndim(alpha) == 0:
         # one index for every state: a block's draws become stable draws at
         # once, as _stable_sampler's do.  The index and dt^(1/alpha) stay
@@ -321,7 +321,7 @@ def _freeze_symbol(spec, dts, config):
             return False
 
         def advance(state, draws, _, j):
-            return None, state + params(state)[1] * draws * scale[j]
+            return None, state + params(state[:, None])[1] * draws * scale[j]
 
         return (_park_cms, finish), advance
 
@@ -330,7 +330,7 @@ def _freeze_symbol(spec, dts, config):
         return True
 
     def advance(state, u, w, j):
-        alpha, sigma = params(state)
+        alpha, sigma = params(state[:, None])
         return None, state + sigma * _cms_symmetric(u, w, alpha) * dts[j] ** (1.0 / alpha)
 
     return (_park_cms, finish), advance

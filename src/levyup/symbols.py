@@ -7,9 +7,9 @@ a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
 x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
 values of the broadcast shape, float64 where the symbol is real (q(x (d,),
 xi (m, d)) -> (m,) is the single-state case); ``tail_at`` / ``trunc2_at``
-broadcast states against radii alike.  One kernel, ``_capped_extremum``,
-evaluates every capped symbol, for the symbol integrals and ``symbol_extremum``
-alike, and one helper, ``_ball_states``, collapses a Levy state ball.
+broadcast states against radii alike; ``sigma`` and the ``StateFamily`` fields
+take states (..., d) too, d = 1 included.  One kernel, ``_capped_extremum``,
+evaluates every capped symbol, and ``_ball_states`` collapses a Levy state ball.
 ``eval_exponent`` takes arrays of frequencies and runs every integral for all
 of them at once on fixed panels: Gauss-Legendre panels in log radius below a
 few oscillation periods, Filon panels on the oscillatory shells above.
@@ -62,14 +62,13 @@ class LevyTriplet:
 class StateFamily:
     """State-dependent characteristics reduced to what the criteria consume."""
 
-    # (z, r) -> nu(z, {|y| > r}) and int_{|y|<=r} |y|^2 nu(z, dy); the state
-    # array z and the radius array r broadcast against each other
+    # (z (..., d), r) -> nu(z, {|y| > r}) and int_{|y|<=r} |y|^2 nu(z, dy), of
+    # the shape broadcast_shapes(z.shape[:-1], r.shape)
     tail: Callable
     trunc2: Callable
-    # z array -> (alpha(z), sigma(z)) of the symmetric stable law frozen at
-    # z; the Monte Carlo freeze_symbol scheme needs it.  Either may be a
-    # float where it does not depend on z; a float alpha lets freeze_symbol
-    # turn a whole window's draws into stable draws at once
+    # z (..., d) -> (alpha(z), sigma(z)), each of shape z.shape[:-1] or a float where
+    # it does not depend on z: the stable law frozen at z that the freeze_symbol scheme
+    # draws from; a float alpha lets it turn a whole window's draws into stable draws at once
     stable_params: Callable | None = None
 
 
@@ -83,7 +82,7 @@ class ProcessSpec:
     levy: LevyTriplet | None = None
     family: StateFamily | None = None
     driver: LevyTriplet | None = None
-    sigma: Callable | None = None
+    sigma: Callable | None = None  # sde: z (..., d) -> scalar coefficient of shape (...)
     stable_family: tuple[float, float] | None = None  # (alpha, sigma): psi = (sigma|xi|)^alpha
     name: str = ""
 
@@ -112,8 +111,8 @@ class ProcessSpec:
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def tail_at(self, z, r):
-        """nu(z, {|y| > r}) on states z (shape (...) in dimension 1, else
-        (..., d)); the radii r broadcast against the states."""
+        """nu(z, {|y| > r}) on states z (..., d) broadcast against radii r; a last
+        axis other than ``dim`` raises ``ValueError`` (a Levy tail never reads z)."""
         return self._at(z, r, "tail")
 
     def trunc2_at(self, z, r):
@@ -122,10 +121,11 @@ class ProcessSpec:
 
     def _at(self, z, r, attr):
         """``tail_at``/``trunc2_at``, copying only a result short of the broadcast shape."""
-        z = np.atleast_1d(np.asarray(z, float))
+        z = np.atleast_2d(np.asarray(z, float))  # one state as a batch row (0-d powers round apart)
+        if self.kind != "levy" and z.shape[-1] != self.dim:
+            raise ValueError(f"z must have a last axis of length {self.dim}")
         r = np.asarray(r, float)
-        shape = np.broadcast_shapes(z.shape if self.dim == 1 else z.shape[:-1],
-                                    r.shape)
+        shape = np.broadcast_shapes(z.shape[:-1], r.shape)
         if self.kind != "sde":
             model, args = ((self.levy.measure, (r,)) if self.kind == "levy"
                            else (self.family, (z, r)))
@@ -381,18 +381,20 @@ def ball_grid(center, radius, dim, n=17):
 
 
 def _ball_states(spec: ProcessSpec, x, radius, n=17):
-    """``ball_grid``'s states of B(x, radius), (..., n, d); the centre alone, (1, d),
-    for a Levy process (state-free) or where every radius is zero."""
+    """``ball_grid``'s states of B(x, radius), (..., n, d); the centre alone, (1, ..., 1, d)
+    of the same rank, for a Levy process (state-free) or where every radius is zero."""
     radius = np.asarray(radius, float)
-    return ball_grid(x, radius if spec.kind != "levy" and radius.any() else 0.0, spec.dim, n)
+    return (ball_grid(x, radius, spec.dim, n) if spec.kind != "levy" and radius.any()
+            else ball_grid(x, 0.0, spec.dim).reshape((1,) * (radius.ndim + 1) + (-1,)))
 
 
 def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
-    """ValueError unless every coordinate of the state x is finite (a Levy
+    """ValueError unless x has ``dim`` finite coordinates (a scalar has one; a Levy
     process ignores x, which may be None) and the ball radius is finite and
     non-negative: the check of the public entries, made before any integral."""
-    if spec.kind != "levy" and not np.isfinite(np.asarray(x, float)).all():
-        raise ValueError("x must be finite")
+    if spec.kind != "levy" and (np.ndim(x) > 1 or np.size(x) != spec.dim
+                                or not np.isfinite(np.asarray(x, float)).all()):
+        raise ValueError(f"x must be finite with {spec.dim} coordinate(s), got {x!r}")
     if not 0 <= radius < np.inf:
         raise ValueError(f"{name} must be finite and non-negative")
 

@@ -820,6 +820,18 @@ def test_one_cap_table_row_is_symbol_extremum(name, mode):
     assert table.tobytes() == want.tobytes()
 
 
+def test_d2_sde_runs_the_state_ball_routes():
+    # the sde's tail and symbol read one coefficient sigma(x_1) in d = 2,
+    # where the state-ball tail calls below once raised a raw ValueError;
+    # the verdicts follow the dichotomy at kappa alpha = 0.65 and 1.3
+    spec, x = D2_SPECS["d2_sde_stable"](), np.zeros(2)
+    assert check_A1(spec, x=x, ball_radius=0.5).holds
+    assert ball_tail_intensity(spec, x, 0.5) > 0
+    assert classify_ltp_upper(spec, x, gr.power(1.0)).outcome == "indeterminate"
+    assert classify_ltp_upper(spec, x, gr.power(0.5)).outcome == "zero"
+    assert classify_ltp_lower(spec, x, gr.power(1.0)).outcome == "infinity"
+
+
 @pytest.mark.parametrize("name", ["stable_levy"] + sorted(STATE_SPECS))
 def test_symbol_integral_cost_and_memory(monkeypatch, name):
     # one q call per chunk of blocks (the sde's symbol calls its driver's q
@@ -870,7 +882,7 @@ def per_block_ball_tail(spec, x, f, c, ball_mode, ball_scale=1.0, fixed_ball_rad
     def g(t):
         ft = np.asarray(f(t), float)
         radius = ball_scale * ft if fixed_ball_radius is None else fixed_ball_radius
-        z = criteria._tail_states(spec, x, radius)
+        z = criteria._ball_states(spec, x, radius)
         return extremum(spec.tail_at(z, (scale * ft)[..., None]), axis=-1)
 
     return dyadic_integral(g, rows=rows)
@@ -1263,6 +1275,28 @@ def test_non_finite_state_rejected_at_every_entry(no_integral, x):
     ]
     for entry in entries:
         with pytest.raises(ValueError, match="x must be finite"):
+            entry()
+
+
+@pytest.mark.parametrize("name,x", [
+    ("variable_order", np.array([0.3, 0.9])),  # 0.9 was once dropped: a `zero` at 0.3
+    ("variable_order", np.zeros((1, 1))),
+    ("d2_variable_order", np.zeros(3)),        # once a raw numpy broadcast error
+    ("d2_variable_order", 0.0),                # a scalar is one coordinate
+])
+def test_state_of_the_wrong_length_rejected_at_every_entry(no_integral, name, x):
+    spec = D2_SPECS[name]() if name in D2_SPECS else pr.variable_order_process()
+    f = gr.power(0.5)
+    entries = [
+        lambda: classify_ltp_upper(spec, x, f),
+        lambda: classify_ltp_lower(spec, x, f),
+        lambda: exit_bounds(spec, x, 0.1, 0.1),
+        lambda: check_A1(spec, x=x, ball_radius=0.5),
+        lambda: symbol_extremum(spec, x, 0.1, 4.0),
+        lambda: sector_check(spec, x_ball=(x, 0.5)),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match=f"with {spec.dim} coordinate"):
             entry()
 
 

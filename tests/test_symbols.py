@@ -644,16 +644,45 @@ def test_q_broadcasts_states_against_frequencies(name, z, xi):
         np.testing.assert_array_equal(table[i], spec.q(z[i], xi))
 
 
-@pytest.mark.parametrize("name", ["variable_order", "stable_type", "sde_cauchy"])
+@pytest.mark.parametrize("name", ["variable_order", "stable_type", "sde_cauchy", "d2_sde_stable"])
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(z=STATES, r=RADII)
+@given(z=hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(2)),
+                    elements=st.floats(-3.0, 3.0)), r=RADII)
 def test_tail_and_trunc2_broadcast_states_against_radii(name, z, r):
-    spec = builtin(name)
-    states = z[:, 0]
+    # states are (..., d) in every dimension: (k, d) against radii (m, 1) give (m, k)
+    spec = D2_SPECS[name]() if name in D2_SPECS else builtin(name)
+    states = z[:, :spec.dim]
     for method in (spec.tail_at, spec.trunc2_at):
         table = method(states, r[:, None])
-        assert table.shape == (r.size, states.size)
+        assert table.shape == (r.size, len(states))
         np.testing.assert_array_equal(table, [method(states, ri) for ri in r])
+        np.testing.assert_array_equal(table[:, 0], method(states[0], r))  # one state, a row's bits
+
+
+@pytest.mark.parametrize("name", ["variable_order", "sde_cauchy", "d2_sde_stable"])
+def test_tail_at_rejects_a_wrong_trailing_axis(name):
+    # three 1-d states in the (n,) layout these calls once took read as one
+    # state of three coordinates; they raise, as q does
+    spec = D2_SPECS[name]() if name in D2_SPECS else builtin(name)
+    for method in (spec.tail_at, spec.trunc2_at):
+        with pytest.raises(ValueError, match=f"last axis of length {spec.dim}"):
+            method(np.zeros(3), 1.0)
+
+
+def test_d2_sde_tail_reads_the_driver_tail_at_sigma_of_the_first_coordinate():
+    # the sde's tail is G(r / |sigma(x_1)|) of its driver to the bit, in
+    # d = 2 as in d = 1, from the coefficient its symbol reads
+    spec = D2_SPECS["d2_sde_stable"]()
+    assert spec.tail_at(np.zeros((3, 2)), 1.0).shape == (3,)
+    z = np.array([[0.0, 0.0], [0.3, -1.0], [1.2, 0.5]])
+    sigma = np.abs(pr.default_sde_coefficient(z[:, 0]))
+    got = spec.tail_at(z, 1.0)
+    assert got.tobytes() == np.asarray(spec.driver.measure.tail(1.0 / sigma), float).tobytes()
+    np.testing.assert_allclose(got, [0.8705, 1.0413, 1.4313], atol=1e-4)
+    np.testing.assert_array_equal(spec.sigma(z), pr.default_sde_coefficient(z[:, 0]))
+    xi = np.array([[2.0, 1.0]])
+    for zi, si in zip(z, sigma):  # the symbol psi(sigma(x) xi) reads the same sigma
+        assert spec.q(zi, xi)[0] == np.linalg.norm(si * xi) ** 1.3
 
 
 # the symmetric built-ins are real and stay float; the skewed ones are complex
