@@ -29,18 +29,12 @@ from .limsup import (
     TrendVerdict,
     dyadic_limsup_stats,
     reproduce_example,
-    series_bound_max,
     trend_classify,
 )
 from .measures import LevyMeasureModel
 from .simulate import (
     McEstimate,
-    PathSample,
     SimConfig,
-    estimate_exit_survival,
-    mc_event_probability,
-    sample_increment,
-    simulate_path,
     verify_bound_table,
 )
 from .symbols import (
@@ -49,8 +43,6 @@ from .symbols import (
     ProcessSpec,
     StateFamily,
     eval_exponent,
-    psi_star,
-    psi_star_h_constant,
     sector_check,
     symbol_extremum,
 )
@@ -60,14 +52,12 @@ from . import processes
 __all__ = [
     "Classification", "ConditionReport", "DyadicStats",
     "ExitBounds", "GrowthFunction", "IntegralVerdict", "LevyMeasureModel",
-    "LevyTriplet", "McEstimate", "PathSample", "ProcessSpec", "SimConfig",
+    "LevyTriplet", "McEstimate", "ProcessSpec", "SimConfig",
     "StateFamily", "TrendVerdict", "bg_index", "check_A1", "check_A2",
     "classify_levy", "classify_ltp_lower", "classify_ltp_upper",
     "classify_power", "constant", "dyadic_integral",
-    "dyadic_limsup_stats", "estimate_exit_survival", "eval_exponent",
-    "exit_bounds", "mc_event_probability", "power", "processes", "psi_star",
-    "psi_star_h_constant", "reproduce_example", "sample_increment",
-    "sector_check", "series_bound_max", "simulate_path", "sqrt_loglog",
+    "dyadic_limsup_stats", "eval_exponent", "exit_bounds", "power",
+    "processes", "reproduce_example", "sector_check", "sqrt_loglog",
     "sqrt_t", "symbol_extremum", "symbol_integral_criterion",
     "tail_integral_criterion", "trend_classify", "verify_bound_table",
 ]

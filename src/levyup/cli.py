@@ -149,6 +149,8 @@ def _validate(cfg: RunConfig):
         raise ValidationError("tol must lie in (0, 0.1]")
     if not 0 <= run["c_lower"] <= 1:
         raise ValidationError("c_lower must lie in [0, 1]")
+    if not 0 < run["horizon"] < np.inf:  # NaN fails too
+        raise ValidationError("horizon must be positive and finite")
     for key in ("t_grid", "r_grid"):
         for v in _parse_grid(run[key]):
             if not 0 < v < np.inf:
@@ -358,7 +360,7 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
         sim = replace(_sim_config(cfg), n_paths=min(cfg.run["paths"], 64))
         times = _grid_to(cfg.run["horizon"], sim.dt)
         # each path draws from its own Philox stream, so one batch writes the
-        # rows that one simulate_path call per path would
+        # rows that one single-path run (n_paths=1, path_offset=p) per path would
         values, runmax = simulate_batch(spec, x, times, sim)
         rows = [(p, float(t), float(v), float(rm))
                 for p in range(sim.n_paths)

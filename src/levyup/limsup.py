@@ -22,7 +22,6 @@ SLOPE_THRESHOLD = 0.05   # per level, in log2 of the median
 RATIO_THRESHOLD = 4.0    # total end-to-start median ratio
 NOISE_DECADES = 3.0      # q90/q10 span at the last level that voids a verdict
 POINTS_PER_LEVEL = 256   # grid resolution inside each dyadic block
-_SERIES_BLOCK = 200      # t values per (n_terms, t) array in series_bound_max
 
 
 @dataclass
@@ -65,6 +64,8 @@ def dyadic_limsup_stats(spec: ProcessSpec, x, f, n_min=4, n_max=16,
                         config: SimConfig | None = None):
     """Quantiles of M_n over simulated paths for n = n_min..n_max; ``f`` is
     a GrowthFunction."""
+    if n_min < 0:
+        raise ValueError("n_min must be non-negative: t = 2^{-n} must lie in f's domain (0, 1]")
     if n_max > 20:
         raise ValueError("n_max above 20 is not supported (grid would be huge)")
     if n_max - n_min < 2:
@@ -195,25 +196,3 @@ def reproduce_example(name, n_paths=500, n_min=4, n_max=16, seed=0):
     )
     return ExampleReport(name=name, analytic=analytic, empirical=empirical,
                          stats=stats, agree=agree)
-
-
-# ---------------------------------------------------------------------------
-# numeric series bound used by the level-subsampling argument
-# ---------------------------------------------------------------------------
-
-
-SERIES_T_GRID = np.concatenate([np.logspace(-6, -1, 600), np.linspace(0.1, 0.999, 1400)])
-SERIES_T_GRID.flags.writeable = False
-
-
-def series_bound_max(n_terms=10_000):
-    """max over t in SERIES_T_GRID of sum_{n<=N} n^{-2} t^{1/n} log(1/t);
-    bounded by 2."""
-    n = np.arange(1, n_terms + 1, dtype=float)
-    best = 0.0
-    for i in range(0, len(SERIES_T_GRID), _SERIES_BLOCK):
-        t = SERIES_T_GRID[i:i + _SERIES_BLOCK]
-        log_t = np.log(t)
-        vals = np.exp(log_t[None, :] / n[:, None]) * (-log_t)[None, :] / n[:, None] ** 2
-        best = max(best, float(vals.sum(axis=0).max()))
-    return best

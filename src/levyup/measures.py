@@ -9,7 +9,6 @@ consistency checks; every integral here runs on ``quadrature.panel_quad``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,8 +17,6 @@ from scipy import special
 
 from .errors import ZeroTail
 from .quadrature import panel_quad
-
-Concentration = namedtuple("Concentration", ["G", "K", "h", "I"])
 
 _E_MINUS_E = float(np.exp(-np.e))  # support edge of the slowly-varying measure
 DENSITY_RTOL = 1e-6  # validate's tolerance between shell integrals and tail steps
@@ -51,18 +48,6 @@ class LevyMeasureModel:
         w = self.side_weights
         if min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("side_weights must be non-negative and sum to 1")
-
-    # -- basic functionals -------------------------------------------------
-
-    def concentration(self, r):
-        """Return (G, K, h, I) at radius r: K = trunc2/r^2, h = K+G, I = r^2 h."""
-        r = float(r)
-        if r <= 0:
-            raise ValueError("radius must be positive")
-        G = float(self.tail(r))
-        K = float(self.trunc2(r)) / r**2
-        h = K + G
-        return Concentration(G=G, K=K, h=h, I=r**2 * h)
 
     # -- validation --------------------------------------------------------
 

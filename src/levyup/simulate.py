@@ -53,7 +53,7 @@ windows or the blocks, to the bit.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,21 +93,6 @@ class SimConfig:
         """Jump cutoff of the compound-Poisson schemes: sqrt(dt) clamped to
         [1e-4, 1e-1]."""
         return float(np.clip(np.sqrt(dt), 1e-4, 1e-1))
-
-
-@dataclass
-class PathSample:
-    """One trajectory on a fixed grid with its running-maximum profile.
-
-    ``runmax`` absorbs the pre-jump position inside each step, so it can
-    exceed max(runmax[k-1], |values[k] - start|) when a large jump swings the
-    path out and back within one step.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    start: np.ndarray
-    runmax: np.ndarray
 
 
 @dataclass
@@ -186,12 +171,6 @@ def _angles(u):
     return u
 
 
-def stable_draws(rng, alpha, size, sigma=1.0):
-    u, w = np.empty(size), np.empty(size)
-    _park_cms(rng, u, w)
-    return sigma * _cms_symmetric(_angles(u), w, alpha)
-
-
 # A sampler (draw, finish) on the steps dts: draw(rng, a, b) parks one path's
 # draws in its rows a and b and returns any further words it drew;
 # finish(a, b, parked, steps) turns a block of rows, whose columns are the
@@ -253,21 +232,6 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
         return True
 
     return draw, finish
-
-
-def sample_increment(triplet: LevyTriplet, dt, delta, rng):
-    """One increment of a Levy triplet over dt with jump cutoff delta.
-
-    Composition: recentred drift + Gaussian part + Gaussian small-jump
-    surrogate with variance dt * trunc2(delta) + compound-Poisson sum of
-    jumps above delta at rate tail(delta).
-    """
-    if dt <= 0 or not 0 < delta <= 1:
-        raise ValueError("need dt > 0 and delta in (0, 1]")
-    draw, finish = _levy_sampler(triplet, np.array([dt], float), delta)
-    a, b = np.empty((1, 1)), np.empty((1, 1))
-    finish(a, b, [draw(rng, a[0], b[0])], slice(None))
-    return float(a[0, 0] + b[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -586,20 +550,29 @@ class _FirstExit:
         return ~hit
 
 
+def _start(spec, x):
+    """The start of a path run as a float: NotImplementedError beyond
+    dimension 1, ValueError unless x is one finite coordinate (a scalar is
+    one), for a Levy path too (``symbols._check_ball``'s message)."""
+    if spec.dim != 1:
+        raise NotImplementedError("path simulation is implemented in dimension 1")
+    x0 = np.asarray(x, float)
+    if x0.ndim > 1 or x0.size != 1 or not np.isfinite(x0).all():
+        raise ValueError(f"x must be finite with 1 coordinate(s), got {x!r}")
+    return float(x0.reshape(-1)[0])
+
+
 def _prepare(spec, x, times, config):
     """Validate a run on the grid times; returns (sampler, advance, x0, dts)."""
     if times[0] != 0.0 or not np.isfinite(times[-1]) or not np.all(np.diff(times) > 0):
         raise ValueError("times must be finite, start at 0 and increase strictly")
-    if spec.dim != 1:
-        raise NotImplementedError("path simulation is implemented in dimension 1")
+    x0 = _start(spec, x)
     scheme = _resolve_scheme(spec, config)
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     kind, build = _SCHEMES[scheme]
     if spec.kind != kind:
         raise ValueError(f"{scheme} needs a process of kind {kind!r}")
-    if not np.isfinite(x0 := float(np.atleast_1d(np.asarray(x, float))[0])):
-        raise ValueError("x must be finite")  # a Levy path starts at x too
     dts = np.diff(times)
     return *build(spec, dts, config), x0, dts
 
@@ -651,51 +624,9 @@ def _grid_to(T, dt):
     return np.linspace(0.0, T, n_steps + 1)
 
 
-def simulate_path(spec: ProcessSpec, x, T, config: SimConfig):
-    """One trajectory on the uniform grid of step config.dt up to T."""
-    times = _grid_to(T, config.dt)
-    one = replace(config, n_paths=1)
-    values, runmax = simulate_batch(spec, x, times, one)
-    return PathSample(times=times, values=values[0],
-                      start=np.atleast_1d(np.asarray(x, float)),
-                      runmax=runmax[0])
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
-
-
-def estimate_exit_survival(spec: ProcessSpec, x, r, t_grid, config: SimConfig):
-    """Per-t estimates of P(first exit from B(x, r) happens at or after t).
-
-    The event is read from the running maximum: survival at t means
-    sup_{s < t} |X_s - x| < r on the simulation grid.
-    """
-    t_grid = np.asarray(t_grid, float)
-    if not 0 < r < np.inf:
-        raise ValueError("r must be positive and finite")
-    if not ((t_grid >= 0) & (t_grid < np.inf)).all():
-        raise ValueError("t_grid entries must be non-negative and finite")
-    runmax = _paths_at(spec, x, _grid_to(float(t_grid.max()), config.dt), t_grid, config)[1]
-    return [McEstimate(1.0, 0.0, config.n_paths) if t == 0.0
-            else proportion_estimate(np.sum(col < r), config.n_paths)
-            for t, col in zip(t_grid, runmax.T)]
-
-
-def mc_event_probability(spec: ProcessSpec, x, event, config: SimConfig):
-    """Probability of a path event; event = (kind, t, r) with kind one of
-    "runmax_at_least" (sup_{s<=t} |X_s - x| >= r) or "abs_at_least"
-    (|X_t - x| >= r)."""
-    kind, t, r = event
-    if kind not in ("runmax_at_least", "abs_at_least"):
-        raise ValueError(f"unknown event kind {kind!r}")
-    if not (0 < t < np.inf and 0 < r < np.inf):
-        raise ValueError("event parameters must be positive and finite")
-    values, runmax = _paths_at(spec, x, _grid_to(float(t), config.dt), [t], config)
-    x0 = float(np.atleast_1d(np.asarray(x, float))[0])
-    dev = runmax if kind == "runmax_at_least" else np.abs(values - x0)
-    return proportion_estimate(np.sum(dev >= r), config.n_paths)
 
 
 @dataclass
@@ -737,6 +668,7 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     for t, r in grid:
         if not (0 <= float(t) < np.inf and 0 < float(r) < np.inf):
             raise ValueError(f"grid entry (t={t}, r={r}) needs a finite t >= 0 and 0 < r < inf")
+    _start(spec, x)
     r_vals = sorted({float(r) for _, r in grid})
     g2r = {r: ball_tail_intensity(spec, x, 2 * r) for r in r_vals}
     rows = []

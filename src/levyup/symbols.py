@@ -349,15 +349,6 @@ def _cap_radii(caps, n):
     return 10.0 ** y
 
 
-def xi_grid(radius, dim, n_radii=64, n_dirs=32):
-    """Deterministic frequency grid filling the ball |xi| <= radius; a 1-d
-    array of radii gives one grid per radius (leading axis)."""
-    radii = _cap_radii(np.asarray(radius, float)[..., None], n_radii)
-    dirs = _directions(dim, n_dirs)
-    grid = (radii[..., None, None] * dirs).reshape(radii.shape[:-1] + (-1, dim))
-    return grid, radii, dirs
-
-
 @cache
 def _unit_offsets(n):
     """ball_grid's 1-d offsets linspace(-1, 1, n), made once per n (a read-only view)."""
@@ -397,24 +388,6 @@ def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
         raise ValueError(f"x must be finite with {spec.dim} coordinate(s), got {x!r}")
     if not 0 <= radius < np.inf:
         raise ValueError(f"{name} must be finite and non-negative")
-
-
-def psi_star(spec: ProcessSpec, x, r):
-    """sup of Re q(x, .) over the ball |xi| <= r, on a refined log grid."""
-    if not 0 < r < np.inf:
-        raise ValueError("r must be positive and finite")
-    _check_ball(spec, x)
-    grid, radii, dirs = xi_grid(r, spec.dim)
-    vals = np.real(spec.q(x, grid)).reshape(len(radii), len(dirs))
-    best = float(vals.max(initial=0.0))
-    j = int(np.unravel_index(np.argmax(vals), vals.shape)[0])
-    lo = radii[max(j - 1, 0)]
-    hi = radii[min(j + 1, len(radii) - 1)]
-    if hi > lo:
-        fine = np.logspace(np.log10(lo), np.log10(hi), 17)
-        grid2 = (fine[:, None, None] * dirs[None, :, :]).reshape(-1, spec.dim)
-        best = max(best, float(np.real(spec.q(x, grid2)).max(initial=0.0)))
-    return max(best, 0.0)
 
 
 # mode -> (extremum over the states, value of q); "swap": the state min first
@@ -593,47 +566,3 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
         ratios = np.where(re > 0, im / re, 0.0)
     ratio_by_level = ratios.max(axis=(0, 2))
     return _trend_report(SECTOR_RADII, ratio_by_level, "ratio diverges", "unstable ratio")
-
-
-DOUBLING_SLACK = 1e-12  # absolute slack of validate_symbol's doubling bound
-
-
-def validate_symbol(spec: ProcessSpec):
-    """Assert q(x,0)=0, Hermitian symmetry, Re q >= 0, and the doubling bound
-    at the states 0 and (0.3, ..., 0.3) on a 12-radius, 8-direction grid of
-    frequencies up to |xi| = 10."""
-    x_points = [np.zeros(spec.dim), 0.3 * np.ones(spec.dim)]
-    xi_points, _, _ = xi_grid(10.0, spec.dim, n_radii=12, n_dirs=8)
-    for x in x_points:
-        q0 = spec.q(x, np.zeros((1, spec.dim)))
-        if abs(q0[0]) > 1e-9:
-            raise AssertionError(f"q(x,0) = {q0[0]} != 0")
-        q_plus = spec.q(x, xi_points)
-        q_minus = spec.q(x, -xi_points)
-        if not np.allclose(q_minus, np.conj(q_plus), rtol=1e-7, atol=1e-9):
-            raise AssertionError("symbol is not Hermitian in xi")
-        if np.any(np.real(q_plus) < -1e-10):
-            raise AssertionError("Re q < 0 on the grid")
-        q_double = spec.q(x, 2 * xi_points)
-        if np.any(np.abs(q_double) > 4 * np.abs(q_plus) + DOUBLING_SLACK):
-            raise AssertionError("doubling bound |q(2 xi)| <= 4 |q(xi)| violated")
-    return True
-
-
-H_RADII = np.logspace(-4, -1, 13)  # radii r of psi_star_h_constant's fit
-H_RADII.flags.writeable = False
-
-
-def psi_star_h_constant(spec: ProcessSpec, measure: LevyMeasureModel):
-    """Fit the single constant c with h(r)/c <= psi*(1/r) <= c h(r) on
-    ``H_RADII``."""
-    cs = []
-    for r in H_RADII:
-        h = measure.concentration(r).h
-        p = psi_star(spec, np.zeros(spec.dim), 1.0 / r)
-        if h <= 0 or p <= 0:
-            continue
-        cs.append(max(p / h, h / p))
-    if not cs:
-        raise ValueError("no usable grid points for the equivalence constant")
-    return float(max(cs))

@@ -20,14 +20,11 @@ from levyup.criteria import (
     symbol_integral_criterion,
     tail_integral_criterion,
 )
-from levyup.limsup import reproduce_example, series_bound_max
-from levyup.simulate import (
-    SimConfig,
-    mc_event_probability,
-    simulate_batch,
-    verify_bound_table,
-)
-from levyup.symbols import psi_star_h_constant, validate_symbol
+from levyup.limsup import reproduce_example
+from levyup.simulate import SimConfig, simulate_batch, verify_bound_table
+from test_limsup import series_max
+from test_simulate import estimates_at
+from test_symbols import assert_symbol_axioms, h_psi_star_constant
 
 
 class Budget:
@@ -110,8 +107,8 @@ def test_06_etemadi_comparison():
         cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=6, scheme="exact_stable")
         for t in (0.01, 0.05, 0.1):
             for r in (0.25, 0.5, 1.0):
-                a = mc_event_probability(spec, 0.0, ("runmax_at_least", t, 3 * r), cfg)
-                b = mc_event_probability(spec, 0.0, ("abs_at_least", t, r), cfg)
+                a, = estimates_at(spec, t, cfg, lambda v, m: m >= 3 * r)
+                b, = estimates_at(spec, t, cfg, lambda v, m: np.abs(v) >= r)
                 assert a.p_hat <= 3 * b.p_hat + 3 * b.ci_half_width, (t, r)
 
 
@@ -119,9 +116,9 @@ def test_07_closed_form_law_anchor():
     with Budget("7 endpoint law anchor", 30):
         target = 1.0 - (2.0 / np.pi) * np.arctan(5.0)
         assert target == pytest.approx(0.1257, abs=5e-5)
-        est = mc_event_probability(pr.cauchy_process(), 0.0,
-                                   ("abs_at_least", 0.1, 0.5),
-                                   SimConfig(dt=1e-3, n_paths=10_000, seed=7))
+        est, = estimates_at(pr.cauchy_process(), 0.1,
+                            SimConfig(dt=1e-3, n_paths=10_000, seed=7),
+                            lambda v, m: np.abs(v) >= 0.5)
         assert abs(est.p_hat - target) <= est.ci_half_width
 
 
@@ -157,7 +154,7 @@ def test_09_intermediate_case_honesty(tmp_path):
 
 def test_10_series_bound():
     with Budget("10 subsampling series bound", 1):
-        assert series_bound_max() <= 2.0 + 1e-9
+        assert series_max() <= 2.0 + 1e-9
 
 
 def test_11_implication_chain_suite():
@@ -191,14 +188,14 @@ def test_11_implication_chain_suite():
         for factory in (pr.cauchy_process, lambda: pr.raw_stable_process(1.5),
                         pr.variable_order_process,
                         lambda: pr.stable_type_process(1.2), pr.sde_process):
-            validate_symbol(factory())
+            assert_symbol_axioms(factory())
 
-        # symbol sup comparable to the concentration h, fitted constant small
+        # symbol sup psi*(1/r) comparable to the concentration h(r), fitted
+        # constant small
         for factory in (pr.cauchy_process, lambda: pr.raw_stable_process(0.5),
                         pr.slow_variation_process, pr.log_smooth_process):
             spec = factory()
-            c = psi_star_h_constant(spec, spec.levy.measure)
-            assert c < 100.0, spec.name
+            assert h_psi_star_constant(spec) < 100.0, spec.name
 
         # frozen-coefficient scheme reduces to the stable process in law
         from scipy import stats

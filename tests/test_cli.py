@@ -23,7 +23,7 @@ from levyup.cli import (
 )
 from levyup.criteria import IntegralVerdict, classify_ltp_upper
 from levyup.errors import ParseError, ValidationError
-from levyup.simulate import SimConfig, simulate_path
+from levyup.simulate import SimConfig, _grid_to, simulate_batch
 
 MINIMAL = """
 [process]
@@ -215,7 +215,7 @@ class TestCommands:
         "kind = sde_cauchy", "kind = one_sided_stable\nalpha = 1.4"])
     def test_simulate_rows_match_one_path_per_call(self, tmp_path, process):
         # path p draws from its own Philox stream, so the batched command
-        # writes exactly the rows of one simulate_path call per path
+        # writes exactly the rows of one single-path run per path
         body = f"[process]\n{process}\n\n[run]\npaths = 3\nhorizon = 0.02\nseed = 4\n"
         cfg = self._cfg(tmp_path, body)
         assert run_command("simulate", cfg, quiet=True) == 0
@@ -223,10 +223,11 @@ class TestCommands:
         spec = build_process(cfg)
         want = []
         for p in range(3):
-            sample = simulate_path(spec, 0.0, 0.02,
-                                   SimConfig(n_paths=1, seed=4, path_offset=p))
+            cfg_p = SimConfig(n_paths=1, seed=4, path_offset=p)
+            times = _grid_to(0.02, cfg_p.dt)
+            values, runmax = simulate_batch(spec, 0.0, times, cfg_p)
             want += [[str(p), str(float(t)), str(float(v)), str(float(rm))]
-                     for t, v, rm in zip(sample.times, sample.values, sample.runmax)]
+                     for t, v, rm in zip(times, values[0], runmax[0])]
         assert rows == want
 
     def test_limsup_study_with_svg(self, tmp_path, capsys):
@@ -266,6 +267,18 @@ class TestMain:
         record = json.loads((tmp_path / "o" / "error.json").read_text())
         assert record["error"] == "ValidationError"
         assert "alpha" in record["message"]
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
+    def test_simulate_rejects_a_bad_horizon(self, tmp_path, capsys, horizon):
+        # inf once died in the grid with a raw OverflowError and no error.json
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text(f"[process]\nkind = cauchy\n\n[run]\nhorizon = {horizon}\n")
+        code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert not (tmp_path / "o" / "paths.csv").exists()
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "horizon" in record["message"]
 
     def test_conditions_reject_a_nan_state(self, tmp_path, capsys):
         # x = nan once wrote `sector,holds,0.0` and exited 2

@@ -38,7 +38,6 @@ from levyup.errors import BracketIndeterminate, EvaluationFailure, InverseFailur
 from levyup.symbols import (
     ConditionReport,
     ProcessSpec,
-    psi_star,
     sector_check,
     symbol_extremum,
     tail_trend,
@@ -1265,7 +1264,6 @@ def test_non_finite_state_rejected_at_every_entry(no_integral, x):
         lambda: sector_check(vo, x_ball=(x, 0.5)),   # NaN once read `holds`
         lambda: exit_bounds(vo, x, 0.1, 0.1),        # NaN once gave NaN bounds
         lambda: symbol_extremum(vo, x, 0.1, 4.0),    # NaN once returned nan
-        lambda: psi_star(vo, x, 10.0),
         lambda: check_A1(vo, x=x, ball_radius=0.5),
         lambda: majorization_holds(vo, x, 0.5),
         lambda: classify_ltp_upper(vo, x, f),

@@ -29,12 +29,8 @@ from levyup import processes as pr
 from levyup.criteria import check_A1
 from levyup.growth import power, sqrt_t
 from levyup.limsup import EXAMPLE_NAMES, dyadic_limsup_stats, reproduce_example
-from levyup.simulate import (
-    SimConfig,
-    estimate_exit_survival,
-    mc_event_probability,
-    verify_bound_table,
-)
+from levyup.simulate import McEstimate, SimConfig, verify_bound_table
+from test_simulate import estimates_at
 
 PINS = pathlib.Path(__file__).parent / "data" / "estimator_pins.json"
 
@@ -77,24 +73,22 @@ def _example(name):
 
 
 ESTIMATOR_CASES = {
-    "exit_survival-cauchy": lambda: _estimates(estimate_exit_survival(
-        pr.cauchy_process(), 0.0, 0.5, [0.0, 0.02, 0.05],
-        SimConfig(n_paths=400, seed=81))),
-    "exit_survival-variable_order-big": lambda: _estimates(estimate_exit_survival(
-        pr.variable_order_process(), 0.0, 0.3, [0.01, 0.03],
-        SimConfig(dt=2e-3, n_paths=BIG, seed=7))),
-    "event-runmax-sde": lambda: _estimates([mc_event_probability(
-        pr.sde_process(), 0.0, ("runmax_at_least", 0.05, 0.3),
-        SimConfig(n_paths=500, seed=3))]),
-    "event-abs-sde": lambda: _estimates([mc_event_probability(
-        pr.sde_process(), 0.0, ("abs_at_least", 0.05, 0.3),
-        SimConfig(n_paths=500, seed=3))]),
-    "event-runmax-atom": lambda: _estimates([mc_event_probability(
-        pr.atom_process(radius=0.5, mass=40.0), 0.0,
-        ("runmax_at_least", 0.05, 0.3), SimConfig(n_paths=500, seed=4))]),
-    "event-abs-stable_type-big": lambda: _estimates([mc_event_probability(
-        pr.stable_type_process(1.3), 0.0, ("abs_at_least", 0.02, 0.2),
-        SimConfig(dt=2e-3, n_paths=BIG, seed=9))]),
+    # survival is sup_{s<=t} |X_s| < r; at t = 0 it is certain, an exact (1, 0)
+    "exit_survival-cauchy": lambda: _estimates([McEstimate(1.0, 0.0, 400)] + estimates_at(
+        pr.cauchy_process(), [0.02, 0.05], SimConfig(n_paths=400, seed=81), lambda v, m: m < 0.5)),
+    "exit_survival-variable_order-big": lambda: _estimates(estimates_at(
+        pr.variable_order_process(), [0.01, 0.03],
+        SimConfig(dt=2e-3, n_paths=BIG, seed=7), lambda v, m: m < 0.3)),
+    "event-runmax-sde": lambda: _estimates(estimates_at(
+        pr.sde_process(), 0.05, SimConfig(n_paths=500, seed=3), lambda v, m: m >= 0.3)),
+    "event-abs-sde": lambda: _estimates(estimates_at(
+        pr.sde_process(), 0.05, SimConfig(n_paths=500, seed=3), lambda v, m: np.abs(v) >= 0.3)),
+    "event-runmax-atom": lambda: _estimates(estimates_at(
+        pr.atom_process(radius=0.5, mass=40.0), 0.05, SimConfig(n_paths=500, seed=4),
+        lambda v, m: m >= 0.3)),
+    "event-abs-stable_type-big": lambda: _estimates(estimates_at(
+        pr.stable_type_process(1.3), 0.02, SimConfig(dt=2e-3, n_paths=BIG, seed=9),
+        lambda v, m: np.abs(v) >= 0.2)),
     "bounds-exit_survival-raw_stable": lambda: _bound_rows(verify_bound_table(
         pr.raw_stable_process(1.0), 0.0, "exit_survival", GRID,
         SimConfig(n_paths=500, seed=91))),

@@ -2,19 +2,28 @@ import numpy as np
 import pytest
 
 from levyup import processes as pr
-from levyup.growth import power
+from levyup.growth import power, sqrt_loglog
 from levyup.limsup import (
     EXAMPLE_NAMES,
     DyadicStats,
     dyadic_limsup_stats,
     dyadic_time_grid,
     reproduce_example,
-    series_bound_max,
     trend_classify,
 )
 from levyup.simulate import SimConfig
 
 CFG = SimConfig(n_paths=300, seed=3)
+
+
+def series_max(n_terms=10_000):
+    """max over t of the level-subsampling series sum_{n <= n_terms}
+    n^{-2} t^{1/n} log(1/t), on 600 log-spaced t in [1e-6, 0.1] and 1400
+    evenly spaced ones in [0.1, 0.999], 200 t at a time."""
+    t_all = np.concatenate([np.logspace(-6, -1, 600), np.linspace(0.1, 0.999, 1400)])
+    n = np.arange(1, n_terms + 1, dtype=float)[:, None]
+    return max(float((np.exp(np.log(t) / n) * -np.log(t) / n**2).sum(axis=0).max())
+               for t in np.split(t_all, 10))
 
 
 class TestDyadicGrid:
@@ -54,6 +63,12 @@ class TestDyadicStats:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             dyadic_limsup_stats(pr.cauchy_process(), 0.0, power(0.8), 4, 24, CFG)
+
+    def test_levels_stay_in_the_unit_interval(self):
+        # n_min = -3 once ran on t up to 8, outside f's domain (0, 1]
+        with pytest.raises(ValueError, match="n_min must be non-negative"):
+            dyadic_limsup_stats(pr.cauchy_process(), 0.0, sqrt_loglog(), -3, 4,
+                                SimConfig(n_paths=20))
 
 
 class TestTrendClassify:
@@ -137,9 +152,9 @@ class TestReproduceExamples:
 
 class TestSeriesBound:
     def test_bounded_by_two(self):
-        assert series_bound_max() <= 2.0 + 1e-9
+        assert series_max() <= 2.0 + 1e-9
 
     def test_increasing_in_terms(self):
-        small = series_bound_max(n_terms=100)
-        big = series_bound_max(n_terms=2000)
+        small = series_max(n_terms=100)
+        big = series_max(n_terms=2000)
         assert big >= small - 1e-12

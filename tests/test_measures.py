@@ -10,25 +10,16 @@ from levyup.simulate import path_rng
 
 
 class TestStableMeasure:
-    def test_concentration_closed_form_alpha1(self):
+    def test_tail_and_trunc2_closed_form_alpha1(self):
         # raw measure |y|^{-2} dy: G(r) = 2/r, trunc2(r) = 2r
         m = ms.stable_measure(1.0, scale=1.0)
-        c = m.concentration(0.5)
-        assert c.G == pytest.approx(4.0)
-        assert c.K == pytest.approx(4.0)
-        assert c.h == pytest.approx(8.0)
-        assert c.I == pytest.approx(0.25 * 8.0)
+        assert m.tail(0.5) == pytest.approx(4.0)
+        assert m.trunc2(0.5) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_tail_and_trunc2_match_density_integral(self, alpha):
         m = ms.stable_measure(alpha, scale=1.0)
         m.validate()  # includes the density/tail shell consistency check
-
-    def test_identity_I_equals_r2_h(self):
-        m = ms.stable_measure(1.3)
-        for r in (0.01, 0.3, 2.0):
-            c = m.concentration(r)
-            assert c.I == pytest.approx(r**2 * c.h, rel=1e-14)
 
     def test_monotonicity_on_grid(self):
         m = ms.stable_measure(0.7)

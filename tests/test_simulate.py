@@ -18,15 +18,10 @@ from levyup.limsup import dyadic_limsup_stats, dyadic_time_grid
 from levyup.symbols import StateFamily
 from levyup.simulate import (
     SimConfig,
-    estimate_exit_survival,
     first_exit_times,
-    mc_event_probability,
     path_rng,
     proportion_estimate,
-    sample_increment,
     simulate_batch,
-    simulate_path,
-    stable_draws,
     verify_bound_table,
 )
 
@@ -128,6 +123,38 @@ BLOCK_CASES = {**SCHEME_CASES,
                "cpg-mixed": (_mixed_process, "compound_poisson_gauss")}
 
 
+def estimates_at(spec, t, config, hit):
+    """99% estimates, one per time in t, of the share of paths from 0 whose
+    hit(value, runmax) at t holds, on the grid of step config.dt up to
+    max(t): the estimators' numbers, from _paths_at and proportion_estimate."""
+    t = np.atleast_1d(np.asarray(t, float))
+    grid = simulate._grid_to(float(t.max()), config.dt)
+    values, runmax = simulate._paths_at(spec, 0.0, grid, t, config)
+    return [proportion_estimate(np.sum(hit(v, m)), config.n_paths)
+            for v, m in zip(values.T, runmax.T)]
+
+
+def stable_sample(seed, alpha, size):
+    """size symmetric alpha-stable draws from path 0's stream of seed, parked
+    and finished as _stable_sampler does (unit scale, no drift)."""
+    u, w = np.empty(size), np.empty(size)
+    simulate._park_cms(path_rng(seed, 0), u, w)
+    return simulate._cms_symmetric(simulate._angles(u), w, alpha)
+
+
+def levy_increments(triplet, dt, delta, rng, n):
+    """n successive increments over dt with jump cutoff delta, each a one-step
+    path of _levy_sampler drawn from rng: its normal, its Poisson count,
+    then its jump uniforms."""
+    draw, finish = simulate._levy_sampler(triplet, np.array([dt]), delta)
+    out = np.empty(n)
+    for i in range(n):
+        a, b = np.empty((1, 1)), np.empty((1, 1))
+        finish(a, b, [draw(rng, a[0], b[0])], slice(None))
+        out[i] = a[0, 0] + b[0, 0]
+    return out
+
+
 def _batch_digest(values, runmax):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(values, np.float64).tobytes())
@@ -138,15 +165,15 @@ def _batch_digest(values, runmax):
 class TestIncrements:
     def test_cauchy_unit_median(self):
         # |standard Cauchy| has median tan(pi/4) = 1
-        d = stable_draws(path_rng(7, 0), 1.0, 200_000)
+        d = stable_sample(7, 1.0, 200_000)
         assert np.median(np.abs(d)) == pytest.approx(1.0, rel=0.03)
 
     def test_symmetry_of_draws(self):
-        d = stable_draws(path_rng(8, 0), 1.5, 100_000)
+        d = stable_sample(8, 1.5, 100_000)
         assert np.mean(d > 0) == pytest.approx(0.5, abs=0.01)
 
     def test_stable_law_matches_scipy(self):
-        d = stable_draws(path_rng(9, 0), 1.5, 30_000)
+        d = stable_sample(9, 1.5, 30_000)
         # scipy's standard parametrization at beta=0 matches exponent |xi|^1.5
         ks = stats.kstest(d, stats.levy_stable(alpha=1.5, beta=0.0).cdf)
         assert ks.pvalue > 0.01
@@ -157,44 +184,37 @@ class TestIncrements:
         # and clearly separated from the 8-sigma Gaussian bulk
         raw = pr.raw_stable_process(1.5)
         assert float(raw.levy.measure.trunc2(0.01)) == pytest.approx(0.4)
-        rng = path_rng(10, 0)
         dt = 1e-6
-        incs = np.array([
-            sample_increment(raw.levy, dt, 0.01, rng) for _ in range(4000)
-        ])
+        incs = levy_increments(raw.levy, dt, 0.01, path_rng(10, 0), 4000)
         small = incs[np.abs(incs) < 0.005]
         assert small.var() == pytest.approx(0.4 * dt, rel=0.1)
 
     def test_symmetric_increment_mean_zero(self):
-        rng = path_rng(11, 0)
-        incs = np.array([
-            sample_increment(pr.cauchy_process().levy, 1e-3, 0.05, rng)
-            for _ in range(2000)
-        ])
+        incs = levy_increments(pr.cauchy_process().levy, 1e-3, 0.05, path_rng(11, 0), 2000)
         med = np.median(incs)
         assert abs(med) < 0.005
 
     def test_rate_overflow(self):
         raw = pr.raw_stable_process(1.0)
         with pytest.raises(RateOverflow):
-            sample_increment(raw.levy, 10_000.0, 1e-4, path_rng(0, 0))
+            simulate._levy_sampler(raw.levy, np.array([10_000.0]), 1e-4)
 
 
 class TestPaths:
     def test_zero_process_constant(self):
-        sample = simulate_path(pr.zero_process(), 0.7, 1.0, SimConfig(n_paths=1))
-        assert np.all(sample.values == 0.7)
-        assert np.all(sample.runmax == 0.0)
+        values, runmax = simulate_batch(pr.zero_process(), 0.7, simulate._grid_to(1.0, 1e-3),
+                                        SimConfig(n_paths=1))
+        assert np.all(values == 0.7)
+        assert np.all(runmax == 0.0)
 
     def test_path_sample_invariants(self):
-        sample = simulate_path(pr.cauchy_process(), 0.0, 0.5,
-                               SimConfig(n_paths=1, seed=3))
-        assert sample.times[0] == 0.0
-        assert sample.values[0] == 0.0
-        assert np.all(np.diff(sample.times) > 0)
-        assert np.all(np.diff(sample.runmax) >= 0)
+        values, runmax = simulate_batch(pr.cauchy_process(), 0.0, simulate._grid_to(0.5, 1e-3),
+                                        SimConfig(n_paths=1, seed=3))
+        values, runmax = values[0], runmax[0]
+        assert values[0] == 0.0
+        assert np.all(np.diff(runmax) >= 0)
         # runmax dominates the endpoint deviation at every index
-        assert np.all(sample.runmax >= np.abs(sample.values - 0.0) - 1e-12)
+        assert np.all(runmax >= np.abs(values - 0.0) - 1e-12)
 
     def test_reproducibility_bit_identical(self):
         cfg = SimConfig(n_paths=8, seed=123)
@@ -342,9 +362,8 @@ class TestPaths:
 
     def test_endpoint_law_cauchy(self):
         # P(|X_1| > 1) = 1/2 for the standard Cauchy law at t = 1
-        est = mc_event_probability(pr.cauchy_process(), 0.0,
-                                   ("abs_at_least", 1.0, 1.0),
-                                   SimConfig(dt=1e-3, n_paths=4000, seed=11))
+        est, = estimates_at(pr.cauchy_process(), 1.0, SimConfig(dt=1e-3, n_paths=4000, seed=11),
+                            lambda v, m: np.abs(v) >= 1.0)
         assert abs(est.p_hat - 0.5) <= max(est.ci_half_width, 0.025)
 
     def test_cpg_vs_exact_same_law(self):
@@ -367,10 +386,10 @@ class TestPaths:
 
     def test_halving_dt_stays_within_ci(self):
         spec = pr.cauchy_process()
-        e1 = mc_event_probability(spec, 0.0, ("abs_at_least", 0.1, 0.5),
-                                  SimConfig(dt=1e-3, n_paths=4000, seed=41))
-        e2 = mc_event_probability(spec, 0.0, ("abs_at_least", 0.1, 0.5),
-                                  SimConfig(dt=5e-4, n_paths=4000, seed=41))
+        e1, = estimates_at(spec, 0.1, SimConfig(dt=1e-3, n_paths=4000, seed=41),
+                           lambda v, m: np.abs(v) >= 0.5)
+        e2, = estimates_at(spec, 0.1, SimConfig(dt=5e-4, n_paths=4000, seed=41),
+                           lambda v, m: np.abs(v) >= 0.5)
         assert abs(e1.p_hat - e2.p_hat) <= e1.ci_half_width + e2.ci_half_width
 
     def test_freeze_symbol_reduces_to_levy(self):
@@ -409,57 +428,24 @@ class TestPaths:
 
 
 class TestEstimators:
-    def test_survival_at_zero_is_one(self):
-        ests = estimate_exit_survival(pr.cauchy_process(), 0.0, 0.5, [0.0, 0.05],
-                                      SimConfig(n_paths=400, seed=81))
-        assert ests[0].p_hat == 1.0 and ests[0].ci_half_width == 0.0
-
     def test_survival_monotone_in_t(self):
-        ests = estimate_exit_survival(pr.cauchy_process(), 0.0, 0.5,
-                                      [0.02, 0.05, 0.1],
-                                      SimConfig(n_paths=800, seed=82))
+        ests = estimates_at(pr.cauchy_process(), [0.02, 0.05, 0.1],
+                            SimConfig(n_paths=800, seed=82), lambda v, m: m < 0.5)
         vals = [e.p_hat for e in ests]
         assert vals == sorted(vals, reverse=True)
 
     def test_survival_respects_bound(self):
         spec = pr.raw_stable_process(1.0)
-        est = estimate_exit_survival(spec, 0.0, 0.5, [0.1],
-                                     SimConfig(n_paths=3000, seed=83))[0]
+        est, = estimates_at(spec, 0.1, SimConfig(n_paths=3000, seed=83), lambda v, m: m < 0.5)
         bound = 1.0 / (1.0 + 0.1 * 2.0)  # G(1) = 2
         assert est.p_hat <= bound + 3 * est.ci_half_width
 
     def test_runmax_dominates_endpoint_probability(self):
         spec = pr.cauchy_process()
         cfg = SimConfig(n_paths=1500, seed=84)
-        a = mc_event_probability(spec, 0.0, ("runmax_at_least", 0.1, 0.5), cfg)
-        b = mc_event_probability(spec, 0.0, ("abs_at_least", 0.1, 0.5), cfg)
+        a, = estimates_at(spec, 0.1, cfg, lambda v, m: m >= 0.5)
+        b, = estimates_at(spec, 0.1, cfg, lambda v, m: np.abs(v) >= 0.5)
         assert a.p_hat >= b.p_hat
-
-    def test_unknown_event_kind_raises_before_simulating(self, no_simulation):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            mc_event_probability(pr.cauchy_process(), 0.0, ("bogus", 1.0, 0.5),
-                                 SimConfig(n_paths=2000))
-
-    @pytest.mark.parametrize("t_grid, r", [([-0.1, 0.05], 0.5),
-                                           ([0.02, float("nan")], 0.5),
-                                           ([0.02, 0.05], float("nan")),
-                                           ([0.02, 0.05], 0.0),
-                                           ([0.02, float("inf")], 0.5),
-                                           ([0.02, 0.05], float("inf"))])
-    def test_survival_rejects_bad_input_before_simulating(self, no_simulation,
-                                                         t_grid, r):
-        with pytest.raises(ValueError, match="t_grid|r must"):
-            estimate_exit_survival(pr.cauchy_process(), 0.0, r, t_grid,
-                                   SimConfig(n_paths=200))
-
-    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
-                                      (-0.1, 0.5), (float("inf"), 0.5),
-                                      (0.1, float("inf"))])
-    def test_event_rejects_nan_before_simulating(self, no_simulation, t, r):
-        # t = inf once raised OverflowError from the grid
-        with pytest.raises(ValueError, match="positive"):
-            mc_event_probability(pr.cauchy_process(), 0.0,
-                                 ("runmax_at_least", t, r), SimConfig(n_paths=200))
 
     @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -0.1])
     def test_first_exit_rejects_bad_r_before_simulating(self, no_simulation, r):
@@ -626,10 +612,16 @@ class TestBoundTables:
         with pytest.raises(ValueError, match="need t >= 0 and r > 0"):
             exit_bounds(pr.raw_stable_process(1.0), 0.0, t, r)
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    # x = nan once gave exit_survival rows with bound=nan, violated=False, and
+    # x = [0.3, 0.9] the rows and paths of x = 0.3
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), [0.3, 0.9], np.zeros((1, 1))])
     @pytest.mark.parametrize("name", ["variable_order", "raw_stable"])
-    def test_non_finite_start_raises_before_simulating(self, no_simulation, name, x):
-        # x = nan once gave exit_survival rows with bound=nan, violated=False
+    def test_non_finite_start_raises_before_simulating(self, no_simulation, monkeypatch,
+                                                       name, x):
+        def refuse(*args, **kwargs):
+            raise AssertionError("G(x, 2r) was computed before the check of x")
+
+        monkeypatch.setattr(simulate, "ball_tail_intensity", refuse)
         spec = {"variable_order": pr.variable_order_process,
                 "raw_stable": lambda: pr.raw_stable_process(1.5)}[name]()
         cfg, times = SimConfig(n_paths=50), np.linspace(0.0, 0.1, 11)
@@ -640,8 +632,17 @@ class TestBoundTables:
                     lambda: simulate.first_exit_times(spec, x, times, 0.1, cfg),
                     lambda: simulate._paths_at(spec, x, times, [0.05], cfg)]
         for entry in entries:
-            with pytest.raises(ValueError, match="x must be finite"):
+            with pytest.raises(ValueError, match="x must be finite with 1 coordinate"):
                 entry()
+
+    @pytest.mark.parametrize("name", ["variable_order", "raw_stable"])
+    def test_one_coordinate_starts_agree(self, name):
+        spec = {"variable_order": pr.variable_order_process,
+                "raw_stable": lambda: pr.raw_stable_process(1.5)}[name]()
+        cfg = SimConfig(n_paths=20, seed=3)
+        runs = [simulate_batch(spec, x, GRID_IRREGULAR, cfg)
+                for x in (0.3, [0.3], np.array(0.3), np.array([0.3]))]
+        assert len({_batch_digest(*run) for run in runs}) == 1
 
     def test_exit_survival_zero_violations(self):
         rows = verify_bound_table(pr.raw_stable_process(1.0), 0.0,
@@ -669,6 +670,6 @@ class TestBoundTables:
         spec = pr.raw_stable_process(1.0)
         cfg = SimConfig(n_paths=2000, seed=95)
         for t, r in [(0.05, 0.25), (0.1, 0.5)]:
-            a = mc_event_probability(spec, 0.0, ("runmax_at_least", t, 3 * r), cfg)
-            b = mc_event_probability(spec, 0.0, ("abs_at_least", t, r), cfg)
+            a, = estimates_at(spec, t, cfg, lambda v, m: m >= 3 * r)
+            b, = estimates_at(spec, t, cfg, lambda v, m: np.abs(v) >= r)
             assert a.p_hat <= 3 * b.p_hat + 3 * b.ci_half_width
