@@ -10,7 +10,7 @@ from levyup.simulate import path_rng
 
 
 class TestStableMeasure:
-    def test_tail_and_trunc2_closed_form_alpha1(self):
+    def test_concentration_closed_form_alpha1(self):
         # raw measure |y|^{-2} dy: G(r) = 2/r, trunc2(r) = 2r
         m = ms.stable_measure(1.0, scale=1.0)
         assert m.tail(0.5) == pytest.approx(4.0)

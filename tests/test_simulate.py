@@ -428,6 +428,14 @@ class TestPaths:
 
 
 class TestEstimators:
+    def test_survival_at_zero_is_one(self):
+        # every path is in the ball at t = 0, so the t = 0 row reads 1
+        # against the bound 1/(1 + 0 G) = 1
+        row = verify_bound_table(pr.cauchy_process(), 0.0, "exit_survival",
+                                 [(0.0, 0.5), (0.05, 0.5)],
+                                 SimConfig(n_paths=400, seed=81))[0]
+        assert (row.t, row.empirical, row.bound, row.violated) == (0.0, 1.0, 1.0, False)
+
     def test_survival_monotone_in_t(self):
         ests = estimates_at(pr.cauchy_process(), [0.02, 0.05, 0.1],
                             SimConfig(n_paths=800, seed=82), lambda v, m: m < 0.5)
@@ -446,6 +454,34 @@ class TestEstimators:
         a, = estimates_at(spec, 0.1, cfg, lambda v, m: m >= 0.5)
         b, = estimates_at(spec, 0.1, cfg, lambda v, m: np.abs(v) >= 0.5)
         assert a.p_hat >= b.p_hat
+
+    def test_unknown_event_kind_raises_before_simulating(self, no_simulation):
+        with pytest.raises(ValueError, match="unknown bound kind"):
+            verify_bound_table(pr.cauchy_process(), 0.0, "bogus", [(1.0, 0.5)],
+                               SimConfig(n_paths=2000))
+
+    @pytest.mark.parametrize("t_grid, r", [([-0.1, 0.05], 0.5),
+                                           ([0.02, float("nan")], 0.5),
+                                           ([0.02, 0.05], float("nan")),
+                                           ([0.02, 0.05], 0.0),
+                                           ([0.02, float("inf")], 0.5),
+                                           ([0.02, 0.05], float("inf"))])
+    def test_survival_rejects_bad_input_before_simulating(self, no_simulation,
+                                                         t_grid, r):
+        with pytest.raises(ValueError, match="grid entry"):
+            verify_bound_table(pr.cauchy_process(), 0.0, "exit_survival",
+                               [(t, r) for t in t_grid], SimConfig(n_paths=200))
+
+    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.1, float("nan")),
+                                      (-0.1, 0.5), (float("inf"), 0.5),
+                                      (0.1, float("inf"))])
+    def test_event_rejects_nan_before_simulating(self, no_simulation, t, r):
+        # the running-maximum event tables; t = inf once raised OverflowError
+        # from the grid
+        for kind in ("lower_max", "max_ineq"):
+            with pytest.raises(ValueError, match="grid entry"):
+                verify_bound_table(pr.cauchy_process(), 0.0, kind, [(t, r)],
+                                   SimConfig(n_paths=200))
 
     @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -0.1])
     def test_first_exit_rejects_bad_r_before_simulating(self, no_simulation, r):
