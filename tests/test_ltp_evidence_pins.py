@@ -6,7 +6,9 @@ each ``classify_ltp_lower`` result on variable_order, stable_type(1.5) and
 sde, at x in {-0.5, 0.2} and kappa alpha(x) in {0.8, 1.2}.  A digest covers
 the outcome, reason, assumptions and every evidence entry in its order:
 verdict states, values, notes, block sums, witness arrays and grids, to the
-bit.  The digests were recorded before the symbol and ball-tail tables were
+bit.  Beside each digest the file keeps the case's ``outcome``, ``reason``
+and ``assumptions_used`` in the clear, so a documented re-record of the
+digests cannot move a verdict unseen.  The digests were recorded before the symbol and ball-tail tables were
 reduced states-first, so a change of reduction order or layout that moves
 any bit fails here.  Regenerate (only for a documented change of the
 criteria) with ``python tests/test_ltp_evidence_pins.py``.
@@ -92,9 +94,21 @@ def test_pins_cover_every_case(pins):
     assert sorted(pins) == sorted(CASES)
 
 
+def verdict(result):
+    """The clear verdict fields of a result."""
+    return {"outcome": result.outcome, "reason": result.reason,
+            "assumptions_used": list(result.assumptions_used)}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ltp_result_digest(pins, case):
-    assert digest(_result(case)) == pins[case]
+    assert digest(_result(case)) == pins[case]["digest"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ltp_verdict_in_the_clear(pins, case):
+    want = {key: pins[case][key] for key in ("outcome", "reason", "assumptions_used")}
+    assert verdict(_result(case)) == want
 
 
 def test_digest_sees_one_bit_of_an_evidence_array():
@@ -106,5 +120,7 @@ def test_digest_sees_one_bit_of_an_evidence_array():
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({case: digest(_result(case)) for case in sorted(CASES)},
-                               indent=1, sort_keys=True) + "\n")
+    PINS.write_text(json.dumps(
+        {case: {"digest": digest(res), **verdict(res)}
+         for case, res in ((case, _result(case)) for case in sorted(CASES))},
+        indent=1, sort_keys=True) + "\n")
