@@ -126,17 +126,12 @@ def _growth_on_nodes(f, n_max):
 def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     """Classify int_0^1 g(t) dt from block sums over [2^{-(n+1)}, 2^{-n}].
 
-    Converges: the last half of the block ratios stays below ``RATIO_MAX``;
-    the value is the partial sum plus a geometric tail bound (exact for
-    exactly geometric decay).  Diverges: last-half block sums all above
-    ``FLOOR``, or increasing.  Otherwise Indeterminate.  ``g`` takes the
-    array of one block's nodes and returns values of the same shape.
-
-    With ``rows=k`` the integrand carries a leading parameter axis: it maps
-    the (nodes,) array to (k, nodes) values, and the result is a list of k
-    verdicts, row i equal to a one-row call on g(t)[i] to the bit.  Each block
-    costs one call of ``g``, or ``g`` is the blocks x rows x nodes table on
-    ``_block_nodes`` (the symbol and state-ball tail integrals'), reduced row by row.
+    Converges: the last-half block ratios stay below ``RATIO_MAX``; the value is the
+    partial sum plus a geometric tail bound.  Diverges: last-half block sums all above
+    ``FLOOR``, or increasing.  Otherwise Indeterminate.  ``g`` maps one block's nodes to
+    values of their shape, or (``rows=k``) to (k, nodes), giving a list of k verdicts,
+    row i bit-identical to a one-row call; or ``g`` is the blocks x rows x nodes table
+    on ``_block_nodes`` (the symbol and state-ball tail integrals'), reduced row by row.
     """
     t, half_widths = _block_nodes(n_max, nodes)
     shape = (n_max + 1,) + ((nodes,) if rows is None else (rows, nodes))
@@ -207,9 +202,8 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     the extremum over the state ball of radius ``ball_scale * f(t)`` (or ``fixed_ball_radius``)
     per ``SYMBOL_CHUNK`` blocks: one ``tail_at`` table, states on its leading (contiguous) axis.
 
-    A float ``c`` gives one ``IntegralVerdict``, a 1-d array of c a list of
-    verdicts in its order from one dyadic pass whose blocks evaluate every c
-    at once (``dyadic_integral``'s ``rows``); every c is positive and finite.
+    A float ``c`` gives one ``IntegralVerdict``, a 1-d array of positive finite c a
+    list of verdicts in its order from one dyadic pass (``dyadic_integral``'s ``rows``).
     """
     # a plain number takes the one-row path without np.ndim's call overhead
     if isinstance(c, (float, int)) or np.ndim(c) == 0:
@@ -246,7 +240,7 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
     return dyadic_integral(table[:, 0] if rows is None else table, n_max, rows=rows)
 
 
-SYMBOL_CHUNK = 16  # dyadic blocks per table chunk of the symbol and state-ball tail integrands
+SYMBOL_CHUNK = 16  # dyadic blocks per table chunk of the state-ball tail integrands
 
 
 def _by_chunk(n_blocks, chunk):
@@ -261,15 +255,16 @@ def _by_chunk(n_blocks, chunk):
 
 
 def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
-    """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes, one
-    ``symbols._capped_extremum`` call per ``SYMBOL_CHUNK`` blocks (sup: states reduced
-    first): a row per (block, eps) read at its exact caps, on the block's largest
-    ball.  Balls round only up: harder for a sup-ball zero and an inf-ball bound."""
+    """Capped symbol at f(t) = ft (blocks x nodes) as blocks x eps x nodes from one
+    ``symbols._capped_extremum`` lattice, read at each exact cap on the block's largest
+    ball: balls round only up, harder for a sup-ball zero and an inf-ball bound."""
     caps, balls = 1.0 / (eps_col * ft[:, None, :]), ball_scale * ft.max(axis=-1)
     if not ((caps > 0) & (caps < np.inf)).all():
         raise EvaluationFailure("frequency caps must be positive and finite")
-    return _by_chunk(len(ft), lambda blocks: _capped_extremum(
-        spec, _ball_states(spec, x, balls[blocks])[:, None], caps[blocks], mode))
+    try:
+        return _capped_extremum(spec, x, balls[:, None, None], caps, mode)
+    except Exception as exc:
+        raise EvaluationFailure(f"symbol integrand failed: {exc}") from exc
 
 
 def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
@@ -277,12 +272,10 @@ def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
                               verify_eps=True, n_max=60):
     """Dyadic verdict for the symbol integral with frequency cap 1/(eps f(t)).
 
-    For state-dependent processes the state ball has radius ball_scale * f(t)
-    and ``ball_mode`` picks sup or inf over it.  The verdict must agree when
-    recomputed at eps/2 (square-root subadditivity makes it scale-free); a
-    disagreement is reported as Indeterminate.  The integrand is one
-    ``_symbol_table``, eps and eps/2 together, in the ``symbol_extremum``
-    mode sup_sup (ball_mode None or "sup"), inf_sup or inf_sup_re.
+    ``ball_mode`` picks sup or inf over the state ball of radius ball_scale * f(t).  The
+    verdict must agree at eps/2 (square-root subadditivity makes it scale-free), else it
+    is Indeterminate.  The integrand is one ``_symbol_table`` of eps and eps/2 in mode
+    sup_sup (ball_mode None or "sup"), inf_sup or inf_sup_re.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -358,14 +351,11 @@ def check_A1(source, x=0.0, ball_radius=None):
 def check_A2(f: GrowthFunction, use_shortcut=True):
     """Growth condition on f: r^2 int_{f^{-1}(r)}^1 f(t)^{-2} dt <= M f^{-1}(r).
 
-    The direct witness is maximized over A2_RADII.  All inverses come from
-    one call and all integrals from one fixed 16-node Gauss-Legendre pass in
-    u = log t (_A2_PANELS uniform panels split at each log f^{-1}(r)): exact
-    to rounding for smooth f; a kink of f inside a panel costs ~2e-7
-    relative (the e^{-e} clamp of sqrt_loglog).  A sufficient shortcut
-    (f(t)/t increasing to infinity while f(t)/t^a decreases to 0 for some
-    a > 1/2) is tried first when ``use_shortcut`` and reported with the
-    shortcut flag set.
+    The direct witness is maximized over A2_RADII: one inverse call and one 16-node
+    Gauss-Legendre pass in u = log t (_A2_PANELS panels split at each log f^{-1}(r)),
+    exact to rounding for smooth f (~2e-7 relative at a kink, as sqrt_loglog's clamp).
+    A sufficient shortcut (f(t)/t increasing to infinity, f(t)/t^a decreasing to 0 for
+    some a > 1/2) is tried first when ``use_shortcut``, with the shortcut flag set.
     """
     witness = _a2_direct_witness(f, A2_RADII)
     if use_shortcut and _a2_shortcut(f):

@@ -42,9 +42,12 @@ class GrowthFunction:
         from one bisection (one call of f per step), each element as if
         bisected alone; a float gives a float.  Returns 1.0 where no t <= 1
         reaches r.  Raises InverseFailure, naming the first such r, when an
-        inverse collapses below the working resolution (f too flat near 0).
+        inverse collapses below the working resolution (f too flat near 0), and
+        ValueError, naming the first, at a NaN level, before any call of f.
         """
         r = np.asarray(r, float)
+        if np.isnan(r).any():
+            raise ValueError(f"inverse level is NaN at index {np.argmax(np.isnan(r.ravel()))}")
         live = r <= float(self(1.0))
         collapsed = live & (float(self(np.exp(np.log(_T_FLOOR)))) >= r)
         if collapsed.any():

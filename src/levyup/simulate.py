@@ -654,10 +654,9 @@ def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig
     probability is at most c_lower), or "max_ineq" (P(runmax >= r) <=
     t * sup-sup |q|, the paper's bound with its absolute constant taken as
     1).  A row is violated when the empirical value beats the bound by more
-    than three half-widths of its 99% interval.  G(x, 2r) and the
-    sup-sup symbol extremum take the state-ball points of ``ball_grid`` and
-    the frequency radii ``symbols.EXTREMUM_RADII``; each is computed once per
-    distinct r.
+    than three half-widths of its 99% interval.  G(x, 2r) (on ``ball_grid``'s
+    state-ball points) and the sup-sup symbol extremum (read from
+    ``symbols._capped_extremum``'s lattice) are computed once per distinct r.
     """
     if bound_kind not in ("exit_survival", "expected_exit", "lower_max", "max_ineq"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")

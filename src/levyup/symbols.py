@@ -1,18 +1,14 @@
 """Process specifications and symbol-side evaluators.
 
-A process is described either by a Levy triplet (b, Q, nu), by a
-state-dependent family x -> (b(x), 0, nu(x, .)), or by an SDE driven by a
-Levy process through a bounded coefficient sigma.  In every case it carries
-a symbol q(x, xi), which all criteria consume.  ``ProcessSpec.q`` takes states
-x (..., d) and frequencies xi (..., d) whose leading axes broadcast and returns
-values of the broadcast shape, float64 where the symbol is real (q(x (d,),
-xi (m, d)) -> (m,) is the single-state case); ``tail_at`` / ``trunc2_at``
-broadcast states against radii alike; ``sigma`` and the ``StateFamily`` fields
-take states (..., d) too, d = 1 included.  One kernel, ``_capped_extremum``,
-evaluates every capped symbol, and ``_ball_states`` collapses a Levy state ball.
-``eval_exponent`` takes arrays of frequencies and runs every integral for all
-of them at once on fixed panels: Gauss-Legendre panels in log radius below a
-few oscillation periods, Filon panels on the oscillatory shells above.
+A process is a Levy triplet (b, Q, nu), a state-dependent family x -> (b(x), 0,
+nu(x, .)), or an SDE driven by a Levy process through a bounded coefficient sigma;
+each carries the symbol q(x, xi) the criteria consume.  ``ProcessSpec.q`` takes
+states x (..., d) and frequencies xi (..., d) whose leading axes broadcast (float64
+where the symbol is real); ``tail_at`` / ``trunc2_at``, ``sigma`` and the
+``StateFamily`` fields take states (..., d) alike.  ``_capped_extremum`` evaluates
+every capped symbol and ``_ball_states`` collapses a Levy state ball.
+``eval_exponent`` runs every integral for an array of frequencies at once:
+Gauss-Legendre panels in log radius, Filon panels on the oscillatory shells.
 """
 
 from __future__ import annotations
@@ -87,13 +83,10 @@ class ProcessSpec:
     name: str = ""
 
     def q(self, x, xi):
-        """Symbol at states x (..., d) and frequencies xi (..., d).
-
-        Leading axes broadcast to the result's shape; it is complex where the
-        symbol is, else float64 (never a real result cast to complex).  A 1-d
-        xi is a stack of frequencies in dimension 1, else one frequency; a
-        last axis other than ``dim`` raises ``ValueError`` (a Levy symbol
-        never reads x, so there only xi's is checked).
+        """Symbol at states x (..., d) and frequencies xi (..., d), whose leading axes
+        broadcast; complex where the symbol is, else float64.  A 1-d xi is a stack of
+        frequencies in dimension 1, else one frequency; a last axis other than ``dim``
+        raises ``ValueError`` (a Levy symbol never reads x: only xi's is checked).
         """
         x = np.atleast_1d(np.asarray(x, float))
         xi = np.asarray(xi, float)
@@ -147,12 +140,10 @@ class ProcessSpec:
 
 
 def _shell_top(measure, s0, xi, scale):
-    """Upper ends of the oscillatory shells (s0, top] at frequencies xi > 0
-    (arrays (m,)): the support's end, or on infinite support the first
-    S = max(s0, 1) 2^k where the shell's Fourier integral above S is at most
-    1e-14 scale.  That integral is bounded by the mass G(S) and, the radial
-    density being non-increasing there, by 2 rho(S)/xi (second mean value
-    theorem), so each frequency gets its own cut."""
+    """Upper ends of the oscillatory shells (s0, top] at frequencies xi > 0 (arrays (m,)):
+    the support's end, or the first S = max(s0, 1) 2^k where the shell's Fourier integral
+    above S, bounded by G(S) and (a non-increasing radial density) by 2 rho(S)/xi, is at
+    most 1e-14 scale: each frequency gets its own cut."""
     hi = measure.support[1]
     if np.isfinite(hi):
         return np.full(xi.shape, float(hi))
@@ -179,16 +170,14 @@ def _sphere_factor(u, dim):
 def eval_exponent(triplet: LevyTriplet, xi):
     """Characteristic exponent psi(xi) of a Levy triplet, by quadrature.
 
-    In dimension 1 a float xi gives a complex and an array a complex array
-    of its shape; in d >= 2 xi is (m, d) and the measure isotropic.  The
-    jump integral is compensated inside |y| = 1.  Every part runs for all
-    frequencies at once: below a cut of a few oscillation periods in log
-    radius (``panel_quad``), above it as one oscillatory shell on Filon
-    panels (``filon``, in d >= 2 through a Hankel-function amplitude).
-    Either raises ``QuadratureFailure`` where its check finds the integrand
-    unresolved (see ``levyup.quadrature``).  On infinite support the shell is
-    cut where its Fourier tail falls below 1e-14 of its mass; that bound
-    assumes a radial density non-increasing above radius 1.
+    In 1-d a float xi gives a complex, an array a complex array of its shape; in d >= 2
+    xi is (m, d) and the measure isotropic.  The jumps are compensated inside |y| = 1.
+    Every part runs for all frequencies at once: ``panel_quad`` in log radius below a cut
+    of a few oscillation periods, one oscillatory shell on ``filon`` panels above it (in
+    d >= 2 through a Hankel-function amplitude); either raises ``QuadratureFailure``
+    where its check finds the integrand unresolved.  On infinite support the shell stops
+    where its Fourier tail falls below 1e-14 of its mass, for a radial density
+    non-increasing above radius 1.
     """
     xi = np.asarray(xi, float)
     if triplet.dim == 1 and (xi.ndim < 2 or xi.shape[-1] == 1):
@@ -336,17 +325,8 @@ def _directions(dim, n=32):
     return extra / np.linalg.norm(extra, axis=1, keepdims=True)
 
 
-XI_DECADES = 4.0  # decades of frequency radii below a row's smallest cap
-
-
-def _cap_radii(caps, n):
-    """n radii per row of caps (..., C), from XI_DECADES decades below the
-    row's smallest cap up to its largest, with np.logspace's arithmetic."""
-    top = np.log10(caps.max(axis=-1))
-    start = np.log10(caps.min(axis=-1)) - XI_DECADES
-    y = np.arange(n) * ((top - start) / (n - 1))[..., None] + start[..., None]
-    y[..., -1] = top
-    return 10.0 ** y
+XI_DECADES = 4  # decades of frequency radii below a cap that its sup reads
+LATTICE_DECADE = 12  # lattice levels per decade of frequency radius and state offset
 
 
 @cache
@@ -397,55 +377,87 @@ _EXTREMUM_MODES = {
     "inf_sup_re": ("inf", "re"),
     "sup_inf_re": ("swap", "re"),
 }
-EXTREMUM_RADII = 48  # frequency radii per row of caps (32 directions each)
 
 
-def _capped_extremum(spec: ProcessSpec, states, caps, mode):
-    """Extremum in ``mode`` of the symbol over states (..., S, d) x {|xi| <= cap}
-    at each cap of caps (..., C), one row per leading index: the one ``q``
-    call of every capped symbol.  A row's frequencies are its ``_cap_radii``
-    times ``_directions`` (in 1-d +1 alone: a Hermitian q has even |q| and
-    Re q).  A row of several caps merges them into its radii and reads a
-    running max at each; a one-cap row reads its top radius, 10**log10(cap).
-    Max is exact, so the sup modes reduce the states first and the inf modes last.
-    """
+def _window(a, lo, width, fn, axis=0):
+    """``fn`` along ``axis`` (0 or -1) of ``a`` at levels lo, lo + 1, ... (lo <= -width) over
+    each level l's window [min(l, 0) - width, l], for the levels from lo + width."""
+    def cut(b, start=None, stop=None):
+        return b[(slice(None),) * (axis % b.ndim) + (slice(start, stop),)]
+    parts, n, head, p = [], width + 1, cut(a, stop=-lo), 1
+    if lo < -width:  # sliding windows, by doubling: extrema over 2p levels from two of p
+        while 2 * p <= n:
+            head, p = fn(cut(head, stop=-p), cut(head, p)), 2 * p
+        parts.append(fn(cut(head, stop=head.shape[axis] - (n - p)), cut(head, n - p)))
+    if a.shape[axis] > -lo:  # in place: a's levels from -width are not read again
+        parts.append(cut(fn.accumulate(tail := cut(a, -lo - width), axis=axis, out=tail), width))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _capped_extremum(spec: ProcessSpec, x, balls, caps, mode):
+    """Extremum in ``mode`` of q over B(x, ball) x {|xi| <= cap} at the broadcast balls and
+    caps: every capped symbol's ``q`` calls.  One lattice, anchored absolutely: radii
+    10**(k / LATTICE_DECADE) times ``_directions`` (1-d: +1, q being Hermitian) and states x,
+    x + 10**(j / LATTICE_DECADE) times ``ball_grid``'s directions.  Level k reads the radii
+    of [min(k, 0) - XI_DECADES decades, k], ball level j x and the offsets of [min(j, 0) -
+    1 decade, j], so no value depends on the call's other rows.  Sup modes reduce the
+    states first, inf modes last.  Each (ball, cap)
+    reads its four neighbouring levels, log value linear in the ball and in log cap:
+    monotone in both, never rounded.  A Levy ball is its centre."""
     z_kind, val_kind = _EXTREMUM_MODES[mode]
-    radii, merged = _cap_radii(caps, EXTREMUM_RADII), caps.shape[-1] > 1
-    if merged:
-        radii = np.sort(np.concatenate([radii, caps], axis=-1))
-    dirs = np.ones((1, 1)) if spec.dim == 1 else _directions(spec.dim)
-    # one large table alive at a time: ... x states x radii x dirs, then x radii
-    table = spec.q(states[..., None, None, :], radii[..., None, :, None, None] * dirs)
-    table = np.abs(table) if val_kind == "abs" else np.real(table)
-    if z_kind == "swap":
-        table = table.min(axis=-3, keepdims=True)
-    table = table.max(axis=-1) if spec.dim > 1 else table[..., 0]  # 1-d: one direction
-    if z_kind != "inf":  # ... x 1 x radii
-        table = table.max(axis=-2, keepdims=True, initial=0.0)
-    if not merged:  # one cap, for which the top radius stands
-        return table.max(axis=-1).min(axis=-1)[..., None]
-    at = (radii[..., None, :] < caps[..., None]).sum(axis=-1)  # each cap's sorted place
-    lo = at.min()  # >= 1 radii lie below every cap of every row: one max stands for them
-    table = np.concatenate([table[..., :lo].max(axis=-1, keepdims=True), table[..., lo:]], axis=-1)
-    np.maximum.accumulate(table, axis=-1, out=table)
-    return np.take_along_axis(table, at[..., None, :] - (lo - 1), axis=-1).min(axis=-2)
+    m, w_xi = LATTICE_DECADE, XI_DECADES * LATTICE_DECADE
+    balls, caps = np.broadcast_arrays(0.0 if spec.kind == "levy" else balls, caps)
+    kc = np.floor(yc := np.log10(caps) * m)
+    k_lo = int(min(kc.min(), 0)) - w_xi
+    xi = 10.0 ** (np.arange(k_lo, kc.max() + 2) / m)[:, None, None] * (
+        1.0 if spec.dim == 1 else _directions(spec.dim))
+    z, pos = np.atleast_1d(np.asarray(x, float)).reshape(1, 1, -1), balls > 0
+    u, row, any_ball = np.zeros(caps.shape), np.zeros(caps.shape, int), pos.any()
+    if any_ball:  # the centre, then the states of each offset level from j_lo
+        jb = np.floor(np.log10(np.where(pos, balls, 1.0)) * m)
+        j_lo = int(min(jb.min(), 0)) - m
+        offsets = 10.0 ** (np.arange(j_lo, jb.max() + 2) / m)
+        z = z + np.concatenate([[0.0], offsets])[:, None] * _directions(spec.dim, 8)[:, None]
+        at = (jb - j_lo).astype(int)  # the ball's level and the next, in offsets
+        u = np.clip((balls - offsets[at]) / (offsets[at + 1] - offsets[at]), 0.0, 1.0 - 2**-53)
+        u, row = np.where(pos, u, 0.0), np.where(pos, at - m + 1, 0)
+    fn = np.maximum if z_kind == "sup" else np.minimum
+
+    def rows(z):  # q on radii x xi dirs x state dirs x states, reduced over the dirs
+        val = spec.q(z, xi[:, :, None, None, :])
+        val = np.abs(val) if val_kind == "abs" else np.real(val)
+        if z_kind == "inf":  # per state: sup over the radius window, then the inf over the dirs
+            return _window(val.max(axis=1), k_lo, w_xi, np.maximum).min(axis=1)
+        return val.max(axis=(1, 2)) if z_kind == "sup" else val.min(axis=2)
+
+    step = max(1, 2**15 // (z.shape[0] * xi.shape[0] * xi.shape[1]))  # q in slabs of states
+    table = np.concatenate([rows(z[:, i:i + step]) for i in range(0, z.shape[1], step)], axis=-1)
+    if any_ball:  # the centre, then one state column per ball level from j_lo + m
+        ball = np.empty(table.shape[:-1] + (table.shape[-1] - m,))
+        for r in range(0, len(table), 32):  # 32 radii at a time: one more table, not three
+            ball[r:r + 32, ..., 0], part = table[r:r + 32, ..., 0], table[r:r + 32]
+            fn(part[..., :1], _window(part[..., 1:], j_lo, m, fn, -1), out=ball[r:r + 32, ..., 1:])
+        table = ball
+    if z_kind != "inf":  # radii x ball levels
+        table = _window(table if z_kind == "sup" else table.max(axis=1), k_lo, w_xi, np.maximum)
+    # log values, linear in u and in w; a zero corner (-inf) leaves NaN, read as 0
+    n_j, w = table.shape[1], yc - kc
+    at, up = (kc - k_lo - w_xi).astype(int) * n_j + row, u > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.log(table.ravel()[np.stack([at, at + up, at + n_j, at + n_j + up])])
+        low, high = v[0] + u * (v[1] - v[0]), v[2] + u * (v[3] - v[2])
+        out = np.exp(low + w * (high - low))
+    return np.where(np.isnan(out), 0.0, out)
 
 
 def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"):
     """Extremum of the symbol over B(x, ball_radius) x {|xi| <= xi_radius}.
 
-    Modes: sup_sup (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|),
-    inf_sup_re (inf_z sup_xi Re q), sup_inf_re (sup_xi inf_z Re q — the order
-    used by the symbol-based exit bound).  States are the 17 points of
-    ``ball_grid`` (``_ball_states``: a Levy ball collapses to its centre),
-    and each cap is a one-cap row of ``_capped_extremum``: ``EXTREMUM_RADII``
-    radii over ``XI_DECADES`` decades up to it.
-
-    ``ball_radius`` and ``xi_radius`` may be arrays that broadcast; one
-    ``ProcessSpec.q`` call then covers radii x ball states x frequencies and
-    the result is an array of the broadcast shape (a float for scalars).  A
-    real symbol's table stays float, so |q| is fabs, not hypot.  A non-finite
-    state or radius raises ``ValueError`` before ``q`` is called.
+    Modes: sup_sup (sup_z sup_xi |q|), inf_sup (inf_z sup_xi |q|), inf_sup_re (inf_z
+    sup_xi Re q), sup_inf_re (sup_xi inf_z Re q, the exit bound's order), read from
+    ``_capped_extremum``'s lattice at the exact radii, which broadcast to the result's
+    shape (a float for scalars).  A non-finite state or radius raises ``ValueError``
+    before ``q`` is called.
     """
     _check_ball(spec, x)
     ball_r, xi_r = np.broadcast_arrays(np.asarray(ball_radius, float),
@@ -456,7 +468,7 @@ def symbol_extremum(spec: ProcessSpec, x, ball_radius, xi_radius, mode="sup_sup"
         raise ValueError("ball_radius must be finite and non-negative")
     if mode not in _EXTREMUM_MODES:
         raise ValueError(f"unknown extremum mode {mode!r}")
-    out = _capped_extremum(spec, _ball_states(spec, x, ball_r), xi_r[..., None], mode)[..., 0]
+    out = _capped_extremum(spec, x, ball_r, xi_r, mode)
     return float(out) if out.ndim == 0 else out
 
 
@@ -490,15 +502,11 @@ TREND_GROWTH_MIN = 1.5  # last-over-first factor of the last half that growth ne
 
 
 def tail_trend(grid, values, blowup=1e3):
-    """Classify the limiting trend of ``values`` along ``grid``.
-
-    ``grid`` must be ordered so that increasing index approaches the limit
-    (e.g. radii decreasing to 0).  Returns (label, estimate) with label in
-    {"stable", "diverging", "indeterminate"}; the estimate is the extremum of
-    the last half of the values.  Stability means the last-half values vary by
-    less than ``TREND_STABILITY`` relatively; divergence means a log-log slope
-    above ``TREND_SLOPE_MIN`` with growth by ``TREND_GROWTH_MIN``, or
-    exceeding ``blowup``.
+    """Classify the limiting trend of ``values`` along ``grid``, ordered toward the limit
+    (e.g. radii decreasing to 0): (label, the last half's maximum), label "stable" (the
+    last half varies by less than ``TREND_STABILITY`` relatively), "diverging" (a log-log
+    slope above ``TREND_SLOPE_MIN`` with growth by ``TREND_GROWTH_MIN``, or above
+    ``blowup``) or "indeterminate".
     """
     values = np.asarray(values, float)
     grid = np.asarray(grid, float)

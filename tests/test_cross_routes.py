@@ -57,3 +57,38 @@ def test_state_free_family_never_contradicts_the_levy_routes(alpha, kappa_alpha)
                     classify_ltp_lower(family, X, f).outcome):
         for other in routes:
             assert not contradict(outcome, other), (outcome, other)
+
+
+# the stable-like families (Schilling's symbols of variable order, the
+# stable-type kernel and a Cauchy-driven SDE) with their index alpha(x)
+STABLE_LIKE = {
+    "variable_order": (pr.variable_order_process, lambda x: float(pr.default_order_fn(x))),
+    "stable_type_1.5": (lambda: pr.stable_type_process(1.5), lambda x: 1.5),
+    "sde": (pr.sde_process, lambda x: 1.0),
+}
+LTP_STATES = (-0.6, -0.2, 0.1, 0.45, 0.8)
+LTP_KAPPA_ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.92, 1.08, 1.1, 1.2, 1.3, 1.45, 1.6)
+UPPER_RANK = {"indeterminate": 0, "zero": 1}
+LOWER_RANK = {"indeterminate": 0, "lower_bound": 1, "infinity": 2}
+
+
+@pytest.mark.parametrize("x", LTP_STATES)
+@pytest.mark.parametrize("name", sorted(STABLE_LIKE))
+def test_ltp_routes_follow_the_dichotomy(name, x):
+    # 0.08 away from kappa alpha(x) = 1 (clear of defect e): the lower route
+    # never finds growth below the line, the upper route never certifies zero
+    # above it, and along kappa the upper verdict only weakens and the lower
+    # one only strengthens
+    build, order = STABLE_LIKE[name]
+    spec, alpha = build(), order(x)
+    upper, lower = [], []
+    for ka in LTP_KAPPA_ALPHAS:
+        f = gr.power(ka / alpha)
+        upper.append(classify_ltp_upper(spec, x, f).outcome)
+        lower.append(classify_ltp_lower(spec, x, f).outcome)
+        if ka <= 0.92:
+            assert lower[-1] not in ("infinity", "lower_bound"), (ka, lower[-1])
+        if ka >= 1.08:
+            assert upper[-1] != "zero", (ka, upper[-1])
+    assert np.all(np.diff([UPPER_RANK[o] for o in upper]) <= 0), upper
+    assert np.all(np.diff([LOWER_RANK[o] for o in lower]) >= 0), lower

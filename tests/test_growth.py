@@ -138,3 +138,19 @@ def test_array_inverse_of_empty_and_high_levels():
     f = gr.power(0.5)
     assert f.inverse(np.array([])).shape == (0,)
     np.testing.assert_array_equal(f.inverse(np.array([[2.0, 5.0]])), [[1.0, 1.0]])
+
+
+def test_inverse_rejects_nan_levels_before_calling_f():
+    # a NaN level once read as 1.0 (NaN <= f(1) is False); inf keeps its 1.0
+    # and finite levels keep their bits
+    calls = []
+    f = gr.from_callable(lambda t: calls.append(1) or np.sqrt(t))
+    calls.clear()
+    for bad in (np.nan, [0.5, np.nan], [[0.25], [np.nan]]):
+        with pytest.raises(ValueError, match="NaN at index 1" if np.size(bad) > 1 else "NaN"):
+            f.inverse(bad)
+    assert not calls
+    p = gr.power(0.5)
+    assert p.inverse(np.inf) == 1.0
+    finite = np.array([0.5, 0.01, 1e-4])
+    assert p.inverse(finite).tobytes() == np.array([p.inverse(v) for v in finite]).tobytes()
