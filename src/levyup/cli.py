@@ -15,6 +15,8 @@ import numpy as np
 from . import growth as gr
 from . import processes as pr
 from .criteria import (
+    BALL_RADIUS,
+    C_LOWER,
     bg_index,
     check_A1,
     check_A2,
@@ -40,7 +42,7 @@ _DEF_RUN = {
     "paths": 1000, "seed": 0, "depth": 60, "dt": 1e-3, "out": "out",
     "n_min": 4, "n_max": 16, "t_grid": "0.01,0.05,0.1",
     "r_grid": "0.25,0.5,1.0", "horizon": 1.0, "example": "StableDichotomy",
-    "big_c": 1.0, "svg": False, "mode": "auto", "c_lower": 0.5, "tol": 0.02,
+    "big_c": 1.0, "svg": False, "mode": "auto", "c_lower": C_LOWER, "tol": 0.02,
 }
 
 
@@ -53,6 +55,7 @@ class RunConfig:
 
 _SECTION_KEYS = {"process": _PROCESS_KEYS, "growth": _GROWTH_KEYS, "run": _RUN_KEYS}
 _GROWTH_FORMS = ("power", "sqrt", "const", "sqrt_loglog")
+_MODES = ("auto", "upper", "lower")  # classify's routes for a state-dependent process
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -143,6 +146,8 @@ def _validate(cfg: RunConfig):
         raise ValidationError("dt must be positive")
     if not 0 <= run["n_min"] < run["n_max"] <= 20:
         raise ValidationError("need 0 <= n_min < n_max <= 20")
+    if run["mode"] not in _MODES:
+        raise ValidationError(f"unknown mode {run['mode']!r}; choose from {_MODES}")
     if run["example"] not in EXAMPLE_NAMES:
         raise ValidationError(f"unknown example {run['example']!r}")
     if not 0 < run["tol"] <= 0.1:
@@ -287,7 +292,7 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
                                                n_max=depth)
                     if lower.definite:
                         result = lower
-            else:
+            else:  # "lower"
                 result = classify_ltp_lower(spec, x, f, C=cfg.run["big_c"],
                                             n_max=depth)
         _write_csv(out / "classify.csv",
@@ -301,9 +306,9 @@ def run_command(cmd, cfg: RunConfig, quiet=False):
         f = build_growth(cfg)
         x = cfg.process.get("x", 0.0)
         rows = []
-        sec = sector_check(spec, x_ball=(x, 0.5))
+        sec = sector_check(spec, x_ball=(x, BALL_RADIUS))
         rows.append(("sector", sec.verdict, sec.witness, sec.reason))
-        a1 = check_A1(spec, x=x, ball_radius=0.5)
+        a1 = check_A1(spec, x=x, ball_radius=BALL_RADIUS)
         rows.append(("A1", a1.verdict, a1.witness, a1.reason))
         try:
             a2 = check_A2(f)

@@ -19,7 +19,6 @@ from .errors import BracketIndeterminate, EvaluationFailure, InverseFailure
 from .growth import GrowthFunction
 from .measures import LevyMeasureModel
 from .symbols import (
-    _EXTREMUM_MODES,
     ConditionReport,
     ProcessSpec,
     _ball_states,
@@ -84,8 +83,8 @@ class ExitBounds:
     ``schilling_factor`` is t * sup-sup |q| (to be multiplied by the absolute
     constant); ``survival_bound`` and ``expected_exit`` are constant-free;
     ``exponential_shape`` is exp(-t G(x, 2r)) up to the two uniform constants;
-    ``lower`` is (1-c) t G(x, 2r) clipped to [0, 1]; ``symbol_survival_factor``
-    is 1/(1 + t h(x, r)) with h the swapped-order symbol extremum.
+    ``lower`` is (1-c) t G(x, 2r) with c = ``C_LOWER``, clipped to [0, 1];
+    ``symbol_survival_factor`` is 1/(1 + t h(x, r)) with h the swapped-order extremum.
     """
 
     schilling_factor: float
@@ -241,6 +240,7 @@ def tail_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, c,
 
 
 SYMBOL_CHUNK = 16  # dyadic blocks per table chunk of the state-ball tail integrands
+SYMBOL_EPS = 1.0  # eps of the symbol integrals' frequency cap 1/(eps f(t))
 
 
 def _by_chunk(n_blocks, chunk):
@@ -267,30 +267,22 @@ def _symbol_table(spec, x, ft, eps_col, ball_scale, mode):
         raise EvaluationFailure(f"symbol integrand failed: {exc}") from exc
 
 
-def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, eps=1.0,
-                              ball_mode=None, ball_scale=1.0, value_kind="abs",
-                              verify_eps=True, n_max=60):
+def symbol_integral_criterion(spec: ProcessSpec, x, f: GrowthFunction, ball_mode="sup",
+                              ball_scale=1.0, n_max=60):
     """Dyadic verdict for the symbol integral with frequency cap 1/(eps f(t)).
 
-    ``ball_mode`` picks sup or inf over the state ball of radius ball_scale * f(t).  The
-    verdict must agree at eps/2 (square-root subadditivity makes it scale-free), else it
-    is Indeterminate.  The integrand is one ``_symbol_table`` of eps and eps/2 in mode
-    sup_sup (ball_mode None or "sup"), inf_sup or inf_sup_re.
+    ``ball_mode`` "sup" or "inf" picks the extremum over the state ball of radius
+    ball_scale * f(t).  The verdict at eps = ``SYMBOL_EPS`` must agree at eps/2
+    (square-root subadditivity makes it scale-free), else it is Indeterminate.  The
+    integrand is one ``_symbol_table`` of eps and eps/2 in mode sup_sup or inf_sup.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
     _check_ball(spec, x, ball_scale, "ball_scale")
-    suffix = {"abs": "", "re": "_re"}.get(value_kind)
-    mode = f"{'sup' if ball_mode is None else ball_mode}_sup{suffix}"
-    if suffix is None or mode not in _EXTREMUM_MODES:
-        raise ValueError(f"unsupported ball_mode {ball_mode!r} with value_kind "
-                         f"{value_kind!r}")
+    if ball_mode not in ("sup", "inf"):
+        raise ValueError(f"unknown ball_mode {ball_mode!r}; choose 'sup' or 'inf'")
 
-    eps_col = np.array([[eps], [eps / 2.0]] if verify_eps else [[eps]])
-    ft = _growth_on_nodes(f, n_max)
-    table = _symbol_table(spec, x, ft, eps_col, ball_scale, mode)
-    if not verify_eps:
-        return dyadic_integral(table[:, 0], n_max)
+    eps = SYMBOL_EPS
+    table = _symbol_table(spec, x, _growth_on_nodes(f, n_max), np.array([[eps], [eps / 2.0]]),
+                          ball_scale, f"{ball_mode}_sup")
     verdict, check = dyadic_integral(table, n_max, rows=2)
     if check.state != verdict.state and "indeterminate" not in (
         check.state, verdict.state
@@ -348,17 +340,17 @@ def check_A1(source, x=0.0, ball_radius=None):
                         "ratio grows as r -> 0", "unstable ratio", report_grid=A1_RADII)
 
 
-def check_A2(f: GrowthFunction, use_shortcut=True):
+def check_A2(f: GrowthFunction):
     """Growth condition on f: r^2 int_{f^{-1}(r)}^1 f(t)^{-2} dt <= M f^{-1}(r).
 
     The direct witness is maximized over A2_RADII: one inverse call and one 16-node
     Gauss-Legendre pass in u = log t (_A2_PANELS panels split at each log f^{-1}(r)),
     exact to rounding for smooth f (~2e-7 relative at a kink, as sqrt_loglog's clamp).
     A sufficient shortcut (f(t)/t increasing to infinity, f(t)/t^a decreasing to 0 for
-    some a > 1/2) is tried first when ``use_shortcut``, with the shortcut flag set.
+    some a > 1/2) is tried first, with the shortcut flag set.
     """
     witness = _a2_direct_witness(f, A2_RADII)
-    if use_shortcut and _a2_shortcut(f):
+    if _a2_shortcut(f):
         return ConditionReport("holds", witness.max(), A2_RADII, shortcut=True,
                                reason="f/t increases to infinity, f/t^a decreases")
     return _trend_report(A2_RADII, witness, "witness grows as r -> 0", "unstable witness")
@@ -462,6 +454,7 @@ def _require_pure_jump(spec):
 
 
 C_EXPONENTS = tuple(range(-4, 9))  # the tail integrals scan c = 2^k for "some c > 0"
+BALL_RADIUS = 0.5  # the state ball of classify_ltp_upper's side conditions and of check_C2
 
 
 def classify_levy(spec: ProcessSpec, f: GrowthFunction, n_max=60):
@@ -607,31 +600,30 @@ def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, n_max):
 
 
 def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
-                       ball_radius=0.5, use_majorization_route=False, n_max=60):
+                       use_majorization_route=False, n_max=60):
     """Upper-function decision for a state-dependent or SDE process.
 
     The symbol route (sup over the moving state ball of the capped symbol)
     needs no side condition; its convergence alone yields Zero.  The tail
-    route needs the sector condition and the ball version of the small-jump
-    balance.  An optional majorization route accepts the fixed-ball tail
-    integral under the growth condition on f.
+    route needs the sector condition and the small-jump balance on the state
+    ball of radius ``BALL_RADIUS``.  An optional majorization route accepts the
+    tail integral on that fixed ball under the growth condition on f.
     """
     if spec.kind == "levy":
         raise ValueError("use classify_levy for Levy processes")
-    _check_ball(spec, x, ball_radius)
+    _check_ball(spec, x)
     _require_pure_jump(spec)
     evidence = {}
 
-    v2 = symbol_integral_criterion(spec, x, f, eps=1.0, ball_mode="sup",
-                                   n_max=n_max)
+    v2 = symbol_integral_criterion(spec, x, f, ball_mode="sup", n_max=n_max)
     evidence["symbol_integral"] = v2
     if v2.converges:
         return Classification("zero", assumptions_used=[], evidence=evidence,
                               reason="symbol route")
 
-    sector = sector_check(spec, x_ball=(x, ball_radius))
+    sector = sector_check(spec, x_ball=(x, BALL_RADIUS))
     evidence["sector"] = sector
-    a1p = check_A1(spec, x=x, ball_radius=ball_radius)
+    a1p = check_A1(spec, x=x, ball_radius=BALL_RADIUS)
     evidence["A1'"] = a1p
     if sector.holds and a1p.holds and _c_scan(
             spec, x, f, None, evidence, "tail_integrals", n_max):
@@ -641,8 +633,8 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
     if use_majorization_route:
         a2 = check_A2(f)
         evidence["A2"] = a2
-        if (a2.holds and majorization_holds(spec, x, ball_radius)
-                and _c_scan(spec, x, f, ball_radius, evidence, "fixed_ball_tail",
+        if (a2.holds and majorization_holds(spec, x, BALL_RADIUS)
+                and _c_scan(spec, x, f, BALL_RADIUS, evidence, "fixed_ball_tail",
                             n_max)):
             return Classification("zero", assumptions_used=["A2", "Majorization"],
                                   evidence=evidence, reason="fixed-ball tail route")
@@ -695,9 +687,9 @@ def check_C1(spec: ProcessSpec, x, f: GrowthFunction):
     return ConditionReport("holds", worst, T_GRID)
 
 
-def check_C2(spec: ProcessSpec, x, f: GrowthFunction, ball_radius=0.5):
+def check_C2(spec: ProcessSpec, x, f: GrowthFunction):
     """Polynomial symbol growth of fitted order a plus liminf t^{-2/a} f(t) = inf."""
-    alpha = fit_symbol_growth(spec, x, ball_radius)
+    alpha = fit_symbol_growth(spec, x, BALL_RADIUS)
     w = T_GRID ** (-2.0 / alpha) * f(T_GRID)
     if _limsup_diverges(w) and np.all(np.diff(w) >= -1e-9 * w[:-1]):
         return ConditionReport("holds", alpha, T_GRID)
@@ -768,7 +760,7 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
         a1p = check_A1(spec, x=x, ball_radius=float(f(1.0)))
         evidence["A1'"] = a1p
         if a1p.holds:
-            v_sym = symbol_integral_criterion(spec, x, f, eps=1.0, ball_mode="inf",
+            v_sym = symbol_integral_criterion(spec, x, f, ball_mode="inf",
                                               ball_scale=C, n_max=n_max)
             evidence["inf_symbol_integral"] = v_sym
             if v_sym.diverges:
@@ -793,13 +785,14 @@ def ball_tail_intensity(spec: ProcessSpec, x, r):
     return float(np.min(spec.tail_at(_ball_states(spec, x, r), r)))
 
 
-def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
+C_LOWER = 0.5  # c of ExitBounds.lower, and verify_bound_table's default
+
+
+def exit_bounds(spec: ProcessSpec, x, t, r):
     """All closed exit-time bound factors at (t, r); see ExitBounds."""
     if not (0 <= t < np.inf and r > 0):  # NaN fails both
         raise ValueError("need t >= 0 and r > 0, t finite")
     _check_ball(spec, x, r, "r")
-    if not 0 <= c_lower <= 1:
-        raise ValueError("c_lower must lie in [0, 1]")
     g2r = ball_tail_intensity(spec, x, 2 * r)
     supsup = symbol_extremum(spec, x, r, 1.0 / r, "sup_sup")
     h_swap = symbol_extremum(spec, x, r, 1.0 / (2 * r), "sup_inf_re")
@@ -808,7 +801,7 @@ def exit_bounds(spec: ProcessSpec, x, t, r, c_lower=0.5):
         survival_bound=1.0 / (1.0 + t * g2r),
         expected_exit=np.inf if g2r == 0 else 1.0 / g2r,
         exponential_shape=float(np.exp(-t * g2r)),
-        lower=float(min((1.0 - c_lower) * t * g2r, 1.0)),
+        lower=float(min((1.0 - C_LOWER) * t * g2r, 1.0)),
         symbol_survival_factor=1.0 / (1.0 + t * h_swap),
         tail_intensity=g2r,
     )

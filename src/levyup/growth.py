@@ -62,12 +62,6 @@ class GrowthFunction:
         t = np.where(live, np.exp(hi), 1.0)
         return t if r.ndim else float(t)
 
-    @property
-    def label(self):
-        head = self.descriptor[0]
-        args = ", ".join(f"{a:g}" if isinstance(a, float) else str(a) for a in self.descriptor[1:])
-        return f"{head}({args})" if args else head
-
 
 def power(kappa):
     """f(t) = t^kappa."""

@@ -49,14 +49,14 @@ class TrendVerdict:
     ratio: float
 
 
-def dyadic_time_grid(n_min, n_max, points_per_level=POINTS_PER_LEVEL):
-    """Refined grid on [0, 2^{-n_min}]: each dyadic block gets its own
-    uniform subdivision, plus an equally fine bottom block below 2^{-(n_max+1)}."""
+def dyadic_time_grid(n_min, n_max):
+    """Refined grid on [0, 2^{-n_min}]: each dyadic block gets ``POINTS_PER_LEVEL``
+    uniform steps, plus an equally fine bottom block below 2^{-(n_max+1)}."""
     pieces = [np.array([0.0]),
-              np.linspace(0.0, 2.0 ** -(n_max + 1), points_per_level + 1)[1:]]
+              np.linspace(0.0, 2.0 ** -(n_max + 1), POINTS_PER_LEVEL + 1)[1:]]
     for n in range(n_max, n_min - 1, -1):
         lo, hi = 2.0 ** -(n + 1), 2.0**-n
-        pieces.append(np.linspace(lo, hi, points_per_level + 1)[1:])
+        pieces.append(np.linspace(lo, hi, POINTS_PER_LEVEL + 1)[1:])
     return np.concatenate(pieces)
 
 

@@ -189,21 +189,11 @@ def stable_normalization(alpha, dim=1):
     )
 
 
-def stable_measure(alpha, scale=None, dim=1, name=None):
-    """Isotropic power-law measure c |y|^{-d-alpha} dy.
-
-    With scale=None the coefficient is normalized so the symmetric exponent is
-    exactly |xi|^alpha; pass scale=1.0 for the raw unit-coefficient measure
-    (tail 2 r^{-alpha}/alpha in one dimension).
-    """
+def _power_law(alpha, amp, name, dim=1, side_weights=(0.5, 0.5)):
+    """Measure of radial density amp * s^{-1-alpha}: tail amp r^{-alpha} / alpha,
+    trunc2 amp r^{2-alpha} / (2-alpha)."""
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0,2)")
-    c = stable_normalization(alpha, dim) if scale is None else float(scale)
-    if dim == 1:
-        surf = 2.0
-    else:
-        surf = 2 * np.pi ** (dim / 2) / special.gamma(dim / 2)
-    amp = c * surf  # total radial density amplitude: rho(s) = amp * s^{-1-alpha}
 
     def tail(r):
         return amp * np.asarray(r, float) ** (-alpha) / alpha
@@ -216,30 +206,29 @@ def stable_measure(alpha, scale=None, dim=1, name=None):
         trunc2=trunc2,
         dim=dim,
         radial_density=lambda s: amp * s ** (-1.0 - alpha),
-        name=name or f"stable(alpha={alpha}, c={c:.6g}, d={dim})",
+        side_weights=side_weights,
+        name=name,
     )
 
 
-def one_sided_stable_measure(alpha, scale=1.0):
-    """Spectrally positive power-law measure scale * y^{-1-alpha} dy on y > 0."""
-    if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0,2)")
-    c = float(scale)
+def stable_measure(alpha, scale=None, dim=1):
+    """Isotropic power-law measure c |y|^{-d-alpha} dy.
 
-    def tail(r):
-        return c * np.asarray(r, float) ** (-alpha) / alpha
+    With scale=None the coefficient is normalized so the symmetric exponent is
+    exactly |xi|^alpha; pass scale=1.0 for the raw unit-coefficient measure
+    (tail 2 r^{-alpha}/alpha in one dimension).
+    """
+    c = stable_normalization(alpha, dim) if scale is None else float(scale)
+    if dim == 1:
+        surf = 2.0
+    else:
+        surf = 2 * np.pi ** (dim / 2) / special.gamma(dim / 2)
+    return _power_law(alpha, c * surf, f"stable(alpha={alpha}, c={c:.6g}, d={dim})", dim)
 
-    def trunc2(r):
-        return c * np.asarray(r, float) ** (2 - alpha) / (2 - alpha)
 
-    return LevyMeasureModel(
-        tail=tail,
-        trunc2=trunc2,
-        dim=1,
-        radial_density=lambda s: c * s ** (-1.0 - alpha),
-        side_weights=(0.0, 1.0),
-        name=f"one_sided_stable(alpha={alpha})",
-    )
+def one_sided_stable_measure(alpha):
+    """Spectrally positive power-law measure y^{-1-alpha} dy on y > 0."""
+    return _power_law(alpha, 1.0, f"one_sided_stable(alpha={alpha})", side_weights=(0.0, 1.0))
 
 
 def _phi(r):

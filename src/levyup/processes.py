@@ -18,8 +18,8 @@ from . import measures as ms
 from .symbols import LevyTriplet, ProcessSpec, StateFamily, eval_exponent
 
 
-def _as_levy(measure, b=0.0, Q=None, symbol=None, stable_family=None, name=""):
-    triplet = LevyTriplet(b=np.atleast_1d(float(b)), Q=Q, measure=measure)
+def _as_levy(measure, b=0.0, symbol=None, stable_family=None, name=""):
+    triplet = LevyTriplet(b=np.atleast_1d(float(b)), Q=None, measure=measure)
     return ProcessSpec(
         kind="levy",
         dim=measure.dim,

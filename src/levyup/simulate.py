@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import ball_tail_intensity
+from .criteria import C_LOWER, ball_tail_intensity
 from .errors import RateOverflow
 from .symbols import LevyTriplet, ProcessSpec, symbol_extremum
 
@@ -100,19 +100,6 @@ class McEstimate:
     p_hat: float
     ci_half_width: float
     n_paths: int
-    kind: str = "probability"
-
-    @property
-    def lower(self):
-        if self.kind == "probability":
-            return max(self.p_hat - self.ci_half_width, 0.0)
-        return self.p_hat - self.ci_half_width
-
-    @property
-    def upper(self):
-        if self.kind == "probability":
-            return min(self.p_hat + self.ci_half_width, 1.0)
-        return self.p_hat + self.ci_half_width
 
 
 def path_rng(seed, path_index):
@@ -138,8 +125,7 @@ def mean_estimate(sample):
     sample = np.asarray(sample, float)
     n = sample.size
     half = _Z99 * sample.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
-    return McEstimate(p_hat=float(sample.mean()), ci_half_width=float(half),
-                      n_paths=n, kind="mean")
+    return McEstimate(p_hat=float(sample.mean()), ci_half_width=float(half), n_paths=n)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +550,10 @@ def _start(spec, x):
 
 def _prepare(spec, x, times, config):
     """Validate a run on the grid times; returns (sampler, advance, x0, dts)."""
-    if times[0] != 0.0 or not np.isfinite(times[-1]) or not np.all(np.diff(times) > 0):
-        raise ValueError("times must be finite, start at 0 and increase strictly")
+    if (times.ndim != 1 or times.size < 2 or times[0] != 0.0 or not np.isfinite(times[-1])
+            or not np.all(np.diff(times) > 0)):
+        raise ValueError("times must be finite, one axis of at least two points, "
+                         "start at 0 and increase strictly")
     x0 = _start(spec, x)
     scheme = _resolve_scheme(spec, config)
     if scheme not in _SCHEMES:
@@ -580,7 +568,7 @@ def _prepare(spec, x, times, config):
 def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
     """Simulate n_paths trajectories on a fixed grid; returns (values, runmax).
 
-    ``times`` must start at 0 and increase.  Arrays have shape
+    ``times`` (one axis, two or more) must start at 0 and increase.  Arrays have shape
     (n_paths, len(times)); runmax tracks sup_{s <= t_k} |X_s - x| including
     the within-step pre-jump point for jump-decomposed schemes.
     """
@@ -611,8 +599,8 @@ def _paths_at(spec: ProcessSpec, x, times, t, config: SimConfig):
     of shape (n_paths, len(t)): simulate_batch's columns, to the bit.  The
     relative slack takes a grid time a rounding above t as the time t."""
     times = np.asarray(times, float)
-    cols = np.searchsorted(times, np.asarray(t, float) * (1 + 1e-12), side="right") - 1
     sampler, advance, x0, dts = _prepare(spec, x, times, config)
+    cols = np.searchsorted(times, np.asarray(t, float) * (1 + 1e-12), side="right") - 1
     # a Levy block is finished in scratch rows: only a time loop needs windows
     keep = _Columns(cols, config.n_paths, x0, len(dts) if advance is None else COLUMN_WINDOW)
     _step(sampler, advance, x0, dts, config, keep)
@@ -640,7 +628,7 @@ class BoundRow:
 
 
 def verify_bound_table(spec: ProcessSpec, x, bound_kind, grid, config: SimConfig,
-                       c_lower=0.5):
+                       c_lower=C_LOWER):
     """Empirical check of one exit-time bound over a (t, r) grid of entries
     with a finite t >= 0 and 0 < r < inf.
 

@@ -17,11 +17,11 @@ from levyup.criteria import (
     classify_ltp_lower,
     classify_ltp_upper,
     exit_bounds,
-    symbol_integral_criterion,
     tail_integral_criterion,
 )
 from levyup.limsup import reproduce_example
 from levyup.simulate import SimConfig, simulate_batch, verify_bound_table
+from test_criteria import one_eps_verdict
 from test_limsup import series_max
 from test_simulate import estimates_at
 from test_symbols import assert_symbol_axioms, h_psi_star_constant
@@ -167,7 +167,7 @@ def test_11_implication_chain_suite():
             assert check_A1(spec.levy.measure).holds
             for gap in (-0.2, 0.2):
                 f = gr.power(1.0 / alpha + gap)
-                sym = symbol_integral_criterion(spec, 0.0, f, verify_eps=False)
+                sym = one_eps_verdict(spec, 0.0, f, 1.0)
                 tails = {tail_integral_criterion(spec, None, f, 2.0**k).state
                          for k in (-2, 0, 2)}
                 if gap < 0:
@@ -178,10 +178,8 @@ def test_11_implication_chain_suite():
         # eps-insensitivity
         for kappa in (0.5, 0.9, 1.1, 2.0):
             f = gr.power(kappa)
-            v1 = symbol_integral_criterion(pr.stable_process(1.0), 0.0, f,
-                                           eps=1.0, verify_eps=False)
-            v2 = symbol_integral_criterion(pr.stable_process(1.0), 0.0, f,
-                                           eps=0.5, verify_eps=False)
+            v1 = one_eps_verdict(pr.stable_process(1.0), 0.0, f, 1.0)
+            v2 = one_eps_verdict(pr.stable_process(1.0), 0.0, f, 0.5)
             assert v1.state == v2.state
 
         # doubling and symbol axioms on the model matrix

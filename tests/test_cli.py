@@ -267,6 +267,15 @@ class TestMain:
         record = json.loads((tmp_path / "o" / "error.json").read_text())
         assert record["error"] == "ValidationError"
         assert "alpha" in record["message"]
+        # a misspelled mode once ran the lower route: exit 2 with inf_tail rows
+        cfg_file.write_text("[process]\nkind = variable_order\nx = 0.2\n\n"
+                            "[growth]\nkappa = 0.6\n\n[run]\nmode = uppper\n")
+        code = main(["classify", "--config", str(cfg_file), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert not (tmp_path / "m" / "classify.csv").exists()
+        record = json.loads((tmp_path / "m" / "error.json").read_text())
+        assert record == {"error": "ValidationError", "message": "unknown mode 'uppper'; "
+                          "choose from ('auto', 'upper', 'lower')"}
 
     @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
     def test_simulate_rejects_a_bad_horizon(self, tmp_path, capsys, horizon):

@@ -187,18 +187,24 @@ class TestTailIntegralCriterion:
             tail_integral_criterion(pr.variable_order_process(), 0.0,
                                     gr.power(0.8), 1.0, ball_mode="supremum")
 
-    @pytest.mark.parametrize("ball_mode, value_kind", [
-        (None, "re"),        # Re q exists only under the inf-ball
-        ("sup", "re"),
-        ("inf", "real"),     # unknown value kind
-        ("sup", "ABS"),
-        ("infimum", "abs"),  # misspelled ball mode
+    @pytest.mark.parametrize("ball_mode", [
+        None,         # once an alias of "sup"
+        "infimum",    # misspelled
+        "inf_sup",    # an extremum mode, not a ball mode
     ])
-    def test_symbol_mode_contract(self, ball_mode, value_kind):
+    def test_symbol_mode_contract(self, ball_mode):
         with pytest.raises(ValueError, match="ball_mode"):
             symbol_integral_criterion(pr.variable_order_process(), 0.0,
-                                      gr.power(0.8), ball_mode=ball_mode,
-                                      value_kind=value_kind)
+                                      gr.power(0.8), ball_mode=ball_mode)
+
+
+def one_eps_verdict(spec, x, f, eps, ball_mode="sup", ball_scale=1.0):
+    """The dyadic verdict of the symbol integral at the single cap 1/(eps f(t)): one
+    eps row of the table that symbol_integral_criterion reads at eps and eps/2."""
+    ft = criteria._growth_on_nodes(f, 60)
+    table = criteria._symbol_table(spec, x, ft, np.array([[eps]]), ball_scale,
+                                   f"{ball_mode}_sup")
+    return dyadic_integral(table[:, 0])
 
 
 class TestSymbolIntegralCriterion:
@@ -232,8 +238,8 @@ class TestSymbolIntegralCriterion:
     def test_eps_insensitivity_on_stable_family(self, kappa):
         spec = pr.stable_process(1.0)
         f = gr.power(kappa)
-        v1 = symbol_integral_criterion(spec, 0.0, f, eps=1.0, verify_eps=False)
-        v2 = symbol_integral_criterion(spec, 0.0, f, eps=0.5, verify_eps=False)
+        v1 = one_eps_verdict(spec, 0.0, f, 1.0)
+        v2 = one_eps_verdict(spec, 0.0, f, 0.5)
         assert v1.state == v2.state
 
 
@@ -282,6 +288,12 @@ def a2_case(name):
                             regularly_varying=True)
 
 
+def a2_direct_report(f):
+    """check_A2's report from the direct witness alone, without its shortcut."""
+    return criteria._trend_report(criteria.A2_RADII, _a2_direct_witness(f, criteria.A2_RADII),
+                                  "witness grows as r -> 0", "unstable witness")
+
+
 class TestConditionA2:
     def test_power_07_holds_via_shortcut(self):
         rep = check_A2(gr.power(0.7))
@@ -293,15 +305,17 @@ class TestConditionA2:
 
     def test_direct_witness_matches_closed_form(self):
         # r^2 int_{r^{10/7}}^1 t^{-1.4} dt / r^{10/7} = (1 - r^{4/7}) / 0.4
-        rep_direct = check_A2(gr.power(0.7), use_shortcut=False)
+        rep_direct = a2_direct_report(gr.power(0.7))
         r = np.asarray(rep_direct.grid, float)
         expected = np.max((1.0 - r ** (4.0 / 7.0)) / 0.4)
         assert rep_direct.holds
         assert rep_direct.witness == pytest.approx(expected, rel=1e-4)
 
     def test_shortcut_agrees_with_direct(self):
-        a = check_A2(gr.power(0.7), use_shortcut=True)
-        b = check_A2(gr.power(0.7), use_shortcut=False)
+        f = gr.power(0.7)
+        a = check_A2(f)
+        b = a2_direct_report(f)
+        assert criteria._a2_shortcut(f) and a.shortcut
         assert a.verdict == b.verdict == "holds"
 
     @pytest.mark.parametrize("case", [c["name"] for c in A2_GOLDEN["cases"]])
@@ -565,7 +579,7 @@ class TestExitBounds:
         assert eb.lower == 0.0
 
     def test_bounds_ranges(self):
-        eb = exit_bounds(pr.variable_order_process(), 0.0, 0.3, 0.4, c_lower=0.2)
+        eb = exit_bounds(pr.variable_order_process(), 0.0, 0.3, 0.4)
         assert 0.0 < eb.survival_bound <= 1.0
         assert eb.expected_exit > 0
         assert 0.0 <= eb.lower <= 1.0
@@ -583,7 +597,6 @@ GOLDEN_CRITERIA = Path(__file__).parent / "data" / "criteria_golden.json"
 EQUIV_CASES = (
     ("symbol", {"ball_mode": "sup"}),
     ("symbol", {"ball_mode": "inf"}),
-    ("symbol", {"ball_mode": "inf", "value_kind": "re"}),
     ("tail", {"ball_mode": "sup"}),
     ("tail", {"ball_mode": "inf", "ball_scale": 2.0}),
     ("tail", {"ball_mode": "sup", "fixed_ball_radius": 0.5}),
@@ -699,14 +712,14 @@ def test_tail_criterion_c_contract():
 @pytest.mark.parametrize("kappa", [0.7, 1.0])
 @pytest.mark.parametrize("name, kw", [
     (name, kw) for name in sorted(STATE_SPECS)
-    for kw in ({"ball_mode": "sup"}, {"ball_mode": "inf", "value_kind": "re"})
+    for kw in ({"ball_mode": "sup"}, {"ball_mode": "inf"})
 ] + [("stable_levy", {})])
 def test_eps_pair_pass_matches_two_passes(name, kw, kappa):
     spec, x = scan_spec(name)
     f = gr.power(kappa)
-    v = symbol_integral_criterion(spec, x, f, eps=1.0, **kw)
-    first = symbol_integral_criterion(spec, x, f, eps=1.0, verify_eps=False, **kw)
-    check = symbol_integral_criterion(spec, x, f, eps=0.5, verify_eps=False, **kw)
+    v = symbol_integral_criterion(spec, x, f, **kw)
+    first = one_eps_verdict(spec, x, f, 1.0, **kw)
+    check = one_eps_verdict(spec, x, f, 0.5, **kw)
     if {first.state, check.state} == {"converges", "diverges"}:
         assert v.state == "indeterminate" and "eps-inconsistency" in v.note
         np.testing.assert_allclose(v.block_sums, first.block_sums, rtol=1e-12, atol=0)
@@ -741,8 +754,7 @@ def test_rows_equal_one_row_calls_to_the_bit(monkeypatch, name, kappa):
     f = gr.power(kappa)
     for c, v in zip(C_SCAN, tail_integral_criterion(spec, x, f, C_SCAN, **kw)):
         assert_bitwise_same(v, tail_integral_criterion(spec, x, f, float(c), **kw))
-    singles = [symbol_integral_criterion(spec, x, f, eps=eps, verify_eps=False, **kw)
-               for eps in (1.0, 0.5)]
+    singles = [one_eps_verdict(spec, x, f, eps, **kw) for eps in (1.0, 0.5)]
     passes = record_passes(monkeypatch)
     symbol_integral_criterion(spec, x, f, **kw)
     assert len(passes) == 1 and len(passes[0]) == 2
@@ -754,31 +766,13 @@ def test_rows_equal_one_row_calls_to_the_bit(monkeypatch, name, kappa):
 # the symbol integrand: one table per chunk of blocks
 # ---------------------------------------------------------------------------
 
-# (ball_mode, value_kind) -> the symbol_extremum mode of the per-node grid
-TABLE_MODES = {("sup", "abs"): "sup_sup", ("inf", "abs"): "inf_sup",
-               ("inf", "re"): "inf_sup_re"}
+TABLE_MODES = ("inf_sup", "inf_sup_re", "sup_sup")  # the lower and upper routes' modes
 READ_LEVEL = 29  # _classify_blocks reads the block ratios from level 29 on
-
-
-def symbol_table(spec, x, f, **kw):
-    """The blocks x eps x nodes table symbol_integral_criterion hands to the
-    dyadic engine."""
-    real, tables = criteria.dyadic_integral, []
-
-    def recording(g, *args, **kwargs):
-        tables.append(np.array(g))
-        return real(g, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "dyadic_integral", recording)
-        symbol_integral_criterion(spec, x, f, **kw)
-    assert len(tables) == 1
-    return tables[0]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(STATE_SPECS)), x=st.floats(-0.6, 0.9),
-       kappa=st.floats(0.5, 1.3), mode=st.sampled_from(sorted(TABLE_MODES)),
+       kappa=st.floats(0.5, 1.3), mode=st.sampled_from(TABLE_MODES),
        ball_scale=st.sampled_from([1.0, 2.0]))
 def test_symbol_table_errs_on_the_safe_side(name, x, kappa, mode, ball_scale):
     # on every level the verdict reads, the table is at least the per-node
@@ -786,14 +780,13 @@ def test_symbol_table_errs_on_the_safe_side(name, x, kappa, mode, ball_scale):
     # inf modes (which can yield a lower bound): each block's ball is rounded
     # up and each cap is read exactly
     spec, f = STATE_SPECS[name](), gr.power(kappa)
-    ball_mode, value_kind = mode
-    table = symbol_table(spec, x, f, ball_mode=ball_mode, value_kind=value_kind,
-                         ball_scale=ball_scale)[READ_LEVEL:]
-    ft = f(criteria._block_nodes(60, 16)[0][READ_LEVEL:])[:, None, :]
     eps = np.array([[1.0], [0.5]])
-    ref = symbol_extremum(spec, x, ball_scale * ft, 1.0 / (eps * ft), TABLE_MODES[mode])
+    table = criteria._symbol_table(spec, x, criteria._growth_on_nodes(f, 60), eps,
+                                   ball_scale, mode)[READ_LEVEL:]
+    ft = f(criteria._block_nodes(60, 16)[0][READ_LEVEL:])[:, None, :]
+    ref = symbol_extremum(spec, x, ball_scale * ft, 1.0 / (eps * ft), mode)
     slack = 1e-12 * np.abs(ref)
-    if ball_mode == "sup":
+    if mode == "sup_sup":
         assert np.all(table >= ref - slack)
     else:
         assert np.all(table <= ref + slack)
@@ -988,7 +981,7 @@ def test_raising_growth_function_is_an_evaluation_failure_on_every_route():
     for ball_mode in ("sup", "inf"):
         with pytest.raises(EvaluationFailure, match="growth function failed .*: t below 1e-10"):
             tail_integral_criterion(vo, 0.0, f, 1.0, ball_mode=ball_mode)
-    for ball_mode in (None, "sup", "inf"):
+    for ball_mode in ("sup", "inf"):
         with pytest.raises(EvaluationFailure, match="growth function failed .*: t below 1e-10"):
             symbol_integral_criterion(vo, 0.0, f, ball_mode=ball_mode)
 
@@ -1302,8 +1295,6 @@ def test_state_of_the_wrong_length_rejected_at_every_entry(no_integral, name, x)
 def test_bad_ball_radius_rejected_before_any_integral(no_integral, radius):
     vo, f = pr.variable_order_process(), gr.power(0.8)
     cases = [
-        # ball_radius = -1 once read `zero` through the symbol route
-        (lambda: classify_ltp_upper(vo, 0.0, f, ball_radius=radius), "ball_radius"),
         (lambda: sector_check(vo, x_ball=(0.0, radius)), "ball_radius"),
         (lambda: check_A1(vo, x=0.0, ball_radius=radius), "ball_radius"),
         (lambda: majorization_holds(vo, 0.0, radius), "ball_radius"),
@@ -1337,6 +1328,3 @@ def test_nan_parameters_name_their_argument(no_integral, bad):
         classify_power(pr.stable_process(1.5), bad)
     with pytest.raises(ValueError, match="C must"):  # NaN once blamed xi_radius
         classify_ltp_lower(pr.variable_order_process(), 0.0, gr.power(0.8), C=bad)
-    with pytest.raises(ValueError, match="eps must"):
-        symbol_integral_criterion(pr.variable_order_process(), 0.0, gr.power(0.8),
-                                  ball_mode="sup", eps=bad)

@@ -37,7 +37,7 @@ class TestDyadicGrid:
             assert np.any(np.isclose(times, 2.0**-n))
 
     def test_resolution_inside_each_level(self):
-        times = dyadic_time_grid(4, 10, points_per_level=256)
+        times = dyadic_time_grid(4, 10)
         for n in range(4, 11):
             inside = (times > 2.0 ** -(n + 1)) & (times <= 2.0**-n)
             assert inside.sum() == 256

@@ -490,19 +490,31 @@ class TestEstimators:
         with pytest.raises(ValueError, match="r must be positive and finite"):
             first_exit_times(pr.cauchy_process(), 0.0, GRID_01, r, SimConfig(n_paths=20))
 
-    @pytest.mark.parametrize("last", [float("nan"), float("inf")])
-    def test_engine_rejects_non_finite_times_before_simulating(self, no_simulation, last):
-        times = np.append(GRID_01, last)
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.append(GRID_01, float("nan")), id="nan"),
+        pytest.param(np.append(GRID_01, float("inf")), id="inf"),
+        # one time once raised ZeroDivisionError (cauchy and the time loop alike) in
+        # the engine, or censored every path at t = 0; no time an IndexError, and a
+        # 2-d grid numpy's ambiguous truth value
+        pytest.param([0.0], id="one_time"),
+        pytest.param([], id="empty"),
+        pytest.param(np.stack([GRID_01, GRID_01]), id="2d"),
+    ])
+    def test_engine_rejects_non_finite_times_before_simulating(self, no_simulation, times):
         for entry in (lambda cfg: simulate_batch(pr.cauchy_process(), 0.0, times, cfg),
                       lambda cfg: first_exit_times(pr.cauchy_process(), 0.0, times, 0.5, cfg),
                       lambda cfg: simulate._paths_at(pr.cauchy_process(), 0.0, times, [0.05], cfg)):
             with pytest.raises(ValueError, match="times must be finite"):
                 entry(SimConfig(n_paths=20))
+        with pytest.raises(ValueError, match="times must be finite"):
+            simulate_batch(pr.variable_order_process(), 0.0, times, SimConfig(n_paths=3))
 
     def test_wilson_fallback_for_rare_events(self):
         est = proportion_estimate(1, 50)
-        assert est.ci_half_width > 0
-        assert est.lower >= 0.0 and est.upper <= 1.0
+        # the Wilson half-width covers the interval around its shifted centre,
+        # which is wider than the normal approximation's at p = 0.02
+        wald = simulate._Z99 * np.sqrt(0.02 * 0.98 / 50)
+        assert est.p_hat == 0.02 and est.ci_half_width > wald > 0
 
 
 @pytest.fixture
