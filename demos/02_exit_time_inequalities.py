@@ -10,7 +10,7 @@ from levyup import SimConfig, exit_bounds, verify_bound_table
 from levyup import processes as pr
 
 spec = pr.raw_stable_process(1.0)
-config = SimConfig(dt=1e-3, n_paths=4000, seed=42, scheme="exact_stable")
+config = SimConfig(dt=1e-3, n_paths=4000, seed=42)
 grid = [(t, r) for t in (0.01, 0.05, 0.1) for r in (0.25, 0.5, 1.0)]
 
 print("closed-form anchor at (t, r) = (0.1, 0.5):")

@@ -417,6 +417,7 @@ def main(argv=None):
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    cfg = None
     try:
         text = args.config.read_text() if args.config else ""
         cfg = parse_config(text)
@@ -428,7 +429,8 @@ def main(argv=None):
         return run_command(args.command, cfg, quiet=args.quiet)
     except (LevyUpError, ValueError, NotImplementedError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        out_dir = Path(args.out) if args.out else Path("out")
+        # the effective output directory once the config parses
+        out_dir = Path(cfg.run["out"] if cfg else args.out or "out")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")

@@ -307,25 +307,19 @@ A2_RADII = np.logspace(-1, -6, 30)
 A2_RADII.flags.writeable = False
 
 
-def check_A1(source, x=0.0, ball_radius=None):
+def check_A1(spec: ProcessSpec, x=0.0, ball_radius=None):
     """Small-jump/tail balance: limsup_{r->0} trunc2(r) / (r^2 G(r)) < infinity.
 
-    ``source`` is a LevyMeasureModel or a ProcessSpec; with ``ball_radius``
-    set (state-dependent case) the ratio is first maximized over the state
-    ball, which a Levy spec collapses to its centre (its report reads like
-    its measure's).  Fails when the tail vanishes on A1_RADII, when the ratio
-    exceeds 1e3, or when it grows steadily in log-log as r -> 0.
+    With ``ball_radius`` set (state-dependent case) the ratio is first
+    maximized over the state ball, which a Levy spec collapses to its centre.
+    Fails when the tail vanishes on A1_RADII, when the ratio exceeds 1e3, or
+    when it grows steadily in log-log as r -> 0.
     """
     r_col = A1_RADII[:, None]
-    if isinstance(source, LevyMeasureModel):
-        g = np.asarray(source.tail(A1_RADII), float)[:, None]
-        t2 = np.asarray(source.trunc2(A1_RADII), float)[:, None]
-        where = ""
-    else:
-        _check_ball(source, x, ball_radius or 0.0)
-        z1 = _ball_states(source, x, ball_radius or 0.0)
-        g, t2 = source.tail_at(z1, r_col), source.trunc2_at(z1, r_col)
-        where = "" if source.kind == "levy" else " on the state ball"
+    _check_ball(spec, x, ball_radius or 0.0)
+    z1 = _ball_states(spec, x, ball_radius or 0.0)
+    g, t2 = spec.tail_at(z1, r_col), spec.trunc2_at(z1, r_col)
+    where = "" if spec.kind == "levy" else " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
         witness = np.max(t2 / (r_col**2 * g), axis=1)
     # a vanishing tail above the support is skipped; along the approach to 0
@@ -444,15 +438,6 @@ def bg_index(measure: LevyMeasureModel, tol=0.02, n_max=60):
 # ---------------------------------------------------------------------------
 
 
-def _require_pure_jump(spec):
-    tri = spec.levy if spec.kind == "levy" else spec.driver
-    if tri is not None and tri.has_gaussian_part:
-        raise ValueError(
-            "classification requires a vanishing diffusion part (Q = 0); "
-            "Gaussian parts are supported in simulation only"
-        )
-
-
 C_EXPONENTS = tuple(range(-4, 9))  # the tail integrals scan c = 2^k for "some c > 0"
 BALL_RADIUS = 0.5  # the state ball of classify_ltp_upper's side conditions and of check_C2
 
@@ -466,11 +451,10 @@ def classify_levy(spec: ProcessSpec, f: GrowthFunction, n_max=60):
     """
     if spec.kind != "levy":
         raise ValueError("classify_levy expects a Levy process")
-    _require_pure_jump(spec)
     evidence = {}
     sector = sector_check(spec)
     evidence["sector"] = sector
-    a1 = check_A1(spec.levy.measure)
+    a1 = check_A1(spec)
     evidence["A1"] = a1
     grounding = []
     if a1.holds:
@@ -526,12 +510,11 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
         raise ValueError("kappa must be positive and finite")
     if spec.kind != "levy":
         raise ValueError("classify_power expects a Levy process")
-    _require_pure_jump(spec)
     evidence = {}
     if kappa < 0.5 - 1e-12:
         return Classification("zero", evidence=evidence,
                               reason="kappa below 1/2 is unconditional")
-    a1 = check_A1(spec.levy.measure)
+    a1 = check_A1(spec)
     evidence["A1"] = a1
     if abs(kappa - 0.5) <= 1e-12:
         if a1.holds:
@@ -612,7 +595,6 @@ def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
     if spec.kind == "levy":
         raise ValueError("use classify_levy for Levy processes")
     _check_ball(spec, x)
-    _require_pure_jump(spec)
     evidence = {}
 
     v2 = symbol_integral_criterion(spec, x, f, ball_mode="sup", n_max=n_max)
@@ -709,7 +691,6 @@ def classify_ltp_lower(spec: ProcessSpec, x, f: GrowthFunction, C=1.0, n_max=60)
     if not 0 < C < np.inf:
         raise ValueError("C must be positive and finite")
     _check_ball(spec, x)
-    _require_pure_jump(spec)
     evidence = {}
     R_set = (1.0,) if f.regularly_varying else (1.0, 2.0, 4.0)
     ft = np.asarray(f(T_GRID), float)

@@ -19,7 +19,7 @@ from .symbols import LevyTriplet, ProcessSpec, StateFamily, eval_exponent
 
 
 def _as_levy(measure, b=0.0, symbol=None, stable_family=None, name=""):
-    triplet = LevyTriplet(b=np.atleast_1d(float(b)), Q=None, measure=measure)
+    triplet = LevyTriplet(b=b * np.ones(measure.dim), measure=measure)
     return ProcessSpec(
         kind="levy",
         dim=measure.dim,
@@ -128,18 +128,22 @@ INTERP_LO = 1e-3  # lowest frequency of an interpolated symbol's table
 INTERP_POINTS = 140  # log-spaced frequencies in that table
 
 
-def _interpolated_symbol(measure, hi=1e10):
-    """Radial real symbol built by quadrature once on INTERP_POINTS
-    frequencies from INTERP_LO to hi and interpolated in log-log."""
-    triplet = LevyTriplet(b=np.zeros(1), Q=None, measure=measure)
+def _interpolated_symbol(measure, hi=1e10, b=0.0):
+    """Radial symbol of a symmetric measure, built by quadrature once on
+    INTERP_POINTS frequencies |xi| from INTERP_LO to hi along e_1 and
+    interpolated in log-log, plus the drift's exact -i b.xi: real without one."""
+    dim = measure.dim
+    triplet = LevyTriplet(b=np.zeros(dim), measure=measure)
     grid = np.logspace(np.log10(INTERP_LO), np.log10(hi), INTERP_POINTS)
-    vals = np.maximum(np.real(eval_exponent(triplet, grid)), 1e-300)
+    e1 = grid if dim == 1 else grid[:, None] * np.eye(dim)[0]
+    vals = np.maximum(np.real(eval_exponent(triplet, e1)), 1e-300)
     log_g, log_v = np.log(grid), np.log(vals)
     slope_lo = (log_v[1] - log_v[0]) / (log_g[1] - log_g[0])
     slope_hi = (log_v[-1] - log_v[-2]) / (log_g[-1] - log_g[-2])
+    b = b * np.ones(dim)
 
     def symbol(x, xi):
-        v = np.abs(xi[..., 0])
+        v = np.abs(xi[..., 0]) if dim == 1 else np.linalg.norm(xi, axis=-1)
         out = np.zeros(v.shape)
         pos = v > 0
         lv = np.log(np.clip(v[pos], 1e-300, None))
@@ -147,7 +151,7 @@ def _interpolated_symbol(measure, hi=1e10):
         core = np.where(lv < log_g[0], log_v[0] + slope_lo * (lv - log_g[0]), core)
         core = np.where(lv > log_g[-1], log_v[-1] + slope_hi * (lv - log_g[-1]), core)
         out[pos] = np.exp(core)
-        return out
+        return out - 1j * (xi @ b) if b.any() else out
 
     return symbol
 
@@ -172,9 +176,13 @@ def log_smooth_process():
 
 
 def levy_process_from_measure(measure, b=0.0, symbol=None, name=""):
-    """Generic pure-jump Levy process; symbol interpolated when not supplied."""
+    """Generic pure-jump Levy process in the measure's dimension; without a
+    ``symbol``, one interpolated from quadrature, which needs equal side weights."""
     if symbol is None:
-        symbol = _interpolated_symbol(measure)
+        w_neg, w_pos = measure.side_weights
+        if abs(w_pos - w_neg) > 1e-15:
+            raise ValueError("a skewed measure's symbol is not interpolated; pass symbol")
+        symbol = _interpolated_symbol(measure, b=b)
     return _as_levy(measure, b=b, symbol=symbol, name=name or measure.name)
 
 

@@ -2,15 +2,20 @@
 
 Schemes
 -------
-exact_stable            increments drawn exactly for symmetric stable laws
-compound_poisson_gauss  jumps above a cutoff as compound Poisson, smaller
-                        jumps as a Gaussian surrogate matching the truncated
-                        second moment, drift recentred to the |y| < 1 cutoff
-euler_sde               X_{k+1} = X_k + sigma(X_k) dL with pre-drawn driver
-                        increments
-freeze_symbol           one increment of the stable law the family's
-                        stable_params give at the current state; families
-                        without stable_params are not simulated
+The process fixes its scheme (_scheme); a Levy process and an SDE driver
+draw their increments by one of the first two:
+
+exact_stable            increments drawn exactly for symmetric stable laws,
+                        where the spec has a stable_family
+compound_poisson_gauss  otherwise: jumps above a cutoff as compound Poisson,
+                        smaller jumps as a Gaussian surrogate matching the
+                        truncated second moment, drift recentred to the
+                        |y| < 1 cutoff
+euler_sde               an SDE: X_{k+1} = X_k + sigma(X_k) dL with pre-drawn
+                        driver increments
+freeze_symbol           a state-dependent family: one increment of the stable
+                        law its stable_params give at the current state;
+                        families without stable_params are not simulated
 
 runmax includes the within-step pre-jump point of every scheme with a jump
 part.  Randomness is counter-based: path p of a run with seed s draws from
@@ -70,7 +75,6 @@ class SimConfig:
     dt: float = 1e-3
     n_paths: int = 1000
     seed: int = 0
-    scheme: str = "auto"
     path_offset: int = 0  # global index of the first path (for chunked runs)
 
     def __post_init__(self):
@@ -182,8 +186,8 @@ RATE_CAP = 1e4  # largest mean jump count per step that _levy_sampler accepts
 def _levy_sampler(triplet: LevyTriplet, dts, delta):
     """Continuous and jump increments of a 1-d Levy triplet on step sizes dts.
 
-    The continuous part, in a, holds drift (recentred to the cutoff delta),
-    the Gaussian part, and the small-jump surrogate; the jump part, in b,
+    The continuous part, in a, holds drift (recentred to the cutoff delta)
+    and the small-jump surrogate; the jump part, in b,
     holds the compound-Poisson sums of jumps above delta.  A path parks its
     normals in a and its Poisson counts in b, and draws its jump uniforms in
     one call (see ``LevyMeasureModel.jumps_from_uniforms``).
@@ -195,8 +199,6 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
         raise RateOverflow(
             "jump rate times step exceeds the cap; decrease dt or raise delta")
     var = float(m.trunc2(delta))
-    if triplet.Q is not None:
-        var += float(triplet.Q[0, 0])
     drift = (float(triplet.b[0]) - m.mean_jump_between(delta, 1.0)) * dts
     sd, mean_counts = np.sqrt(var * dts), rate * dts
 
@@ -221,28 +223,27 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
 
 
 # ---------------------------------------------------------------------------
-# batch path engine (1-d): a scheme table over two steppers
+# batch path engine (1-d): one scheme per process over two steppers
 # ---------------------------------------------------------------------------
 
 
-def _exact_stable(spec, dts, config):
-    if spec.stable_family is None:
-        raise ValueError("exact_stable needs a Levy process with stable law")
-    return _stable_sampler(spec.levy, spec.stable_family, dts), None
-
-
-def _compound_poisson_gauss(spec, dts, config):
-    delta = config.delta_for(float(np.median(dts)))
-    return _levy_sampler(spec.levy, dts, delta), None
-
-
-def _euler_sde(spec, dts, config):
+def _scheme(spec: ProcessSpec, dts):
+    """(sampler, advance) of a run of ``spec`` on the steps dts; an
+    advance(state, first, second, j) -> (pre-jump or None, post) of step j marks
+    a state-dependent scheme, None a Levy scheme of independent increments.  A
+    Levy process and an SDE driver draw exact stable increments where the spec
+    has a stable_family, compound Poisson with the Gaussian surrogate otherwise."""
+    if spec.kind == "state_dependent":
+        return _freeze_symbol(spec, dts)
+    levy = spec.levy if spec.kind == "levy" else spec.driver
     if spec.stable_family is not None:
-        sampler = _stable_sampler(spec.driver, spec.stable_family, dts)
+        sampler = _stable_sampler(levy, spec.stable_family, dts)
     else:
-        sampler = _levy_sampler(spec.driver, dts, config.delta_for(float(np.median(dts))))
+        sampler = _levy_sampler(levy, dts, SimConfig.delta_for(float(np.median(dts))))
+    if spec.kind == "levy":
+        return sampler, None
 
-    def advance(state, cont, jumps, j):
+    def advance(state, cont, jumps, j):  # euler_sde
         s = np.asarray(spec.sigma(state[:, None]), float)
         pre = state + s * cont
         return (None, pre) if jumps is None else (pre, pre + s * jumps)
@@ -250,7 +251,7 @@ def _euler_sde(spec, dts, config):
     return sampler, advance
 
 
-def _freeze_symbol(spec, dts, config):
+def _freeze_symbol(spec, dts):
     params = spec.family.stable_params
     if params is None:
         raise NotImplementedError(
@@ -284,27 +285,6 @@ def _freeze_symbol(spec, dts, config):
         return None, state + sigma * _cms_symmetric(u, w, alpha) * dts[j] ** (1.0 / alpha)
 
     return (_park_cms, finish), advance
-
-
-# scheme -> (process kind, build(spec, dts, config) -> (sampler, advance)); an
-# advance(state, first, second, j) -> (pre-jump or None, post) of step j
-# marks a state-dependent scheme, None a Levy scheme of independent increments
-_SCHEMES = {
-    "exact_stable": ("levy", _exact_stable),
-    "compound_poisson_gauss": ("levy", _compound_poisson_gauss),
-    "euler_sde": ("sde", _euler_sde),
-    "freeze_symbol": ("state_dependent", _freeze_symbol),
-}
-
-
-def _resolve_scheme(spec: ProcessSpec, config: SimConfig):
-    if config.scheme != "auto":
-        return config.scheme
-    if spec.kind == "levy":
-        return "exact_stable" if spec.stable_family else "compound_poisson_gauss"
-    if spec.kind == "sde":
-        return "euler_sde"
-    return "freeze_symbol"
 
 
 BLOCK = 4096  # path-steps per block: a block holds max(1, BLOCK // steps) paths
@@ -548,21 +528,15 @@ def _start(spec, x):
     return float(x0.reshape(-1)[0])
 
 
-def _prepare(spec, x, times, config):
+def _prepare(spec, x, times):
     """Validate a run on the grid times; returns (sampler, advance, x0, dts)."""
     if (times.ndim != 1 or times.size < 2 or times[0] != 0.0 or not np.isfinite(times[-1])
             or not np.all(np.diff(times) > 0)):
         raise ValueError("times must be finite, one axis of at least two points, "
                          "start at 0 and increase strictly")
     x0 = _start(spec, x)
-    scheme = _resolve_scheme(spec, config)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    kind, build = _SCHEMES[scheme]
-    if spec.kind != kind:
-        raise ValueError(f"{scheme} needs a process of kind {kind!r}")
     dts = np.diff(times)
-    return *build(spec, dts, config), x0, dts
+    return *_scheme(spec, dts), x0, dts
 
 
 def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
@@ -572,7 +546,7 @@ def simulate_batch(spec: ProcessSpec, x, times, config: SimConfig):
     (n_paths, len(times)); runmax tracks sup_{s <= t_k} |X_s - x| including
     the within-step pre-jump point for jump-decomposed schemes.
     """
-    sampler, advance, x0, dts = _prepare(spec, x, np.asarray(times, float), config)
+    sampler, advance, x0, dts = _prepare(spec, x, np.asarray(times, float))
     keep = _KeepAll(config.n_paths, len(dts), x0)
     _step(sampler, advance, x0, dts, config, keep)
     return keep.values, keep.runmax
@@ -588,7 +562,7 @@ def first_exit_times(spec: ProcessSpec, x, times, r, config: SimConfig):
     if not 0 < r < np.inf:  # NaN fails too
         raise ValueError("r must be positive and finite")
     times = np.asarray(times, float)
-    sampler, advance, x0, dts = _prepare(spec, x, times, config)
+    sampler, advance, x0, dts = _prepare(spec, x, times)
     first = _FirstExit(times, r, config.n_paths)
     _step(sampler, advance, x0, dts, config, first)
     return first.tau, first.censored
@@ -599,7 +573,7 @@ def _paths_at(spec: ProcessSpec, x, times, t, config: SimConfig):
     of shape (n_paths, len(t)): simulate_batch's columns, to the bit.  The
     relative slack takes a grid time a rounding above t as the time t."""
     times = np.asarray(times, float)
-    sampler, advance, x0, dts = _prepare(spec, x, times, config)
+    sampler, advance, x0, dts = _prepare(spec, x, times)
     cols = np.searchsorted(times, np.asarray(t, float) * (1 + 1e-12), side="right") - 1
     # a Levy block is finished in scratch rows: only a time loop needs windows
     keep = _Columns(cols, config.n_paths, x0, len(dts) if advance is None else COLUMN_WINDOW)

@@ -1,8 +1,8 @@
 """Process specifications and symbol-side evaluators.
 
-A process is a Levy triplet (b, Q, nu), a state-dependent family x -> (b(x), 0,
-nu(x, .)), or an SDE driven by a Levy process through a bounded coefficient sigma;
-each carries the symbol q(x, xi) the criteria consume.  ``ProcessSpec.q`` takes
+A process is pure jump: a Levy triplet (b, 0, nu), a state-dependent family x ->
+(b(x), 0, nu(x, .)), or an SDE driven by a Levy process through a bounded
+coefficient sigma; each carries the symbol q(x, xi) the criteria consume.  ``ProcessSpec.q`` takes
 states x (..., d) and frequencies xi (..., d) whose leading axes broadcast (float64
 where the symbol is real); ``tail_at`` / ``trunc2_at``, ``sigma`` and the
 ``StateFamily`` fields take states (..., d) alike.  ``_capped_extremum`` evaluates
@@ -27,31 +27,17 @@ from .quadrature import filon, panel_quad
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """(b, Q, nu) with the jump compensation cut at |y| = 1."""
+    """(b, 0, nu), a pure-jump triplet, with the jump compensation cut at |y| = 1."""
 
     b: np.ndarray
-    Q: np.ndarray | None
     measure: LevyMeasureModel
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, float)))
-        if self.Q is not None:
-            q = np.atleast_2d(np.asarray(self.Q, float))
-            if np.allclose(q, 0.0):
-                q = None
-            else:
-                ev = np.linalg.eigvalsh(q)
-                if ev.min() < -1e-12:
-                    raise ValueError("Q must be positive semi-definite")
-            object.__setattr__(self, "Q", q)
 
     @property
     def dim(self):
         return self.b.shape[0]
-
-    @property
-    def has_gaussian_part(self):
-        return self.Q is not None
 
 
 @dataclass(frozen=True)
@@ -196,8 +182,6 @@ def _exponent_1d(triplet: LevyTriplet, xi_in):
     skew = w_pos - w_neg if abs(w_pos - w_neg) > 1e-15 else 0.0
     xi = np.abs(xi_in).ravel()
     val = -1j * float(triplet.b[0]) * xi
-    if triplet.Q is not None:
-        val += 0.5 * float(triplet.Q[0, 0]) * xi**2
     for s_atom, mass in m.atoms:
         u = s_atom * xi
         comp = 1j * s_atom * xi if s_atom < 1.0 else 0.0
@@ -266,8 +250,6 @@ def _exponent_isotropic(triplet: LevyTriplet, xi):
     xi = np.atleast_2d(xi)
     mags = np.linalg.norm(xi, axis=-1)
     out = np.asarray(-1j * (xi @ triplet.b), complex)
-    if triplet.Q is not None:
-        out += 0.5 * np.einsum("md,de,me->m", xi, triplet.Q, xi)
     rho = m.radial_density
     if rho is None:
         return out

@@ -79,10 +79,10 @@ def test_03_bg_index():
 def test_04_side_conditions():
     with Budget("4 side conditions", 5):
         for alpha in (0.5, 1.0, 1.5):
-            rep = check_A1(pr.raw_stable_process(alpha).levy.measure)
+            rep = check_A1(pr.raw_stable_process(alpha))
             assert rep.holds
             assert rep.witness == pytest.approx(alpha / (2 - alpha), rel=0.05)
-        assert check_A1(pr.slow_variation_process().levy.measure).fails
+        assert check_A1(pr.slow_variation_process()).fails
         assert check_A2(gr.power(0.7)).holds
         assert check_A2(gr.sqrt_t()).fails
 
@@ -90,7 +90,7 @@ def test_04_side_conditions():
 def test_05_constant_free_maximal_bounds():
     with Budget("5 constant-free exit bounds", 60):
         spec = pr.raw_stable_process(1.0)
-        cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=5, scheme="exact_stable")
+        cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=5)
         grid = [(t, r) for t in (0.01, 0.05, 0.1) for r in (0.25, 0.5, 1.0)]
         anchor = exit_bounds(spec, 0.0, 0.1, 0.5)
         assert anchor.survival_bound == pytest.approx(5.0 / 6.0, abs=1e-12)
@@ -104,7 +104,7 @@ def test_05_constant_free_maximal_bounds():
 def test_06_etemadi_comparison():
     with Budget("6 running-max vs endpoint comparison", 90):
         spec = pr.raw_stable_process(1.0)
-        cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=6, scheme="exact_stable")
+        cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=6)
         for t in (0.01, 0.05, 0.1):
             for r in (0.25, 0.5, 1.0):
                 a, = estimates_at(spec, t, cfg, lambda v, m: m >= 3 * r)
@@ -164,7 +164,7 @@ def test_11_implication_chain_suite():
                                (lambda: pr.raw_stable_process(0.5), 0.5),
                                (lambda: pr.raw_stable_process(1.5), 1.5)):
             spec = factory()
-            assert check_A1(spec.levy.measure).holds
+            assert check_A1(spec).holds
             for gap in (-0.2, 0.2):
                 f = gr.power(1.0 / alpha + gap)
                 sym = one_eps_verdict(spec, 0.0, f, 1.0)

@@ -277,6 +277,20 @@ class TestMain:
         assert record == {"error": "ValidationError", "message": "unknown mode 'uppper'; "
                           "choose from ('auto', 'upper', 'lower')"}
 
+    def test_error_record_goes_to_the_configured_out(self, tmp_path, monkeypatch, capsys):
+        # error.json once went to ./out while config_used.cfg went to [run] out
+        monkeypatch.chdir(tmp_path)
+        Path("vo.cfg").write_text("[process]\nkind = variable_order\n\n[run]\nout = cfgout\n")
+        assert main(["bg-index", "--config", "vo.cfg"]) == 1
+        assert (tmp_path / "cfgout" / "config_used.cfg").exists()
+        record = json.loads((tmp_path / "cfgout" / "error.json").read_text())
+        assert record == {"error": "ValidationError", "message": "bg-index needs a Levy process"}
+        assert not (tmp_path / "out").exists()
+        # a config that does not parse falls back to --out, else ./out
+        Path("bad.cfg").write_text("[run]\nc_standin = 2\n")
+        assert main(["bg-index", "--config", "bad.cfg"]) == 1
+        assert (tmp_path / "out" / "error.json").exists()
+
     @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-1"])
     def test_simulate_rejects_a_bad_horizon(self, tmp_path, capsys, horizon):
         # inf once died in the grid with a raw OverflowError and no error.json

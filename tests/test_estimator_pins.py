@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from levyup import criteria
-from levyup import measures as ms
 from levyup import processes as pr
 from levyup.criteria import check_A1
 from levyup.growth import power, sqrt_t
@@ -126,23 +125,22 @@ ESTIMATOR_CASES = {
         SimConfig(n_paths=200, seed=6))),
 }
 
-# check_A1 inputs: (source, keyword arguments); "radii" stands in for
+# check_A1 inputs: (process, keyword arguments); "radii" stands in for
 # criteria.A1_RADII
 A1_CASES = {
-    "raw_stable_0.5": (lambda: pr.raw_stable_process(0.5).levy.measure, {}),
-    "raw_stable_1.0": (lambda: pr.raw_stable_process(1.0).levy.measure, {}),
-    "raw_stable_1.5": (lambda: pr.raw_stable_process(1.5).levy.measure, {}),
-    "slow_variation": (lambda: pr.slow_variation_process().levy.measure, {}),
-    "log_smooth": (lambda: pr.log_smooth_process().levy.measure, {}),
-    "atom": (lambda: pr.atom_process().levy.measure, {}),
-    "null": (ms.null_measure, {}),
+    "raw_stable_0.5": (lambda: pr.raw_stable_process(0.5), {}),
+    "raw_stable_1.0": (lambda: pr.raw_stable_process(1.0), {}),
+    "raw_stable_1.5": (lambda: pr.raw_stable_process(1.5), {}),
+    "slow_variation": (pr.slow_variation_process, {}),
+    "log_smooth": (pr.log_smooth_process, {}),
+    "atom": (pr.atom_process, {}),
+    "null": (pr.zero_process, {}),
     # radii above the support in the first half of the grid are skipped
-    "atom-wide_grid": (lambda: pr.atom_process().levy.measure,
-                       {"radii": np.logspace(1, -4, 30)}),
-    "slow_variation-wide_grid": (lambda: pr.slow_variation_process().levy.measure,
+    "atom-wide_grid": (pr.atom_process, {"radii": np.logspace(1, -4, 30)}),
+    "slow_variation-wide_grid": (pr.slow_variation_process,
                                  {"radii": np.logspace(0, -4, 30)}),
     # the tail vanishes into the second half of the grid
-    "small_atom": (lambda: ms.atom_measure(radius=1e-3), {}),
+    "small_atom": (lambda: pr.atom_process(radius=1e-3), {}),
     "variable_order": (pr.variable_order_process,
                        {"x": 0.0, "ball_radius": 0.5}),
     "stable_type_1.3": (lambda: pr.stable_type_process(1.3),

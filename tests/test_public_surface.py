@@ -3,11 +3,12 @@
 A name in ``levyup.__all__`` stays only if a library module other than
 ``__init__``, a demo or ``perfbench`` refers to it; a helper that only tests
 call belongs in the tests.  Likewise a public function's parameter with a
-default stays only if one of those files supplies it: an option that only
-tests set is a constant.
+default, or a defaulted field of ``SimConfig``, stays only if one of those
+files supplies it: an option that only tests set is a constant.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -22,6 +23,12 @@ UNSET_OPTIONS = {
         "the paper's fixed-ball route; the planned ltp-classify queries set it",
     ("classify_power", "n_max"): "the criteria's one depth argument",
     ("dyadic_integral", "nodes"): "perfbench's tracer reads it from the signature",
+}
+
+# SimConfig field -> why it stays although no constructor call outside the
+# tests supplies it
+UNSET_CONFIG_FIELDS = {
+    "path_offset": "chunked runs set it; it carries the chunk-invariance contract",
 }
 
 
@@ -82,3 +89,10 @@ def test_every_option_has_a_caller_outside_the_tests():
              for p in inspect.signature(fn).parameters.values()
              if p.default is not p.empty and p.name not in supplied[name]}
     assert sorted(unset) == sorted(UNSET_OPTIONS)
+
+
+def test_every_config_field_has_a_caller_outside_the_tests():
+    supplied = supplied_parameters(caller_paths(), {"SimConfig": levyup.SimConfig})
+    unset = {f.name for f in dataclasses.fields(levyup.SimConfig)
+             if f.name not in supplied["SimConfig"]}
+    assert sorted(unset) == sorted(UNSET_CONFIG_FIELDS)

@@ -50,20 +50,15 @@ def _stable_with_drift():
         name="stable_drift")
 
 
-# one spec per scheme and sampler: (builder, scheme)
+# one builder per scheme and sampler, named by the scheme its spec takes
 SCHEME_CASES = {
-    "exact_stable-drift": (_stable_with_drift, "exact_stable"),
-    "cpg-one_sided_1.4": (lambda: pr.one_sided_stable_process(1.4),
-                          "compound_poisson_gauss"),
-    "cpg-atom": (lambda: pr.atom_process(radius=0.5, mass=40.0),
-                 "compound_poisson_gauss"),
-    "euler_sde-cauchy": (pr.sde_process, "euler_sde"),
-    "euler_sde-one_sided_1.4": (
-        lambda: pr.sde_process(driver=pr.one_sided_stable_process(1.4)),
-        "euler_sde"),
-    "freeze-variable_order": (pr.variable_order_process, "freeze_symbol"),
-    "freeze-stable_type_1.3": (lambda: pr.stable_type_process(1.3),
-                               "freeze_symbol"),
+    "exact_stable-drift": _stable_with_drift,
+    "cpg-one_sided_1.4": lambda: pr.one_sided_stable_process(1.4),
+    "cpg-atom": lambda: pr.atom_process(radius=0.5, mass=40.0),
+    "euler_sde-cauchy": pr.sde_process,
+    "euler_sde-one_sided_1.4": lambda: pr.sde_process(driver=pr.one_sided_stable_process(1.4)),
+    "freeze-variable_order": pr.variable_order_process,
+    "freeze-stable_type_1.3": lambda: pr.stable_type_process(1.3),
 }
 
 # SHA-256 of the (values, runmax) bytes of simulate_batch(spec, 0.25,
@@ -112,15 +107,13 @@ def _mixed_process():
 # SHA-256 digests recorded before paths were finished a block at a time:
 # the bytes of _mixed_measure().sample_jumps(5000, 0.05, path_rng(4, 0)),
 # and the (values, runmax) bytes of simulate_batch(_mixed_process(), 0.25,
-# GRID_IRREGULAR, SimConfig(n_paths=50, seed=17, path_offset=5,
-# scheme="compound_poisson_gauss"))
+# GRID_IRREGULAR, SimConfig(n_paths=50, seed=17, path_offset=5))
 MIXED_DIGESTS = {
     "sample_jumps": "89c55bae1b1b9175dc9a9fe1df8d36e5c68c72f17137fdea732351bec48b74dc",
     "simulate_batch": "0d3d7e001d8b5bc0966ef326bef103a59646a5c787c4dad95e45ba1bd2dac179",
 }
 
-BLOCK_CASES = {**SCHEME_CASES,
-               "cpg-mixed": (_mixed_process, "compound_poisson_gauss")}
+BLOCK_CASES = {**SCHEME_CASES, "cpg-mixed": _mixed_process}
 
 
 def estimates_at(spec, t, config, hit):
@@ -224,8 +217,8 @@ class TestPaths:
 
     @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
     def test_golden_output(self, case):
-        build, scheme = SCHEME_CASES[case]
-        cfg = SimConfig(n_paths=6, seed=17, path_offset=5, scheme=scheme)
+        build = SCHEME_CASES[case]
+        cfg = SimConfig(n_paths=6, seed=17, path_offset=5)
         values, runmax = simulate_batch(build(), 0.25, GRID_IRREGULAR, cfg)
         assert values.shape == runmax.shape == (6, len(GRID_IRREGULAR))
         assert _batch_digest(values, runmax) == GOLDEN_DIGESTS[case]
@@ -233,8 +226,7 @@ class TestPaths:
     def test_mixed_measure_pins(self):
         jumps = _mixed_measure().sample_jumps(5000, 0.05, path_rng(4, 0))
         assert hashlib.sha256(jumps.tobytes()).hexdigest() == MIXED_DIGESTS["sample_jumps"]
-        cfg = SimConfig(n_paths=50, seed=17, path_offset=5,
-                        scheme="compound_poisson_gauss")
+        cfg = SimConfig(n_paths=50, seed=17, path_offset=5)
         out = simulate_batch(_mixed_process(), 0.25, GRID_IRREGULAR, cfg)
         assert _batch_digest(*out) == MIXED_DIGESTS["simulate_batch"]
 
@@ -242,9 +234,9 @@ class TestPaths:
     def test_block_size_changes_nothing(self, monkeypatch, case):
         # one path per block, three (the last block ragged), the default,
         # and every path in one block all give the same bytes
-        build, scheme = BLOCK_CASES[case]
+        build = BLOCK_CASES[case]
         spec, k = build(), len(GRID_IRREGULAR) - 1
-        cfg = SimConfig(n_paths=110, seed=17, path_offset=5, scheme=scheme)
+        cfg = SimConfig(n_paths=110, seed=17, path_offset=5)
         default = _batch_digest(*simulate_batch(spec, 0.25, GRID_IRREGULAR, cfg))
         assert simulate.BLOCK // k < cfg.n_paths
         for block in (1, 3 * k, cfg.n_paths * k):
@@ -259,9 +251,9 @@ class TestPaths:
     def test_first_exits_match_a_scan_of_runmax(self, monkeypatch, case, n, window, times):
         # windows that start at 1 or 3 steps and double cut the rows at
         # ragged places; the default takes several windows of GRID_LONG only
-        build, scheme = BLOCK_CASES[case]
+        build = BLOCK_CASES[case]
         spec = build()
-        cfg = SimConfig(n_paths=n, seed=17, path_offset=5, scheme=scheme)
+        cfg = SimConfig(n_paths=n, seed=17, path_offset=5)
         runmax = simulate_batch(spec, 0.25, times, cfg)[1]
         monkeypatch.setattr(simulate, "EXIT_WINDOW", window)
         for r in (0.05, 0.3):
@@ -283,9 +275,9 @@ class TestPaths:
         # times they stand for, with one or three paths per block, and with
         # a state-dependent time loop in windows of 1, 3 or the default
         # number of steps (a Levy scheme takes one window whatever the size)
-        build, scheme = BLOCK_CASES[case]
+        build = BLOCK_CASES[case]
         spec, (times, ts) = build(), COLUMN_CASES[grid]
-        cfg = SimConfig(n_paths=n, seed=17, path_offset=5, scheme=scheme)
+        cfg = SimConfig(n_paths=n, seed=17, path_offset=5)
         values, runmax = simulate_batch(spec, 0.25, times, cfg)
         cols = [int(np.flatnonzero(times == t).item()) for t in ts]
         monkeypatch.setattr(simulate, "BLOCK", per_block * (len(times) - 1))
@@ -349,9 +341,9 @@ class TestPaths:
     def test_chunking_matches_unchunked(self, case, n, offset, cuts):
         # one call against the calls for the (possibly empty) pieces that two
         # split points cut, each starting at its own path_offset
-        build, scheme = SCHEME_CASES.get(case, (pr.cauchy_process, "auto"))
+        build = SCHEME_CASES.get(case, pr.cauchy_process)
         spec = build()
-        cfg = SimConfig(n_paths=n, seed=5, scheme=scheme, path_offset=offset)
+        cfg = SimConfig(n_paths=n, seed=5, path_offset=offset)
         whole = simulate_batch(spec, 0.0, GRID_IRREGULAR, cfg)
         bounds = [0, *sorted(int(c * n) for c in cuts), n]
         parts = [simulate_batch(spec, 0.0, GRID_IRREGULAR, dataclasses.replace(
@@ -367,13 +359,12 @@ class TestPaths:
         assert abs(est.p_hat - 0.5) <= max(est.ci_half_width, 0.025)
 
     def test_cpg_vs_exact_same_law(self):
-        # compound-Poisson + Gaussian surrogate approximates the exact law
-        cfg_e = SimConfig(dt=1e-3, n_paths=1500, seed=21, scheme="exact_stable")
-        cfg_c = SimConfig(dt=1e-3, n_paths=1500, seed=22,
-                          scheme="compound_poisson_gauss")
+        # compound-Poisson + Gaussian surrogate approximates the exact law;
+        # the Cauchy process without its stable_family takes that scheme
         spec = pr.cauchy_process()
-        v1, _ = simulate_batch(spec, 0.0, GRID_01, cfg_e)
-        v2, _ = simulate_batch(spec, 0.0, GRID_01, cfg_c)
+        v1, _ = simulate_batch(spec, 0.0, GRID_01, SimConfig(dt=1e-3, n_paths=1500, seed=21))
+        v2, _ = simulate_batch(dataclasses.replace(spec, stable_family=None), 0.0, GRID_01,
+                               SimConfig(dt=1e-3, n_paths=1500, seed=22))
         ks = stats.ks_2samp(v1[:, -1], v2[:, -1])
         assert ks.pvalue > 0.01
 
@@ -577,7 +568,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("build", [lambda: pr.stable_process(1.5),
                                        lambda: pr.one_sided_stable_process(1.4),
-                                       *(SCHEME_CASES[case][0] for case in STATE_CASES)],
+                                       *(SCHEME_CASES[case] for case in STATE_CASES)],
                              ids=["exact_stable", "compound_poisson_gauss", *STATE_CASES])
     def test_limsup_stats_keep_columns_only(self, build):
         # the column reducer keeps paths x levels values and finishes each
@@ -607,12 +598,11 @@ class TestMemory:
         # every scheme draws its noise into the output rows, so beside
         # values and runmax it keeps O(paths + steps) scratch; a buffer of
         # one draw per path and step would add a whole array
-        build, scheme = SCHEME_CASES[case]
+        build = SCHEME_CASES[case]
         spec, times = build(), np.linspace(0.0, 0.5, 2001)
         # a small run first fills the spec's caches outside the traced call
-        simulate_batch(spec, 0.0, GRID_IRREGULAR,
-                       SimConfig(n_paths=2, scheme=scheme))
-        cfg = SimConfig(n_paths=300, seed=2, scheme=scheme)
+        simulate_batch(spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=2))
+        cfg = SimConfig(n_paths=300, seed=2)
         peak = _peak_bytes(lambda: simulate_batch(spec, 0.0, times, cfg))
         assert peak <= 2.1 * cfg.n_paths * len(times) * 8
 

@@ -63,7 +63,7 @@ class TestEvalExponent:
         closed = xi**1.5 / ms.stable_normalization(1.5)
         assert oracle == pytest.approx(closed, rel=2e-6)
         m = ms.stable_measure(1.5, scale=1.0)
-        tri = LevyTriplet(b=np.zeros(1), Q=None, measure=m)
+        tri = LevyTriplet(b=np.zeros(1), measure=m)
         val = eval_exponent(tri, xi)
         assert abs(val.imag) < 1e-10
         assert val.real == pytest.approx(oracle, rel=1e-5)
@@ -96,11 +96,9 @@ class TestEvalExponent:
         np.testing.assert_allclose(eval_exponent(spec.levy, xi), spec.q(0.0, xi),
                                    rtol=1e-10, atol=0)
 
-    def test_gaussian_and_drift_terms(self):
-        m = ms.null_measure()
-        tri = LevyTriplet(b=np.array([2.0]), Q=np.array([[3.0]]), measure=m)
-        val = eval_exponent(tri, 1.5)
-        assert val == pytest.approx(-1j * 3.0 + 0.5 * 3.0 * 2.25)
+    def test_drift_term(self):
+        tri = LevyTriplet(b=np.array([2.0]), measure=ms.null_measure())
+        assert eval_exponent(tri, 1.5) == pytest.approx(-1j * 3.0)
 
     def test_atom_exponent(self):
         spec = pr.atom_process(radius=2.0, mass=1.0)
@@ -109,7 +107,7 @@ class TestEvalExponent:
 
     def test_isotropic_2d(self):
         m = ms.stable_measure(1.0, dim=2)
-        tri = LevyTriplet(b=np.zeros(2), Q=None, measure=m)
+        tri = LevyTriplet(b=np.zeros(2), measure=m)
         xi = np.array([[0.6, 0.8]])  # |xi| = 1
         val = eval_exponent(tri, xi)
         assert val[0].real == pytest.approx(1.0, rel=1e-4)
@@ -119,8 +117,7 @@ class TestEvalExponent:
         # near alpha = 2 the integrand decays only like s^(2 - alpha) below
         # the log-radius window; its remainder |xi|^2 trunc2(s_lo)/(2d) is
         # added in closed form (without it stable(1.9) in d = 2 read ~1e-6 low)
-        tri = LevyTriplet(b=np.zeros(dim), Q=None,
-                          measure=ms.stable_measure(alpha, dim=dim))
+        tri = LevyTriplet(b=np.zeros(dim), measure=ms.stable_measure(alpha, dim=dim))
         mags = np.logspace(-2, 3, 11)
         direction = np.arange(1.0, dim + 1.0) / np.linalg.norm(np.arange(1.0, dim + 1.0))
         val = eval_exponent(tri, mags[:, None] * direction)
@@ -131,7 +128,7 @@ class TestEvalExponent:
     def test_isotropic_shell_runs_to_its_tail_cut(self, alpha):
         # for small alpha the shell's oscillations decay slowly; a cap of
         # 5000 half periods read stable(0.3) 4.9e-9 high in d = 2
-        tri = LevyTriplet(b=np.zeros(2), Q=None, measure=ms.stable_measure(alpha, dim=2))
+        tri = LevyTriplet(b=np.zeros(2), measure=ms.stable_measure(alpha, dim=2))
         mags = np.logspace(-2, 3, 11)
         val = eval_exponent(tri, mags[:, None] * np.array([0.6, 0.8]))
         np.testing.assert_allclose(val.real, mags**alpha, rtol=1e-10, atol=0)
@@ -148,7 +145,7 @@ class TestEvalExponent:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_isotropic_heavy_tail_shells(self, dim):
-        tri = LevyTriplet(b=np.zeros(dim), Q=None, measure=ms.stable_measure(0.04, dim=dim))
+        tri = LevyTriplet(b=np.zeros(dim), measure=ms.stable_measure(0.04, dim=dim))
         mags = np.array([0.1, 1.0, 1e3])
         val = eval_exponent(tri, mags[:, None] * np.eye(dim)[0])
         np.testing.assert_allclose(val.real, mags**0.04, rtol=1e-10, atol=0)
@@ -162,7 +159,7 @@ class TestEvalExponent:
             trunc2=lambda r: 3.0 * (np.sqrt(np.maximum(r, 1.0)) - 1.0),
             radial_density=lambda s: np.where(s >= 1.0, 1.5 * s**-2.5, 0.0),
             support=(1.0, np.inf))
-        tri = LevyTriplet(b=np.zeros(1), Q=None, measure=m)
+        tri = LevyTriplet(b=np.zeros(1), measure=m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals = eval_exponent(tri, np.array([2e9, 5e11]))
@@ -192,7 +189,7 @@ CONTRACT_FREQS = hnp.arrays(
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(xi=CONTRACT_FREQS)
 def test_eval_exponent_array_contract(name, xi):
-    tri = LevyTriplet(b=np.array([0.3]), Q=None, measure=CONTRACT_MEASURES[name]())
+    tri = LevyTriplet(b=np.array([0.3]), measure=CONTRACT_MEASURES[name]())
     out = eval_exponent(tri, xi)
     assert out.shape == xi.shape and out.dtype == complex
     scalar = [eval_exponent(tri, float(v)) for v in xi.ravel()]
@@ -208,7 +205,7 @@ def test_panel_check_rejects_a_step_in_trunc2():
     base = ms.log_smooth_measure()
     m = dataclasses.replace(
         base, trunc2=lambda r: base.trunc2(r) + (np.asarray(r, float) >= 1e-2))
-    tri = LevyTriplet(b=np.zeros(1), Q=None, measure=m)
+    tri = LevyTriplet(b=np.zeros(1), measure=m)
     with pytest.raises(QuadratureFailure, match="panels disagree"):
         eval_exponent(tri, 1.0)
 
@@ -220,7 +217,7 @@ def test_filon_check_rejects_a_step_in_the_density(dim):
     base = ms.stable_measure(0.8, dim=dim)
     m = dataclasses.replace(
         base, radial_density=lambda s: base.radial_density(s) * (1.0 + (s >= 0.3)))
-    tri = LevyTriplet(b=np.zeros(dim), Q=None, measure=m)
+    tri = LevyTriplet(b=np.zeros(dim), measure=m)
     xi = 100.0 if dim == 1 else np.array([[100.0, 0.0]])
     with pytest.raises(QuadratureFailure, match="Filon panels"):
         eval_exponent(tri, xi)
@@ -229,7 +226,7 @@ def test_filon_check_rejects_a_step_in_the_density(dim):
 def test_exponent_memory_stays_per_panel():
     # one panel of frequencies x nodes at a time: evaluating every panel of
     # 140 frequencies at once peaks above 10 MB
-    tri = LevyTriplet(b=np.zeros(1), Q=None, measure=ms.log_smooth_measure())
+    tri = LevyTriplet(b=np.zeros(1), measure=ms.log_smooth_measure())
     grid = np.logspace(-3, 8, 140)
     eval_exponent(tri, grid[:2])
     tracemalloc.start()
@@ -266,6 +263,28 @@ def test_interpolated_symbol_matches_recorded_tables(name):
     ref = json.loads(GOLDEN_INTERPOLATED.read_text())[name]
     table = INTERPOLATED[name]().q(0.0, np.array(ref["xi"]))
     np.testing.assert_allclose(table.real, ref["psi"], rtol=1e-8, atol=0)
+
+
+def test_interpolated_process_keeps_its_drift():
+    # the interpolated symbol once dropped -i b xi: the drifted 1/2-stable
+    # measure then read zero at kappa = 1.2, where X_t ~ t gives infinity
+    # and the closed form, whose sector condition fails, reads indeterminate
+    spec = pr.levy_process_from_measure(ms.stable_measure(0.5), b=-1.0)
+    xi = np.logspace(-2, 8, 61)
+    np.testing.assert_allclose(spec.q(0.0, xi), pr.drift_half_stable_process().q(0.0, xi),
+                               rtol=1e-9, atol=0)
+    assert classify_levy(spec, gr.power(1.2)).outcome == "indeterminate"
+    # a skewed measure's Im psi is not in the radial table
+    with pytest.raises(ValueError, match="symbol"):
+        pr.levy_process_from_measure(ms.one_sided_stable_measure(0.5))
+
+
+def test_interpolated_process_in_the_plane():
+    # the table once read xi_1 alone, in a process of dimension 1
+    spec = pr.levy_process_from_measure(ms.stable_measure(1.3, dim=2))
+    assert spec.levy.dim == spec.dim == 2
+    xi = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 4.0]])
+    np.testing.assert_allclose(spec.q(None, xi), [1.0, 1.0, 5.0**1.3], rtol=1e-9, atol=0)
 
 
 def quadpack_exponent(measure, xi):
