@@ -390,13 +390,12 @@ def _a2_shortcut(f):
 
 def _moment_integrand(measure, a):
     """t -> a t^(a-1) (G(t) - G(1-)), whose integral over (0, 1) is the
-    radial moment int_{|y|<1} |y|^a nu(dy); 1/t (G(t) - G(1-)) at a = 0."""
+    radial moment int_{|y|<1} |y|^a nu(dy), for a > 0."""
     g1 = float(measure.tail(1.0 - 1e-12))
 
     def g(t):
-        t_arr = np.asarray(t, float)
-        base = np.ones_like(t_arr) / t_arr if a == 0.0 else a * t_arr ** (a - 1.0)
-        return base * np.maximum(np.asarray(measure.tail(t_arr), float) - g1, 0.0)
+        t = np.asarray(t, float)
+        return a * t ** (a - 1.0) * np.maximum(np.asarray(measure.tail(t), float) - g1, 0.0)
 
     return g
 
@@ -495,16 +494,13 @@ def classify_levy(spec: ProcessSpec, f: GrowthFunction, n_max=60):
                           evidence=evidence, reason="mixed integral evidence")
 
 
-BAND_TOL = 0.02  # half width of classify_power's critical band around 1/beta
-
-
 def classify_power(spec: ProcessSpec, kappa, n_max=60):
     """Power-function decision f(t) = t^kappa.
 
     kappa < 1/2 is an upper regime for every pure-jump Levy-type process;
-    kappa = 1/2 needs the small-jump balance condition; kappa > 1/2 reduces
-    to the radial moment int_{|y|<1} |y|^{1/kappa} nu(dy), with the activity
-    index as fallback and an Indeterminate band around kappa = 1/beta.
+    kappa = 1/2 needs the small-jump balance condition A1; kappa > 1/2 reduces
+    to the radial moment int_{|y|<1} |y|^{1/kappa} nu(dy) alone, and an
+    indeterminate moment integral gives an Indeterminate outcome.
     """
     if not 0 < kappa < np.inf:
         raise ValueError("kappa must be positive and finite")
@@ -514,9 +510,9 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
     if kappa < 0.5 - 1e-12:
         return Classification("zero", evidence=evidence,
                               reason="kappa below 1/2 is unconditional")
-    a1 = check_A1(spec)
-    evidence["A1"] = a1
     if abs(kappa - 0.5) <= 1e-12:
+        a1 = check_A1(spec)
+        evidence["A1"] = a1
         if a1.holds:
             return Classification("zero", assumptions_used=["A1"],
                                   evidence=evidence)
@@ -527,21 +523,15 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
     if not sector.holds:
         return Classification("indeterminate", evidence=evidence,
                               reason="sector condition unverified")
-    measure = spec.levy.measure
-    v = dyadic_integral(_moment_integrand(measure, 1.0 / kappa), n_max)
+    v = dyadic_integral(_moment_integrand(spec.levy.measure, 1.0 / kappa), n_max)
     evidence["moment_integral"] = v
     if v.converges:
         return Classification("zero", assumptions_used=["Sector"], evidence=evidence)
     if v.diverges:
         return Classification("infinity", assumptions_used=["Sector"],
                               evidence=evidence)
-    beta = bg_index(measure, BAND_TOL, n_max)
-    evidence["bg_index"] = beta
-    if abs(kappa - 1.0 / max(beta, 1e-9)) < BAND_TOL:
-        return Classification("indeterminate", evidence=evidence,
-                              reason="kappa in the critical band around 1/beta")
-    outcome = "zero" if kappa < 1.0 / beta else "infinity"
-    return Classification(outcome, assumptions_used=["Sector"], evidence=evidence)
+    return Classification("indeterminate", evidence=evidence,
+                          reason="moment integral indeterminate")
 
 
 def majorization_holds(spec: ProcessSpec, x, ball_radius):

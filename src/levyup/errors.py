@@ -9,10 +9,6 @@ class QuadratureFailure(LevyUpError):
     """A fixed-panel quadrature found its integrand unresolved."""
 
 
-class DegenerateSymbol(LevyUpError):
-    """The symbol vanishes identically on the evaluation grid."""
-
-
 class EvaluationFailure(LevyUpError):
     """An integrand could not be evaluated on interior points."""
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateSymbol, QuadratureFailure
+from .errors import QuadratureFailure
 from .measures import LevyMeasureModel
 from .quadrature import filon, panel_quad
 
@@ -535,9 +535,10 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     """Check |Im q| <= C Re q on a ball of states times a frequency grid.
 
     Holds with witness C* (the largest observed ratio) when the ratio is
-    stable over the top frequency decades; fails when Re q vanishes where
-    Im q does not, or when the ratio keeps growing along the grid.  The grid
-    is ``SECTOR_RADII`` times 32 directions on ``SECTOR_BALL_POINTS`` states.
+    stable over the top frequency decades, and with witness 0 when q vanishes
+    on the whole grid (0 <= 0); fails when Re q vanishes where Im q does not,
+    or when the ratio keeps growing along the grid.  The grid is
+    ``SECTOR_RADII`` times 32 directions on ``SECTOR_BALL_POINTS`` states.
     """
     center, radius = x_ball
     _check_ball(spec, center, radius)
@@ -547,7 +548,7 @@ def sector_check(spec: ProcessSpec, x_ball=(0.0, 0.0)):
     q = spec.q(z[:, None, :], grid).reshape(-1, len(SECTOR_RADII), len(dirs))
     re, im = np.real(q), np.abs(np.imag(q))
     if not ((re > 0) | (im > 0)).any():
-        raise DegenerateSymbol("symbol vanishes on the whole grid")
+        return ConditionReport("holds", 0.0, SECTOR_RADII, reason="symbol vanishes on the grid")
     if ((re <= 0) & (im > 1e-12)).any():
         return ConditionReport(
             "fails", float(np.inf), SECTOR_RADII, reason="Re q = 0 where Im q > 0"

@@ -187,6 +187,17 @@ class TestCommands:
         table = {r[0]: r[1] for r in rows[1:]}
         assert table == {"sector": "holds", "A1": "holds", "A2": "holds"}
 
+    def test_zero_process_classifies(self, tmp_path, capsys):
+        # the constant process: its symbol vanishes, so the sector condition
+        # holds (0 <= 0), A1 fails (no jump mass) and A2 grounds the verdict
+        cfg = self._cfg(tmp_path, "[process]\nkind = zero\n")
+        assert run_command("classify", cfg) == 0
+        assert capsys.readouterr().out.strip() == "Zero"
+        assert run_command("conditions", cfg, quiet=True) == 0
+        rows = read_csv(tmp_path / "out" / "conditions.csv")
+        table = {r[0]: r[1] for r in rows[1:]}
+        assert table == {"sector": "holds", "A1": "fails", "A2": "holds"}
+
     def test_bg_index(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, MINIMAL)
         assert run_command("bg-index", cfg) == 0

@@ -430,19 +430,20 @@ class TestClassifyPower:
         res = classify_power(pr.slow_variation_process(), 0.5)
         assert res.outcome == "indeterminate"
 
-    @pytest.mark.parametrize("kappa, outcome, reason, used", [
-        (0.6, "zero", "", ["Sector"]),
-        (0.77, "indeterminate", "kappa in the critical band around 1/beta", []),
-        (0.9, "infinity", "", ["Sector"]),
-    ])
-    def test_activity_index_fallback(self, monkeypatch, kappa, outcome, reason, used):
-        # an indeterminate moment integral falls back to bg_index: 1/beta is
-        # 0.7665 on stable(1.3), and BAND_TOL = 0.02 around it is indeterminate
-        force_states(monkeypatch, ["indeterminate"])
+    @pytest.mark.parametrize("kappa", [0.6, 0.77, 0.9])
+    def test_indeterminate_moment_integral_gives_indeterminate(self, monkeypatch, kappa):
+        # the moment integral is the only decision above kappa = 1/2: forced
+        # indeterminate, it gives indeterminate after exactly one dyadic pass,
+        # with no activity index and no small-jump balance check
+        calls = force_states(monkeypatch, ["indeterminate"])
+        unwanted = []
+        monkeypatch.setattr(criteria, "bg_index", lambda *a, **k: unwanted.append("bg_index"))
+        monkeypatch.setattr(criteria, "check_A1", lambda *a, **k: unwanted.append("check_A1"))
         res = classify_power(pr.stable_process(1.3), kappa)
-        assert (res.outcome, res.reason, res.assumptions_used) == (outcome, reason, used)
-        assert res.evidence["bg_index"] == 1.3046875
-        assert list(res.evidence) == ["A1", "sector", "moment_integral", "bg_index"]
+        assert (res.outcome, res.reason, res.assumptions_used) == (
+            "indeterminate", "moment integral indeterminate", [])
+        assert list(res.evidence) == ["sector", "moment_integral"]
+        assert len(calls) == 1 and unwanted == []
 
     def test_moment_route(self):
         spec = pr.raw_stable_process(1.5)

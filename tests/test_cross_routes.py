@@ -5,7 +5,9 @@ power-function route (``classify_power``) decide the same question, and a
 Levy process written as a state-independent family is the same process, so
 the state-ball routes (``classify_ltp_upper`` / ``classify_ltp_lower``) must
 not contradict them either.  Two definite answers contradict when one reads
-``zero`` and the other ``infinity`` or ``lower_bound``.
+``zero`` and the other ``infinity`` or ``lower_bound``.  Along kappa, one route
+on one law must not contradict itself: t^kappa' >= t^kappa on (0, 1] for
+kappa' < kappa, so ``zero`` at kappa rules out the other two at kappa'.
 
 The grid crosses the critical line kappa alpha = 1 closely.  The cases marked
 "defect e" fail today: the dyadic engine reads the tail integral of
@@ -57,6 +59,25 @@ def test_state_free_family_never_contradicts_the_levy_routes(alpha, kappa_alpha)
                     classify_ltp_lower(family, X, f).outcome):
         for other in routes:
             assert not contradict(outcome, other), (outcome, other)
+
+
+MONOTONE_ALPHAS = (0.5, 0.7, 1.0, 1.3, 1.5, 1.8)
+MONOTONE_KAPPA_ALPHAS = (0.9, 0.95, 0.97, 0.98, 0.985, 0.99, 0.995, 1.0, 1.005, 1.01, 1.02,
+                         1.05)
+POWER_ROUTES = {"levy": lambda spec, kappa: classify_levy(spec, gr.power(kappa)),
+                "power": classify_power}
+
+
+@pytest.mark.parametrize("alpha", MONOTONE_ALPHAS)
+@pytest.mark.parametrize("route", sorted(POWER_ROUTES))
+def test_power_verdicts_are_monotone_in_kappa(route, alpha):
+    # t^kappa' >= t^kappa on (0, 1] for kappa' < kappa, so zero at kappa rules
+    # out infinity and lower_bound at every smaller kappa on the same law
+    spec = pr.stable_process(alpha)
+    outcomes = [POWER_ROUTES[route](spec, ka / alpha).outcome for ka in MONOTONE_KAPPA_ALPHAS]
+    for j, outcome in enumerate(outcomes):
+        if outcome == "zero":
+            assert not {"infinity", "lower_bound"} & set(outcomes[:j]), outcomes
 
 
 # the stable-like families (Schilling's symbols of variable order, the

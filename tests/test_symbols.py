@@ -18,7 +18,7 @@ from levyup import measures as ms
 from levyup import processes as pr
 from levyup import symbols as sy
 from levyup.criteria import classify_levy
-from levyup.errors import DegenerateSymbol, QuadratureFailure
+from levyup.errors import QuadratureFailure
 from levyup.measures import LevyMeasureModel
 from levyup.symbols import (
     LevyTriplet,
@@ -400,9 +400,12 @@ class TestSectorCheck:
         assert rep.holds
         assert rep.witness == pytest.approx(abs(np.tan(np.pi * alpha / 2)), rel=1e-9)
 
-    def test_zero_process_degenerate(self):
-        with pytest.raises(DegenerateSymbol):
-            sector_check(pr.zero_process())
+    def test_zero_process_holds(self):
+        # |Im q| <= C Re q holds with C = 0 on a symbol that vanishes everywhere
+        rep = sector_check(pr.zero_process())
+        assert (rep.verdict, rep.witness, rep.reason) == (
+            "holds", 0.0, "symbol vanishes on the grid")
+        assert rep.grid is sy.SECTOR_RADII
 
     def test_state_dependent_ball(self):
         rep = sector_check(pr.variable_order_process(), x_ball=(0.0, 0.5))
