@@ -129,8 +129,9 @@ def dyadic_integral(g, n_max=60, nodes=16, rows=None):
     partial sum plus a geometric tail bound.  Diverges: last-half block sums all above
     ``FLOOR``, or increasing.  Otherwise Indeterminate.  ``g`` maps one block's nodes to
     values of their shape, or (``rows=k``) to (k, nodes), giving a list of k verdicts,
-    row i bit-identical to a one-row call; or ``g`` is the blocks x rows x nodes table
-    on ``_block_nodes`` (the symbol and state-ball tail integrals'), reduced row by row.
+    row i bit-identical to a one-row call (the Levy tail integral's, the last callable);
+    or ``g`` is the blocks x rows x nodes table on ``_block_nodes`` (the symbol, state-ball
+    tail and moment integrals', the last from one tail table per call), reduced row by row.
     """
     t, half_widths = _block_nodes(n_max, nodes)
     shape = (n_max + 1,) + ((nodes,) if rows is None else (rows, nodes))
@@ -388,16 +389,16 @@ def _a2_shortcut(f):
 # ---------------------------------------------------------------------------
 
 
-def _moment_integrand(measure, a):
-    """t -> a t^(a-1) (G(t) - G(1-)), whose integral over (0, 1) is the
-    radial moment int_{|y|<1} |y|^a nu(dy), for a > 0."""
-    g1 = float(measure.tail(1.0 - 1e-12))
-
-    def g(t):
-        t = np.asarray(t, float)
-        return a * t ** (a - 1.0) * np.maximum(np.asarray(measure.tail(t), float) - g1, 0.0)
-
-    return g
+def _moment_table(measure, n_max):
+    """a -> a t^(a-1) (G(t) - G(1-)) on the dyadic nodes t, whose integral over (0, 1) is
+    the radial moment int_{|y|<1} |y|^a nu(dy) for a > 0, from one G call on every node."""
+    t = _block_nodes(n_max, 16)[0]
+    try:
+        g1 = float(measure.tail(1.0 - 1e-12))
+        excess = np.maximum(np.asarray(measure.tail(t), float) - g1, 0.0)
+    except Exception as exc:
+        raise EvaluationFailure(f"moment integrand failed: {exc}") from exc
+    return lambda a: a * t ** (a - 1.0) * excess
 
 
 def bg_index(measure: LevyMeasureModel, tol=0.02, n_max=60):
@@ -405,21 +406,19 @@ def bg_index(measure: LevyMeasureModel, tol=0.02, n_max=60):
 
     The radial moment is rewritten through the tail,
     int_{|y|<1} |y|^a nu(dy) = int_0^1 a t^{a-1} (G(t) - G(1^-)) dt,
-    and classified by the dyadic engine; bisection on a in [0, 2].
+    and classified by the dyadic engine; bisection on a in [0, 2].  Every step reads
+    one ``_moment_table``, so G is called twice per call, however many steps run.
     """
     if not 0 < tol <= 0.1:
         raise ValueError("tol must lie in (0, 0.1]")
-
-    def verdict_at(a):
-        return dyadic_integral(_moment_integrand(measure, a), n_max)
-
+    table = _moment_table(measure, n_max)
     lo, hi = 0.0, 2.0  # moment at 2 is finite for every Levy measure
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
-        v = verdict_at(mid)
+        v = dyadic_integral(table(mid), n_max)
         if v.state == "indeterminate":
             nudged = mid + (hi - lo) / 8.0
-            v = verdict_at(nudged)
+            v = dyadic_integral(table(nudged), n_max)
             if v.state == "indeterminate":
                 raise BracketIndeterminate(
                     f"moment test indeterminate at a={mid} and a={nudged}"
@@ -523,7 +522,7 @@ def classify_power(spec: ProcessSpec, kappa, n_max=60):
     if not sector.holds:
         return Classification("indeterminate", evidence=evidence,
                               reason="sector condition unverified")
-    v = dyadic_integral(_moment_integrand(spec.levy.measure, 1.0 / kappa), n_max)
+    v = dyadic_integral(_moment_table(spec.levy.measure, n_max)(1.0 / kappa), n_max)
     evidence["moment_integral"] = v
     if v.converges:
         return Classification("zero", assumptions_used=["Sector"], evidence=evidence)

@@ -381,6 +381,117 @@ class TestBgIndex:
             bg_index(pr.stable_process(1.3).levy.measure)
 
 
+# ---------------------------------------------------------------------------
+# the moment integrals read one tail table per call
+# ---------------------------------------------------------------------------
+
+MOMENT_SPECS = {
+    "stable": lambda: pr.stable_process(1.3),
+    "raw_stable": lambda: pr.raw_stable_process(0.7),
+    "one_sided_stable": lambda: pr.one_sided_stable_process(1.5),
+    "atom": pr.atom_process,
+    "log_smooth": pr.log_smooth_process,
+    "slow_variation": pr.slow_variation_process,
+    "zero": pr.zero_process,
+}
+
+
+def per_block_moment(measure, a):
+    """The per-block closure that ``criteria._moment_table`` replaced, kept as
+    its oracle: G(1-) once, then one tail call per block of nodes."""
+    g1 = float(measure.tail(1.0 - 1e-12))
+
+    def g(t):
+        t = np.asarray(t, float)
+        return a * t ** (a - 1.0) * np.maximum(np.asarray(measure.tail(t), float) - g1, 0.0)
+
+    return g
+
+
+def per_block_bg_index(measure, tol):
+    """``bg_index``'s bisection with a fresh per-block closure at every step."""
+    lo, hi = 0.0, 2.0
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        v = dyadic_integral(per_block_moment(measure, mid))
+        if v.state == "indeterminate":
+            nudged = mid + (hi - lo) / 8.0
+            v = dyadic_integral(per_block_moment(measure, nudged))
+            assert v.state != "indeterminate"
+            mid = nudged
+        lo, hi = (lo, mid) if v.converges else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_SPECS))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(a=st.floats(0.0, 2.0, exclude_min=True))
+def test_moment_table_matches_per_block_closure(name, a):
+    # the table gives the closure's verdict to the bit, and classify_power's
+    # moment evidence at kappa = 1/a is that verdict
+    spec = MOMENT_SPECS[name]()
+    table = criteria._moment_table(spec.levy.measure, 60)
+    assert_bitwise_same(dyadic_integral(table(a)),
+                        dyadic_integral(per_block_moment(spec.levy.measure, a)))
+    kappa = 1.0 / a
+    if 0.5 + 1e-12 < kappa < np.inf:
+        got = classify_power(spec, kappa).evidence["moment_integral"]
+        assert_bitwise_same(got, dyadic_integral(per_block_moment(spec.levy.measure, 1.0 / kappa)))
+
+
+@pytest.mark.parametrize("tol", [0.005, 0.02])
+@pytest.mark.parametrize("name", sorted(MOMENT_SPECS))
+def test_bg_index_matches_per_block_bisection(name, tol):
+    measure = MOMENT_SPECS[name]().levy.measure
+    assert bg_index(measure, tol) == per_block_bg_index(measure, tol)
+
+
+def counted_tail(spec, tail=None):
+    """``spec`` on a hand-built measure whose tail (``tail`` or the spec's own)
+    records the shape of every argument it is called on."""
+    calls, base = [], spec.levy.measure
+
+    def counting(r):
+        calls.append(np.shape(r))
+        return (tail or base.tail)(r)
+
+    measure = ms.LevyMeasureModel(tail=counting, trunc2=base.trunc2, name="counted")
+    levy = dataclasses.replace(spec.levy, measure=measure)
+    return dataclasses.replace(spec, levy=levy), calls
+
+
+@pytest.mark.parametrize("tol", [0.005, 0.02, 0.1])
+@pytest.mark.parametrize("name", ["stable", "atom", "slow_variation"])
+def test_moment_integrals_call_the_tail_twice(monkeypatch, name, tol):
+    # one call on every dyadic node and one at G(1-), however many bisection
+    # steps run; the per-block closure made 61 calls per step
+    spec, calls = counted_tail(MOMENT_SPECS[name]())
+    passes = count_passes(monkeypatch)
+    bg_index(spec.levy.measure, tol)
+    assert len(passes) >= 5
+    assert calls == [(), (61, 16)]
+    calls.clear()
+    classify_power(spec, 0.8)
+    assert calls == [(), (61, 16)]
+
+
+@pytest.mark.parametrize("run", [lambda spec: bg_index(spec.levy.measure),
+                                 lambda spec: classify_power(spec, 0.8)],
+                         ids=["bg_index", "classify_power"])
+def test_moment_integral_failures_are_evaluation_failures(run):
+    def raising(r):
+        raise RuntimeError("boom")
+
+    def nan_below(r):  # G is nan on the nodes of block 8, [2^-9, 2^-8], and deeper
+        r = np.asarray(r, float)
+        return np.where(r < 2.0**-8, np.nan, 1.0 / r)
+
+    with pytest.raises(EvaluationFailure, match="moment integrand failed: boom"):
+        run(counted_tail(pr.stable_process(1.3), raising)[0])
+    with pytest.raises(EvaluationFailure, match="integrand not finite on block 8$"):
+        run(counted_tail(pr.stable_process(1.3), nan_below)[0])
+
+
 class TestClassifyLevy:
     def test_cauchy_zero(self):
         res = classify_levy(pr.cauchy_process(), gr.power(0.8))
