@@ -322,10 +322,10 @@ def check_A1(spec: ProcessSpec, x=0.0, ball_radius=None):
     g, t2 = spec.tail_at(z1, r_col), spec.trunc2_at(z1, r_col)
     where = "" if spec.kind == "levy" else " on the state ball"
     with np.errstate(divide="ignore", invalid="ignore"):
-        witness = np.max(t2 / (r_col**2 * g), axis=1)
+        witness = (t2 / (r_col**2 * g)).max(axis=1)
     # a vanishing tail above the support is skipped; along the approach to 0
     # (second half of the grid) it means no jump mass, and the balance fails
-    dead = np.flatnonzero(np.any(g <= 0.0, axis=1))
+    dead = (g <= 0.0).any(axis=1).nonzero()[0]
     late = dead[dead >= len(A1_RADII) // 2]
     if late.size:
         return ConditionReport("fails", np.inf, A1_RADII,
@@ -547,39 +547,39 @@ def majorization_holds(spec: ProcessSpec, x, ball_radius):
 
 
 def _c_scan(spec, x, f, fixed_ball_radius, evidence, key, n_max):
-    """Sup-ball tail integrals at c = 2^k for k in ``C_EXPONENTS``;
-    ``evidence[key]`` maps c to its verdict up to the first converging one,
-    and the return value says whether one converges.
+    """Sup-ball tail integrals at c = 2^k for k in ``C_EXPONENTS``; the return value
+    says whether one converges, and ``evidence[key]`` maps c to its verdict.
 
-    For a power-type f the integral converges at every c or at none, so the
-    first c runs alone (a converging scan stops there) and the others share
-    one pass (``tail_integral_criterion`` with an array of c)."""
+    The integrand does not increase in c, so some c converges exactly when c_max does:
+    c_min and c_max share one 2-row pass (``tail_integral_criterion`` with an array of
+    c).  Where c_max does not converge the evidence keeps both ends; where both do, c_min;
+    where only c_max does, the other c share one pass and the evidence runs up to the
+    first converging c.  States not monotone in c read "no c converges"."""
     cs = [2.0**k for k in C_EXPONENTS]
 
     def scan(c):
-        return tail_integral_criterion(spec, x, f, c, ball_mode="sup",
-                                       fixed_ball_radius=fixed_ball_radius,
-                                       n_max=n_max)
+        return tail_integral_criterion(spec, x, f, np.array(c), ball_mode="sup",
+                                       fixed_ball_radius=fixed_ball_radius, n_max=n_max)
 
-    verdicts = [scan(cs[0])]
-    if not verdicts[0].converges:
-        verdicts += scan(np.array(cs[1:]))
-    for c, v in zip(cs, verdicts):
-        evidence.setdefault(key, {})[c] = v
-        if v.converges:
-            return True
-    return False
+    lo, hi = scan([cs[0], cs[-1]])
+    if not hi.converges:
+        evidence[key] = {cs[0]: lo, cs[-1]: hi}
+        return False
+    verdicts = [lo] if lo.converges else [lo, *scan(cs[1:-1]), hi]
+    evidence[key] = dict(zip(cs, verdicts[:[v.converges for v in verdicts].index(True) + 1]))
+    return True
 
 
 def classify_ltp_upper(spec: ProcessSpec, x, f: GrowthFunction,
                        use_majorization_route=False, n_max=60):
     """Upper-function decision for a state-dependent or SDE process.
 
-    The symbol route (sup over the moving state ball of the capped symbol)
-    needs no side condition; its convergence alone yields Zero.  The tail
-    route needs the sector condition and the small-jump balance on the state
-    ball of radius ``BALL_RADIUS``.  An optional majorization route accepts the
-    tail integral on that fixed ball under the growth condition on f.
+    The symbol route (sup over the moving state ball of the capped symbol) needs no
+    side condition; its convergence alone yields Zero.  The tail route needs the sector
+    condition and the small-jump balance on the state ball of radius ``BALL_RADIUS``.
+    An optional majorization route accepts the tail integral on that fixed ball under
+    the growth condition on f.  ``_c_scan`` decides each tail scan over c from its two
+    ends, and a scan in which no c converges keeps the verdicts at c_min and c_max only.
     """
     if spec.kind == "levy":
         raise ValueError("use classify_levy for Levy processes")

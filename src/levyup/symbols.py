@@ -104,7 +104,7 @@ class ProcessSpec:
         if self.kind != "levy" and z.shape[-1] != self.dim:
             raise ValueError(f"z must have a last axis of length {self.dim}")
         r = np.asarray(r, float)
-        shape = np.broadcast_shapes(z.shape[:-1], r.shape)
+        shape = np.broadcast(z[..., 0], r).shape  # broadcast_shapes, without its dummy arrays
         if self.kind != "sde":
             model, args = ((self.levy.measure, (r,)) if self.kind == "levy"
                            else (self.family, (z, r)))
@@ -338,7 +338,7 @@ def _ball_states(spec: ProcessSpec, x, radius, n=17):
     of the same rank, for a Levy process (state-free) or where every radius is zero."""
     radius = np.asarray(radius, float)
     return (ball_grid(x, radius, spec.dim, n) if spec.kind != "levy" and radius.any()
-            else ball_grid(x, 0.0, spec.dim).reshape((1,) * (radius.ndim + 1) + (-1,)))
+            else np.asarray(x, float).reshape((1,) * (radius.ndim + 1) + (-1,)))
 
 
 def _check_ball(spec: ProcessSpec, x, radius=0.0, name="ball_radius"):
@@ -494,7 +494,7 @@ def tail_trend(grid, values, blowup=1e3):
     grid = np.asarray(grid, float)
     half = values[len(values) // 2:]
     gh = grid[len(values) // 2:]
-    hi, lo = float(np.max(half)), float(np.min(half))
+    hi, lo = float(half.max()), float(half.min())
     if hi <= 0:
         return "stable", 0.0
     if lo > 0 and hi / lo - 1.0 < TREND_STABILITY:

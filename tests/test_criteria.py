@@ -1155,28 +1155,36 @@ LEVY_SCAN_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(STATE_SPECS) + sorted(LEVY_SCAN_SPECS))
-@settings(derandomize=True, max_examples=12, deadline=None)
-@given(x=st.floats(-1.0, 1.0), kappa=st.floats(0.3, 1.5))
+MONOTONE_CASES = ([(name, kw) for name in sorted(STATE_SPECS)
+                   for kw in ({}, {"fixed_ball_radius": 0.5})]
+                  + [(name, None) for name in sorted(LEVY_SCAN_SPECS)])
+
+
+@pytest.mark.parametrize("name, kw", MONOTONE_CASES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=st.floats(-0.6, 0.9), kappa=st.floats(0.3, 1.5))
 @example(x=0.0, kappa=0.5).via("below every 1/alpha")
 @example(x=0.0, kappa=1.4).via("above every 1/alpha")
-def test_c_scan_states_monotone_in_c(name, x, kappa):
+def test_c_scan_states_monotone_in_c(name, kw, x, kappa):
     # the (sup-ball) tail nu(z, |y| >= c f(t)) decreases in c: once the scan
     # converges at some c it converges at every larger c, and once it
     # diverges at some c it diverges at every smaller c; so the largest c
-    # decides whether any c converges
-    if name in LEVY_SCAN_SPECS:
+    # decides whether any c converges, which is what _c_scan reads
+    f = gr.power(kappa)
+    if kw is None:
         spec, x, kw = LEVY_SCAN_SPECS[name](), None, {}
     else:
-        spec, kw = STATE_SPECS[name](), {"ball_mode": "sup"}
-    states = [v.state for v in tail_integral_criterion(
-        spec, x, gr.power(kappa), C_SCAN, **kw)]
+        spec, kw = STATE_SPECS[name](), {"ball_mode": "sup", **kw}
+    states = [v.state for v in tail_integral_criterion(spec, x, f, C_SCAN, **kw)]
     if "converges" in states:
         first = states.index("converges")
         assert set(states[first:]) == {"converges"}, states
     if "diverges" in states:
         last = len(states) - 1 - states[::-1].index("diverges")
         assert set(states[:last + 1]) == {"diverges"}, states
+    if spec.kind != "levy":
+        assert criteria._c_scan(spec, x, f, kw.get("fixed_ball_radius"), {}, "scan",
+                                60) == ("converges" in states)
 
 
 def decline_symbol_route(monkeypatch):
@@ -1212,30 +1220,114 @@ def count_passes(monkeypatch):
     return force_states(monkeypatch, [])
 
 
+def scan_route(monkeypatch, route):
+    """Make classify_ltp_upper's symbol route decline and, for the fixed-ball
+    route, its tail route too, so that the scan of ``route`` runs; the fixed
+    ball's radius, or None."""
+    decline_symbol_route(monkeypatch)
+    if route == "tail_integrals":
+        return None
+    monkeypatch.setattr(criteria, "sector_check", lambda *a, **k: ConditionReport(
+        "fails", np.inf, reason="forced"))
+    return criteria.BALL_RADIUS
+
+
 @pytest.mark.parametrize("route", ["tail_integrals", "fixed_ball_tail"])
-@pytest.mark.parametrize("kappa, n_c", [(0.6, 1), (1.2, C_SCAN.size)])
+@pytest.mark.parametrize("kappa, n_c", [(0.6, 1), (1.2, 2)])
 @pytest.mark.parametrize("name", sorted(STATE_SPECS))
 def test_c_scan_stops_at_a_converging_first_c(monkeypatch, name, kappa, n_c, route):
-    # a scan that converges at its first c makes that one one-row pass, as the
-    # one-call-per-c loop did; one that never converges makes two passes
+    # a scan runs c_min and c_max as one 2-row pass; where both converge it
+    # keeps c_min, where neither does it keeps both ends and stops
     spec, x = scan_spec(name)
     f = gr.power(kappa)
-    decline_symbol_route(monkeypatch)
-    fixed = None
-    if route == "fixed_ball_tail":
-        fixed = 0.5
-        monkeypatch.setattr(criteria, "sector_check", lambda *a, **k: ConditionReport(
-            "fails", np.inf, reason="forced"))
+    fixed = scan_route(monkeypatch, route)
     passes = count_passes(monkeypatch)
     res = classify_ltp_upper(spec, x, f, use_majorization_route=fixed is not None)
     scan_passes = passes[1:]  # the first pass is the symbol route's
     assert res.outcome == ("zero" if n_c == 1 else "indeterminate")
     scan = res.evidence[route]
-    assert list(scan) == list(C_SCAN[:n_c])
-    assert scan_passes == ([None] if n_c == 1 else [None, C_SCAN.size - 1])
+    assert list(scan) == [C_SCAN[0], C_SCAN[-1]][:n_c]
+    assert scan_passes == [2]
     for c, v in scan.items():
-        assert_same_verdict(v, tail_integral_criterion(
+        assert_bitwise_same(v, tail_integral_criterion(
             spec, x, f, c, ball_mode="sup", fixed_ball_radius=fixed))
+
+
+def force_c_states(monkeypatch, states):
+    """Make the criteria module's tail integrals at c = C_SCAN[i] report
+    ``states[i]`` (the value of a forced state is None, unless it converges);
+    one-row and many-row calls alike.  Returns the c of every call made."""
+    real, calls = criteria.tail_integral_criterion, []
+    forced_state = dict(zip(C_SCAN, states))
+
+    def force(c, v):
+        state = forced_state[c]
+        if state == v.state:
+            return v
+        value = v.value if state == "converges" else None
+        return IntegralVerdict(state, value, v.block_sums, v.n_max, note="forced")
+
+    def forced(spec, x, f, c, **kw):
+        out = real(spec, x, f, c, **kw)
+        calls.append(np.atleast_1d(c).tolist())
+        if isinstance(out, list):
+            return [force(ci, v) for ci, v in zip(c, out)]
+        return force(c, out)
+
+    monkeypatch.setattr(criteria, "tail_integral_criterion", forced)
+    return calls
+
+
+def one_call_per_c_scan(spec, x, f, fixed):
+    """The reference scan: one call per c, stopping at the first that converges."""
+    evidence = {}
+    for c in C_SCAN:
+        evidence[c] = criteria.tail_integral_criterion(
+            spec, x, f, float(c), ball_mode="sup", fixed_ball_radius=fixed)
+        if evidence[c].converges:
+            break
+    return evidence
+
+
+N_C = C_SCAN.size
+FORCED_SCANS = {
+    # c_max decides: a middle c that converges cannot make a zero
+    "middle_converges_c_max_diverges":
+        ["diverges"] * 6 + ["converges"] + ["diverges"] * (N_C - 7),
+    "c_min_converges_c_max_not": ["converges"] + ["indeterminate"] * (N_C - 1),
+    "first_converges_in_the_middle":
+        ["diverges"] * 3 + ["indeterminate"] * 2 + ["converges"] * (N_C - 5),
+}
+
+
+@pytest.mark.parametrize("route", ["tail_integrals", "fixed_ball_tail"])
+@pytest.mark.parametrize("pattern", sorted(FORCED_SCANS))
+@pytest.mark.parametrize("name", sorted(STATE_SPECS))
+def test_c_scan_decides_from_its_two_ends(monkeypatch, name, pattern, route):
+    # only a converging c_max can make a zero; then the other c run as one
+    # 11-row pass, and the scan keeps what a one-call-per-c loop would keep
+    spec, x = scan_spec(name)
+    f = gr.power(1.2)
+    states = FORCED_SCANS[pattern]
+    fixed = scan_route(monkeypatch, route)
+    calls = force_c_states(monkeypatch, states)
+    res = classify_ltp_upper(spec, x, f, use_majorization_route=fixed is not None)
+    scan = res.evidence[route]
+    ends = [C_SCAN[0], C_SCAN[-1]]
+    if states[-1] != "converges":
+        assert res.outcome == "indeterminate"
+        assert calls == [ends] and list(scan) == ends
+        for c, v in scan.items():
+            assert v.state == states[list(C_SCAN).index(c)]
+        return
+    assert res.outcome == "zero"
+    assert calls == [ends, C_SCAN[1:-1].tolist()]
+    calls.clear()
+    ref = one_call_per_c_scan(spec, x, f, fixed)
+    assert len(calls) == len(ref)
+    assert list(scan) == list(ref) == list(C_SCAN[:states.index("converges") + 1])
+    for c, v in scan.items():
+        assert_bitwise_same(v, ref[c])
 
 
 @pytest.mark.parametrize("failing", [None, "C", "C/2"])
