@@ -443,12 +443,21 @@ BALL_RADIUS = 0.5  # the state ball of classify_ltp_upper's side conditions and 
 def classify_levy(spec: ProcessSpec, f: GrowthFunction, n_max=60):
     """Zero/Infinity dichotomy for a Levy process via the jump-tail integral.
 
-    Verifies the sector condition and one of the two side conditions first;
+    A measure of finite total mass with no effective drift
+    b - int_{0<|y|<1} y nu(dy) is compound Poisson: X_t = X_0 until its first
+    jump, so every f reads Zero, with the mass in the evidence (a skewed
+    finite density, whose drift has no closed form here, raises
+    NotImplementedError).  Otherwise
+    verifies the sector condition and one of the two side conditions first;
     when neither side condition holds the dichotomy can genuinely fail, so
     the outcome is Indeterminate with the reason recorded.
     """
     if spec.kind != "levy":
         raise ValueError("classify_levy expects a Levy process")
+    m = spec.levy.measure
+    if m.total_mass < np.inf and not np.any(spec.levy.b - m.mean_jump_between(0.0, 1.0)):
+        return Classification("zero", evidence={"total_mass": m.total_mass},
+                              reason="finite jump mass")
     evidence = {}
     sector = sector_check(spec)
     evidence["sector"] = sector

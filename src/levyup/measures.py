@@ -2,8 +2,8 @@
 
 Every criterion downstream consumes only the radial tail G(r) = nu({|y| > r}),
 the truncated second moment trunc2(r) = int_{|y|<=r} |y|^2 nu(dy), and samples
-of jumps above a cutoff, so the model is tail-first; tails take arrays of
-radii.  Densities are optional and used for exponent quadrature, sampling, and
+of jumps above a cutoff (of every jump, for a measure of finite total mass),
+so the model is tail-first; tails take arrays of radii.  Densities are optional and used for exponent quadrature, sampling, and
 consistency checks; every integral here runs on ``quadrature.panel_quad``.
 """
 
@@ -30,6 +30,10 @@ class LevyMeasureModel:
     is the total mass density per radius (both signs / all directions
     combined), so that G(r) = int_r^inf rho(s) ds + atom mass above r.
     ``side_weights`` splits 1-d mass between the negative and positive axis.
+    ``total_mass`` is G(0+), finite for a compound-Poisson measure and inf
+    (the default) for every other; ``tail_inverse``, where given, is the
+    inverse of the non-atomic part's tail, g -> r with G_c(r) = g, which lets
+    the sampler draw every jump of a finite measure (cutoff 0).
     """
 
     tail: Callable
@@ -39,6 +43,8 @@ class LevyMeasureModel:
     side_weights: tuple[float, float] = (0.5, 0.5)
     atoms: tuple[tuple[float, float], ...] = ()
     support: tuple[float, float] = (0.0, np.inf)
+    total_mass: float = np.inf
+    tail_inverse: Callable | None = None
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -48,6 +54,8 @@ class LevyMeasureModel:
         w = self.side_weights
         if min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("side_weights must be non-negative and sum to 1")
+        if not self.total_mass >= 0:  # NaN fails too
+            raise ValueError("total_mass must be non-negative")
 
     # -- validation --------------------------------------------------------
 
@@ -69,6 +77,8 @@ class LevyMeasureModel:
             raise ValueError(f"trunc2 of {self.name!r} is not non-decreasing")
         if not np.isfinite(self.trunc2(1.0)) or not np.isfinite(self.tail(1.0)):
             raise ValueError(f"{self.name!r} violates Levy integrability at r=1")
+        if np.any(g > self.total_mass * (1 + 1e-12)):
+            raise ValueError(f"tail of {self.name!r} exceeds its total mass")
         if self.radial_density is not None:
             lo, hi = self.support
             shells = [s for s in (1e-3, 1e-2, 1e-1, 0.5, 2.0) if lo < s < hi]
@@ -94,7 +104,10 @@ class LevyMeasureModel:
         return np.maximum(g, 0.0)
 
     def _magnitude_inverse(self, delta):
-        """Inverse of the continuous tail on r >= delta, as an interpolant."""
+        """Inverse of the continuous tail on r >= delta > 0, as an interpolant."""
+        if not delta > 0:
+            raise NotImplementedError(
+                f"the jumps of {self.name!r} below any cutoff need its tail_inverse")
         key = ("inv", float(delta))
         if key not in self._cache:
             hi = self.support[1]
@@ -126,13 +139,18 @@ class LevyMeasureModel:
         return jumps[:, None] * dirs
 
     def jumps_from_uniforms(self, words, counts, delta):
-        """Jumps with |y| > delta of several streams, stream i drawing counts[i].
+        """Jumps with |y| > delta of several streams, stream i drawing counts[i];
+        delta = 0 takes every jump of a measure of finite ``total_mass``.
 
         The rows of ``words`` hold, in stream order, each jump's selector
         (atom or continuous part), rank (a stream's atoms take its ranks
-        first) and, in 1-d, sign.  Returns the 1-d jumps, else the radii.
+        first) and, in 1-d, sign.  The continuous part's radii come from
+        ``tail_inverse`` where given, else from an interpolant of the tail
+        on r >= delta > 0.  Returns the 1-d jumps, else the radii.
         """
-        g_delta = float(self.tail(delta))
+        g_delta = float(self.tail(delta)) if delta > 0 else self.total_mass
+        if g_delta == np.inf:
+            raise ValueError(f"{self.name!r} has infinite mass: a cutoff delta > 0 is needed")
         if g_delta <= 0:
             raise ZeroTail(f"no mass above delta={delta} for {self.name!r}")
         atom_part = [(s, m) for s, m in self.atoms if s > delta]
@@ -152,21 +170,28 @@ class LevyMeasureModel:
             radii[is_atom] = sizes[cdf.searchsorted(ranks[is_atom], side="right")]
         cont = ~is_atom
         if cont.any():
-            log_g, log_r = self._magnitude_inverse(delta)
-            target = float(self._continuous_tail(delta)) * ranks[cont]
-            target = np.clip(target, np.exp(log_g[0]), np.exp(log_g[-1]))
-            radii[cont] = np.exp(np.interp(np.log(target), log_g, log_r))
+            g_cont = float(self._continuous_tail(delta)) if delta > 0 else g_delta - atom_mass
+            if self.tail_inverse is not None:
+                radii[cont] = self.tail_inverse(g_cont * ranks[cont])
+            else:
+                log_g, log_r = self._magnitude_inverse(delta)
+                target = np.clip(g_cont * ranks[cont], np.exp(log_g[0]), np.exp(log_g[-1]))
+                radii[cont] = np.exp(np.interp(np.log(target), log_g, log_r))
         if self.dim > 1:
             return radii
         return radii * np.where(words[2] < self.side_weights[1], 1.0, -1.0)
 
     def mean_jump_between(self, a, b):
-        """int_{a < |y| <= b} y nu(dy), first coordinate (0 for symmetric)."""
+        """int_{a < |y| < b} y nu(dy), first coordinate (0 for symmetric); a = 0
+        with a skewed density raises NotImplementedError."""
         w_neg, w_pos = self.side_weights
         if self.dim > 1 or abs(w_pos - w_neg) < 1e-15:
             return 0.0
-        total = sum(s * m for s, m in self.atoms if a < s <= b)
+        total = sum(s * m for s, m in self.atoms if a < s < b)
         if self.radial_density is not None:  # int s^2 rho(s) du over u = log s
+            if not a > 0:
+                raise NotImplementedError(
+                    f"int_(0<|y|<{b}) y nu(dy) of the skewed density of {self.name!r}")
             total += panel_quad(lambda u: np.exp(u) ** 2 * self.radial_density(np.exp(u)),
                                 np.log([a]), np.log([min(b, self.support[1])]))[0]
         return float((w_pos - w_neg) * total)
@@ -297,6 +322,7 @@ def atom_measure(radius=2.0, mass=1.0):
         dim=1,
         atoms=((float(radius), float(mass)),),
         support=(float(radius), float(radius)),
+        total_mass=float(mass),
         name=f"atom(|y|={radius}, mass={mass})",
     )
 
@@ -305,7 +331,9 @@ def log_smooth_measure():
     """Density |y|^{-1} (log(e/|y|))^{-2} on 0 < |y| < 1; index 0 at the origin.
 
     Every positive-power moment near zero is finite, so the small-jump
-    activity index is 0 even though the density blows up like 1/|y|.
+    activity index is 0 even though the density blows up like 1/|y|.  The
+    total mass is G(0+) = 2, and the tail inverts in closed form:
+    r = exp(1 - 1/(1 - G/2)).
     """
 
     def tail(r):
@@ -324,12 +352,19 @@ def log_smooth_measure():
     def density(s):
         return np.where(s < 1.0, 2.0 / (s * (1.0 + np.log(1.0 / s)) ** 2), 0.0)
 
+    def tail_inverse(g):
+        # G = 2 (1 - 1/u) with u = 1 + log(1/r); a G within ~2/746 of 2
+        # gives an r below the least double, which underflows to 0
+        return np.exp(1.0 - 1.0 / (1.0 - np.asarray(g, float) / 2.0))
+
     return LevyMeasureModel(
         tail=tail,
         trunc2=trunc2,
         dim=1,
         radial_density=density,
         support=(0.0, 1.0),
+        total_mass=2.0,
+        tail_inverse=tail_inverse,
         name="log_smooth",
     )
 
@@ -337,4 +372,4 @@ def log_smooth_measure():
 def null_measure(dim=1):
     """The zero measure (no jumps)."""
     zero = lambda r: np.zeros_like(np.asarray(r, float))
-    return LevyMeasureModel(tail=zero, trunc2=zero, dim=dim, name="null")
+    return LevyMeasureModel(tail=zero, trunc2=zero, dim=dim, total_mass=0.0, name="null")

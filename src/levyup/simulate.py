@@ -3,14 +3,17 @@
 Schemes
 -------
 The process fixes its scheme (_scheme); a Levy process and an SDE driver
-draw their increments by one of the first two:
+draw their increments by one of the first three:
 
 exact_stable            increments drawn exactly for symmetric stable laws,
                         where the spec has a stable_family
-compound_poisson_gauss  otherwise: jumps above a cutoff as compound Poisson,
-                        smaller jumps as a Gaussian surrogate matching the
-                        truncated second moment, drift recentred to the
-                        |y| < 1 cutoff
+compound_poisson        exact, where the measure has a finite total_mass
+                        G(0+): every jump, at rate G(0+), and the drift
+                        b - int_{0<|y|<1} y nu(dy); no cutoff, no surrogate
+compound_poisson_gauss  otherwise (infinite mass): jumps above a cutoff as
+                        compound Poisson, smaller jumps as a Gaussian
+                        surrogate matching the truncated second moment,
+                        drift recentred to the |y| < 1 cutoff
 euler_sde               an SDE: X_{k+1} = X_k + sigma(X_k) dL with pre-drawn
                         driver increments
 freeze_symbol           a state-dependent family: one increment of the stable
@@ -47,9 +50,12 @@ O(BLOCK + steps), plus the jump words of one block.
   stable driver) can resume mid-path: a path of k steps draws k uniforms,
   one word each, then k exponentials, so it keeps two cursors on its
   stream, the uniforms at word j and the exponentials from word k on (see
-  _Streams).  Draws of a variable number of words (the normals and Poisson
-  counts of compound_poisson_gauss and of euler_sde with a non-stable
-  driver) keep one whole-horizon window, in every reducer.
+  _Streams).  Draws of a variable number of words keep one whole-horizon
+  window, in every reducer: compound_poisson_gauss parks a normal and a
+  Poisson count per step, then 3 words per jump; compound_poisson draws one
+  Poisson count per path, then 4 words per jump (its time and its 3 jump
+  words), so its draws grow with the jumps, not with the steps; and
+  euler_sde with either as driver.
 
 A path's draws, values, running maximum and exit time do not depend on the
 windows or the blocks, to the bit.
@@ -94,8 +100,9 @@ class SimConfig:
 
     @staticmethod
     def delta_for(dt):
-        """Jump cutoff of the compound-Poisson schemes: sqrt(dt) clamped to
-        [1e-4, 1e-1]."""
+        """Jump cutoff of compound_poisson_gauss, the scheme of infinite-mass
+        laws: sqrt(dt) clamped to [1e-4, 1e-1].  A finite mass takes every
+        jump (compound_poisson) and needs no cutoff."""
         return float(np.clip(np.sqrt(dt), 1e-4, 1e-1))
 
 
@@ -180,24 +187,43 @@ def _stable_sampler(triplet: LevyTriplet, stable_family, dts):
     return _park_cms, finish
 
 
-RATE_CAP = 1e4  # largest mean jump count per step that _levy_sampler accepts
+RATE_CAP = 1e4  # largest mean jump count per step that a compound-Poisson sampler accepts
+
+
+def _check_rate(rate, dts):
+    if np.any(rate * dts > RATE_CAP):
+        raise RateOverflow(
+            f"jump rate times step exceeds RATE_CAP = {RATE_CAP:g}; decrease dt")
+
+
+def _jump_sums(measure, b, parked, delta):
+    """Replace a block's jump counts, parked in b, by the sums of their jumps,
+    drawn from each path's parked jump words (3 x count; see
+    ``LevyMeasureModel.jumps_from_uniforms``, each path one stream)."""
+    counts = b.astype(np.intp)
+    words = np.concatenate(parked, axis=1)
+    sums = np.zeros(counts.size)
+    if words.shape[1]:
+        jumps = measure.jumps_from_uniforms(words, counts.sum(axis=1), delta)
+        # unbuffered: each step's jumps are added in the order drawn
+        np.add.at(sums, np.repeat(np.arange(counts.size), counts.ravel()), jumps)
+    b[...] = sums.reshape(b.shape)
 
 
 def _levy_sampler(triplet: LevyTriplet, dts, delta):
-    """Continuous and jump increments of a 1-d Levy triplet on step sizes dts.
+    """Continuous and jump increments of a 1-d Levy triplet of infinite mass
+    on step sizes dts.
 
     The continuous part, in a, holds drift (recentred to the cutoff delta)
     and the small-jump surrogate; the jump part, in b,
     holds the compound-Poisson sums of jumps above delta.  A path parks its
     normals in a and its Poisson counts in b, and draws its jump uniforms in
-    one call (see ``LevyMeasureModel.jumps_from_uniforms``).
+    one call.
     """
     m = triplet.measure
     delta = min(float(delta), 1.0)
     rate = float(m.tail(delta))
-    if np.any(rate * dts > RATE_CAP):
-        raise RateOverflow(
-            "jump rate times step exceeds the cap; decrease dt or raise delta")
+    _check_rate(rate, dts)
     var = float(m.trunc2(delta))
     drift = (float(triplet.b[0]) - m.mean_jump_between(delta, 1.0)) * dts
     sd, mean_counts = np.sqrt(var * dts), rate * dts
@@ -209,14 +235,46 @@ def _levy_sampler(triplet: LevyTriplet, dts, delta):
 
     def finish(a, b, parked, steps):
         a[...] = drift[steps] + sd[steps] * a
-        counts = b.astype(np.intp)
-        words = np.concatenate(parked, axis=1)
-        sums = np.zeros(counts.size)
-        if words.shape[1]:
-            jumps = m.jumps_from_uniforms(words, counts.sum(axis=1), delta)
-            # unbuffered: each step's jumps are added in the order drawn
-            np.add.at(sums, np.repeat(np.arange(counts.size), counts.ravel()), jumps)
-        b[...] = sums.reshape(b.shape)
+        _jump_sums(m, b, parked, delta)
+        return True
+
+    return draw, finish
+
+
+def _compound_poisson_sampler(triplet: LevyTriplet, dts):
+    """Exact increments of a 1-d Levy triplet of finite mass G(0+) on step
+    sizes dts: the drift b - int_{0<|y|<1} y nu(dy) in a, the sums of every
+    jump in b.
+
+    A path draws one Poisson count N at rate G(0+) over the whole horizon,
+    then 4N uniforms: N jump times, which give each step's count (parked in
+    b), and 3N jump words, taken by the steps in order.  The jumps are
+    independent of their times, so no sort is needed.  A path's draws do not
+    grow with the number of steps.
+    """
+    m = triplet.measure
+    mass = float(m.total_mass)
+    if m.tail_inverse is None and mass > sum(w for _, w in m.atoms) * (1 + 1e-12):
+        raise NotImplementedError(
+            f"exact compound Poisson needs the tail_inverse of {m.name!r}")
+    _check_rate(mass, dts)
+    drift = (float(triplet.b[0]) - m.mean_jump_between(0.0, 1.0)) * dts
+    edges = np.cumsum(dts)
+    horizon, k = float(edges[-1]), len(dts)
+    mean_count, no_words = mass * horizon, np.empty((3, 0))
+
+    def draw(rng, a, b):
+        n = int(rng.poisson(mean_count))
+        if not n:
+            b.fill(0.0)
+            return no_words
+        words = rng.random(4 * n).reshape(4, n)
+        b[:] = np.bincount(edges.searchsorted(words[0] * horizon), minlength=k)
+        return words[1:]
+
+    def finish(a, b, parked, steps):
+        a[...] = drift[steps]
+        _jump_sums(m, b, parked, 0.0)
         return True
 
     return draw, finish
@@ -232,12 +290,15 @@ def _scheme(spec: ProcessSpec, dts):
     advance(state, first, second, j) -> (pre-jump or None, post) of step j marks
     a state-dependent scheme, None a Levy scheme of independent increments.  A
     Levy process and an SDE driver draw exact stable increments where the spec
-    has a stable_family, compound Poisson with the Gaussian surrogate otherwise."""
+    has a stable_family, exact compound Poisson where its measure has a finite
+    total mass, compound Poisson with the Gaussian surrogate otherwise."""
     if spec.kind == "state_dependent":
         return _freeze_symbol(spec, dts)
     levy = spec.levy if spec.kind == "levy" else spec.driver
     if spec.stable_family is not None:
         sampler = _stable_sampler(levy, spec.stable_family, dts)
+    elif levy.measure.total_mass < np.inf:
+        sampler = _compound_poisson_sampler(levy, dts)
     else:
         sampler = _levy_sampler(levy, dts, SimConfig.delta_for(float(np.median(dts))))
     if spec.kind == "levy":

@@ -189,8 +189,8 @@ class TestCommands:
         assert table == {"sector": "holds", "A1": "holds", "A2": "holds"}
 
     def test_zero_process_classifies(self, tmp_path, capsys):
-        # the constant process: its symbol vanishes, so the sector condition
-        # holds (0 <= 0), A1 fails (no jump mass) and A2 grounds the verdict
+        # the constant process: no jump mass decides the verdict; its symbol
+        # vanishes, so the sector condition holds (0 <= 0), A1 fails and A2 holds
         cfg = self._cfg(tmp_path, "[process]\nkind = zero\n")
         assert run_command("classify", cfg) == 0
         assert capsys.readouterr().out.strip() == "Zero"
@@ -198,6 +198,17 @@ class TestCommands:
         rows = read_csv(tmp_path / "out" / "conditions.csv")
         table = {r[0]: r[1] for r in rows[1:]}
         assert table == {"sector": "holds", "A1": "fails", "A2": "holds"}
+
+    @pytest.mark.parametrize("process, kappa", [("zero", 0.5), ("log_smooth", 0.4)])
+    def test_finite_mass_classifies_where_side_conditions_fail(self, tmp_path, capsys,
+                                                                process, kappa):
+        # A1 and A2 both fail at these kappa; a finite jump mass without drift
+        # reads Zero before them, with no integral rows
+        body = f"[process]\nkind = {process}\n\n[growth]\nform = power\nkappa = {kappa}\n"
+        cfg = self._cfg(tmp_path, body)
+        assert run_command("classify", cfg) == 0
+        assert capsys.readouterr().out.strip() == "Zero"
+        assert read_csv(tmp_path / "out" / "classify.csv")[1:] == []
 
     def test_bg_index(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, MINIMAL)

@@ -521,6 +521,26 @@ class TestClassifyLevy:
         states = [v.state for v in res.evidence["tail_integrals"].values()]
         assert states == ["indeterminate"] + ["diverges"] * (len(C_EXPONENTS) - 1)
 
+    @pytest.mark.parametrize("b, weights, route", [
+        (0.0, (0.5, 0.5), "finite"),  # the atom process itself
+        (0.5, (0.25, 0.75), "finite"),  # b equals int_{0<|y|<1} y nu(dy) = 0.5 * 2 * 0.5
+        (0.3, (0.5, 0.5), "integrals"),
+        (0.0, (0.25, 0.75), "integrals")])
+    def test_finite_mass_needs_no_effective_drift(self, b, weights, route):
+        # atoms at 0.5 (mass 2) and 2 (mass 1): the one above 1 is not compensated
+        atoms = ((0.5, 2.0), (2.0, 1.0))
+        m = ms.LevyMeasureModel(
+            tail=lambda r: sum(w * (np.asarray(r, float) < s) for s, w in atoms),
+            trunc2=lambda r: sum(w * s**2 * (np.asarray(r, float) >= s) for s, w in atoms),
+            side_weights=weights, atoms=atoms, total_mass=3.0)
+        spec = pr.levy_process_from_measure(m, b=b, symbol=lambda x, xi: np.zeros(xi.shape[:-1]))
+        res = classify_levy(spec, gr.power(1.2))
+        if route == "finite":
+            assert (res.outcome, res.reason, res.evidence) == (
+                "zero", "finite jump mass", {"total_mass": 3.0})
+        else:
+            assert res.reason != "finite jump mass" and "sector" in res.evidence
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("gap", [-0.3, -0.1, 0.1, 0.3])
     def test_full_dichotomy_matrix(self, alpha, gap):

@@ -85,6 +85,12 @@ class TestTrendClassify:
         assert v.label == "flat"
         assert np.sqrt(2) / 2 <= st.median[-1] <= 2 * np.sqrt(2)
 
+    def test_log_smooth_tends_to_zero(self):
+        # finite jump mass: a path sits still until its first jump, so every
+        # power is an upper function; the exact compound-Poisson paths show it
+        st = dyadic_limsup_stats(pr.log_smooth_process(), 0.0, power(0.6), 4, 16, CFG)
+        assert trend_classify(st).label == "tends_zero"
+
     def test_monotone_response_in_kappa(self):
         # raising kappa never moves the verdict toward tends_zero
         order = {"tends_zero": 0, "flat": 1, "noisy": 1, "grows": 2}

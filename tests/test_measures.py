@@ -111,6 +111,31 @@ class TestAtomAndLogSmooth:
             assert float(m.tail(r)) == pytest.approx(2.0 * (1.0 - 1.0 / u), rel=1e-12)
         assert float(m.tail(1.5)) == 0.0
 
+    @pytest.mark.parametrize("build, mass", [(ms.atom_measure, 1.0), (ms.log_smooth_measure, 2.0),
+                                             (ms.null_measure, 0.0)])
+    def test_finite_measures_state_their_mass(self, build, mass):
+        # G(0+): the tail on the way down to r = 1e-300 stays below the mass
+        # and reaches it (log_smooth only like 2 - 2 / log(1/r))
+        m = build()
+        assert m.total_mass == mass
+        m.validate(r_grid=np.logspace(-300, 0.5, 40))
+        assert float(m.tail(1e-300)) == pytest.approx(mass, rel=3e-3)
+        assert ms.stable_measure(1.2).total_mass == np.inf
+
+    def test_log_smooth_tail_inverse(self):
+        m = ms.log_smooth_measure()
+        r = np.logspace(-12, -1e-9, 50)
+        np.testing.assert_allclose(m.tail_inverse(m.tail(r)), r, rtol=1e-9)
+        assert m.tail_inverse(0.0) == 1.0
+
+    def test_tail_above_the_stated_mass_is_rejected(self):
+        m = ms.atom_measure(radius=2.0, mass=1.0)
+        with pytest.raises(ValueError, match="exceeds its total mass"):
+            ms.LevyMeasureModel(tail=m.tail, trunc2=m.trunc2, atoms=m.atoms,
+                                total_mass=0.5).validate()
+        with pytest.raises(ValueError, match="total_mass must be"):
+            ms.LevyMeasureModel(tail=m.tail, trunc2=m.trunc2, total_mass=np.nan)
+
     def test_log_smooth_trunc2_against_quadrature(self):
         from scipy import integrate
 
@@ -174,6 +199,14 @@ class TestValidation:
     def test_mean_jump_between_symmetric_is_zero(self):
         m = ms.stable_measure(1.2)
         assert m.mean_jump_between(0.01, 1.0) == 0.0
+
+    def test_mean_jump_between_leaves_out_the_upper_end(self):
+        # int_{a<|y|<b}: an atom at b = 1 is not compensated, as in the symbol
+        m = ms.LevyMeasureModel(tail=lambda r: 3.0 * (np.asarray(r, float) < 1.0),
+                                trunc2=lambda r: 3.0 * (np.asarray(r, float) >= 1.0),
+                                side_weights=(0.0, 1.0), atoms=((1.0, 3.0),))
+        assert m.mean_jump_between(0.0, 1.0) == 0.0
+        assert m.mean_jump_between(0.0, 1.5) == 3.0
 
     def test_mean_jump_between_one_sided(self):
         for alpha in (0.3, 0.6, 1.4, 1.8):

@@ -54,7 +54,7 @@ def _stable_with_drift():
 SCHEME_CASES = {
     "exact_stable-drift": _stable_with_drift,
     "cpg-one_sided_1.4": lambda: pr.one_sided_stable_process(1.4),
-    "cpg-atom": lambda: pr.atom_process(radius=0.5, mass=40.0),
+    "cp-atom": lambda: pr.atom_process(radius=0.5, mass=40.0),
     "euler_sde-cauchy": pr.sde_process,
     "euler_sde-one_sided_1.4": lambda: pr.sde_process(driver=pr.one_sided_stable_process(1.4)),
     "freeze-variable_order": pr.variable_order_process,
@@ -65,7 +65,7 @@ SCHEME_CASES = {
 # GRID_IRREGULAR, SimConfig(n_paths=6, seed=17, path_offset=5)); any change
 # to the engine's arithmetic or stream use shows here
 GOLDEN_DIGESTS = {
-    "cpg-atom": "37b62074bdb09e276d2e91aad3a8caea04783651bd9ba98c9be7969a5dda77ec",
+    "cp-atom": "c31a248e021c6adf3f16401bcc94d1eee713acd18a528ef61def5fb67dfd4e60",
     "cpg-one_sided_1.4": "81132a38010144c57e57ca272ac1e46e7e916858eb515030f8a11cb56f832d5c",
     "euler_sde-cauchy": "79d4f3e6e95fb242b0597ab34792a5928686d1e89f5266c840765f55f68787f5",
     "euler_sde-one_sided_1.4": "d6b12bd4ef41efd8442340705652899beb422132b7d9681aaad6d35fe53d24f5",
@@ -113,7 +113,7 @@ MIXED_DIGESTS = {
     "simulate_batch": "0d3d7e001d8b5bc0966ef326bef103a59646a5c787c4dad95e45ba1bd2dac179",
 }
 
-BLOCK_CASES = {**SCHEME_CASES, "cpg-mixed": _mixed_process}
+BLOCK_CASES = {**SCHEME_CASES, "cpg-mixed": _mixed_process, "cp-log_smooth": pr.log_smooth_process}
 
 
 def estimates_at(spec, t, config, hit):
@@ -191,6 +191,109 @@ class TestIncrements:
         raw = pr.raw_stable_process(1.0)
         with pytest.raises(RateOverflow):
             simulate._levy_sampler(raw.levy, np.array([10_000.0]), 1e-4)
+        with pytest.raises(RateOverflow):  # the exact compound Poisson too
+            simulate._compound_poisson_sampler(pr.atom_process(mass=2e4).levy, np.array([1.0]))
+
+
+def _words_drawn(rng):
+    """64-bit words a Philox generator has handed out (_Streams' count)."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+def _park_one(spec, dts, rng):
+    """One path's draw of the scheme of spec on the steps dts: its rows a and
+    b, and the words it returned."""
+    draw, _ = simulate._scheme(spec, dts)[0]
+    a, b = np.zeros(len(dts)), np.zeros(len(dts))
+    return a, b, draw(rng, a, b)
+
+
+class TestCompoundPoisson:
+    """The exact scheme of a finite Levy measure against its law."""
+
+    def test_atom_share_not_moved_is_exponential(self):
+        # a path that has not moved by t had no jump by t: P = e^{-mass t}
+        spec, cfg = pr.atom_process(radius=0.5, mass=2.0), SimConfig(dt=1e-2, n_paths=20_000, seed=5)
+        ts = (0.1, 0.5, 1.0)
+        for t, est in zip(ts, estimates_at(spec, ts, cfg, lambda v, m: m == 0.0)):
+            p = np.exp(-2.0 * t)
+            assert abs(est.p_hat - p) <= 4 * np.sqrt(p * (1 - p) / cfg.n_paths), t
+
+    def test_atom_moves_by_multiples_of_its_radius(self):
+        radius = 0.3
+        values, runmax = simulate_batch(pr.atom_process(radius=radius, mass=30.0), 0.25,
+                                        GRID_IRREGULAR, SimConfig(n_paths=200, seed=6))
+        for dev in (values - 0.25, runmax):
+            steps = dev / radius
+            assert np.all(np.abs(steps - np.round(steps)) < 1e-9)
+        assert np.abs(values[:, -1] - 0.25).max() >= 2 * radius  # some paths jumped twice
+
+    def test_log_smooth_jumps_follow_the_tail(self):
+        # on steps of 1e-3 at rate 2, a step with a jump rarely holds two: the
+        # non-zero increments are the jumps, of law P(|Y| > r) = G(r) / 2
+        spec = pr.log_smooth_process()
+        values = simulate_batch(spec, 0.0, np.linspace(0.0, 1.0, 1001),
+                                SimConfig(n_paths=2000, seed=7))[0]
+        jumps = np.diff(values, axis=1)
+        jumps = jumps[jumps != 0.0]
+        assert 3500 < jumps.size < 4500  # about 2 per path
+        tail = spec.levy.measure.tail
+        ks = stats.kstest(np.abs(jumps), lambda r: 1.0 - tail(r) / 2.0)
+        assert ks.pvalue > 0.01
+        assert np.mean(jumps > 0) == pytest.approx(0.5, abs=0.03)
+
+    def test_step_counts_are_poisson_on_an_irregular_grid(self):
+        # the count of step j is Poisson(G(0+) dt_j): its mean and variance
+        # both match G(0+) dt_j within four standard errors
+        spec, dts, n = pr.atom_process(radius=0.5, mass=40.0), np.diff(GRID_IRREGULAR), 20_000
+        counts = np.array([_park_one(spec, dts, path_rng(8, p))[1] for p in range(n)])
+        lam = 40.0 * dts
+        assert np.all(np.abs(counts.mean(axis=0) - lam) <= 4 * np.sqrt(lam / n))
+        var_se = np.sqrt((lam + 2 * lam**2) / n)  # of a Poisson sample variance
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - lam) <= 4 * var_se)
+
+    @pytest.mark.parametrize("build", [pr.log_smooth_process, pr.atom_process, pr.zero_process],
+                             ids=["log_smooth", "atom", "zero"])
+    def test_words_drawn_do_not_grow_with_the_steps(self, build):
+        # a path draws its Poisson count and 4 words per jump on any grid of
+        # the same horizon; a scheme with a draw per step draws k words or more
+        spec, words = build(), []
+        for k in (16, 256, 4096):
+            rng = path_rng(9, 3)
+            _park_one(spec, np.full(k, 1.0 / k), rng)
+            words.append(_words_drawn(rng))
+        assert words[0] == words[1] == words[2] < 16
+
+    def test_finite_mass_without_tail_inverse_is_not_simulated(self):
+        # a continuous part of finite mass needs its inverse tail: no cutoff
+        # and no surrogate stand in for it
+        m = dataclasses.replace(ms.log_smooth_measure(), tail_inverse=None)
+        spec = pr.levy_process_from_measure(m, symbol=lambda x, xi: np.zeros(xi.shape[:-1]))
+        with pytest.raises(NotImplementedError, match="tail_inverse"):
+            simulate_batch(spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=2))
+
+    def test_skewed_finite_measure_gets_the_exact_drift(self):
+        # atoms at 0.5 (mass 3) and 2 (mass 1), two thirds of each on the
+        # positive side: the drift is b - (1/3) 0.5 * 3 and the jumps above 1
+        # are not compensated
+        atoms = ((0.5, 3.0), (2.0, 1.0))
+        m = ms.LevyMeasureModel(
+            tail=lambda r: sum(w * (np.asarray(r, float) < s) for s, w in atoms),
+            trunc2=lambda r: sum(w * s**2 * (np.asarray(r, float) >= s) for s, w in atoms),
+            side_weights=(1 / 3, 2 / 3), atoms=atoms, total_mass=4.0, name="skewed")
+        spec = pr.levy_process_from_measure(m, b=0.1, symbol=lambda x, xi: np.zeros(xi.shape[:-1]))
+        dts = np.diff(GRID_IRREGULAR)
+        draw, finish = simulate._scheme(spec, dts)[0]
+        a, b = np.zeros((1, len(dts))), np.zeros((1, len(dts)))
+        finish(a, b, [draw(path_rng(10, 0), a[0], b[0])], slice(None))
+        np.testing.assert_allclose(a[0], (0.1 - 0.5) * dts, rtol=1e-15)
+
+    def test_skewed_finite_density_is_not_simulated(self):
+        m = dataclasses.replace(ms.log_smooth_measure(), side_weights=(0.25, 0.75))
+        spec = pr.levy_process_from_measure(m, symbol=lambda x, xi: np.zeros(xi.shape[:-1]))
+        with pytest.raises(NotImplementedError, match="skewed density of 'log_smooth'"):
+            simulate_batch(spec, 0.0, GRID_IRREGULAR, SimConfig(n_paths=2))
 
 
 class TestPaths:

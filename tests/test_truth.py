@@ -8,7 +8,8 @@ Each row of the table is (spec, f, truth), with the truth known in closed form:
 - stable and raw_stable(alpha) with f = (t log^p(e^3/t))^(1/alpha): ``zero``
   iff p > 1 (Khintchine's integral test: G(f(t)) ~ 1 / (t log^p(e^3/t)));
 - atom, log_smooth and the zero process (finite jump mass, no drift):
-  ``zero`` for every f;
+  ``zero`` for every f, which ``classify_levy`` must state (it decides
+  finite mass first, so its cells are guarded at every kappa);
 - stable_type(alpha) with intensity 1 is stable(alpha) written as a
   state-free family, so both state-ball routes answer to the stable truth.
 
@@ -121,7 +122,7 @@ def cells():
         for route in ("levy", "power"):
             for kappa in FINITE_MASS_KAPPAS:
                 yield Cell(route, f"{name}-kappa={kappa}", build, partial(gr.power, kappa),
-                           kappa, "zero", False, False)
+                           kappa, "zero", False, route == "levy")
 
 
 CELLS = list(cells())
